@@ -7,6 +7,9 @@ desk scale (see the analysis in the project notes); they are asserted
 as stated rather than loosened, so an honest red here is expected.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -242,12 +245,19 @@ def test_criterion_10_model_maps():
                  f"weight characteristic monotone: {monotone}")
 
 
-def test_criterion_11_reproducibility():
+@pytest.fixture(scope="module")
+def fast_seed1_report():
+    """One `suite fast --seed 1` run, shared by criterion 11 and the
+    golden-report comparison."""
+    return run_suite("fast", seed=1)
+
+
+def test_criterion_11_reproducibility(fast_seed1_report):
     # instantiated at the fast tier for wall-clock reasons: the runner
     # threads one seed through every experiment identically in both tiers,
     # and no entry depends on clocks or global state
     known_red = {"bellman.interp-sweep", "planar.ascent-ratio"}
-    rep_a = run_suite("fast", seed=1)
+    rep_a = fast_seed1_report
     rep_b = run_suite("fast", seed=1)
     identical = rep_a.canonical_json() == rep_b.canonical_json()
     rep_c = run_suite("fast", seed=2)
@@ -259,3 +269,11 @@ def test_criterion_11_reproducibility():
                  f"same-seed reports bit-identical: {identical}; seeds 1,2 "
                  f"pass/fail patterns equal: {pattern_match}; unexpected "
                  f"failures: {sorted(unexpected) or 'none'}")
+
+
+def test_golden_fast_seed1_report(fast_seed1_report):
+    # the committed file is the canonical payload, indented for review;
+    # re-serializing it gives the canonical bytes (floats round-trip)
+    golden = json.loads((Path(__file__).parent / "golden_suite_fast_seed1.json").read_text())
+    expected = json.dumps(golden, sort_keys=True, allow_nan=True)
+    assert fast_seed1_report.canonical_json() == expected
