@@ -18,7 +18,6 @@ only measure float cancellation noise (~1e-4 for p = 8 on a [-10, 10] box).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import integrate
@@ -29,7 +28,6 @@ __all__ = [
     "p_star",
     "gamma_p",
     "eval_phi",
-    "BellmanCandidate",
     "ZigzagReport",
     "zigzag_check",
     "majorant_check",
@@ -43,7 +41,6 @@ __all__ = [
     "interpolation_constant",
     "bq_hessian_check",
     "jn_bellman_check",
-    "power_candidate",
 ]
 
 
@@ -84,44 +81,6 @@ def eval_phi(x, y, p: float, variant: str = "phi"):
     raise ValueError(f"unknown variant {variant!r}")
 
 
-@dataclass
-class BellmanCandidate:
-    """Scalar function of a few real variables with optional derivatives."""
-
-    name: str
-    arity: int
-    fn: Callable
-    grad: Callable | None = None
-    hess: Callable | None = None
-    domain: Callable | None = None
-
-    def __call__(self, *args):
-        return self.fn(*args)
-
-
-def power_candidate(alpha: float) -> BellmanCandidate:
-    """b(x, y) = x^alpha y^alpha with analytic gradient and Hessian."""
-
-    def fn(x, y):
-        return x ** alpha * y ** alpha
-
-    def grad(x, y):
-        b = fn(x, y)
-        return np.stack([alpha * b / x, alpha * b / y])
-
-    def hess(x, y):
-        b = fn(x, y)
-        hxx = alpha * (alpha - 1.0) * b / x ** 2
-        hyy = alpha * (alpha - 1.0) * b / y ** 2
-        hxy = alpha ** 2 * b / (x * y)
-        return np.array([[hxx, hxy], [hxy, hyy]])
-
-    return BellmanCandidate(
-        name=f"power[{alpha}]", arity=2, fn=fn, grad=grad, hess=hess,
-        domain=lambda x, y: (x > 0) & (y > 0),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Zigzag concavity and majorization by sampling
 
@@ -145,14 +104,13 @@ def _midpoint_margins(fn, x, y, a, sgn):
     return raw, raw / scale
 
 
-def zigzag_check(candidate, samples: int, step: float = 1.0, seed: int = 0,
+def zigzag_check(fn, samples: int, step: float = 1.0, seed: int = 0,
                  box: float = 5.0) -> ZigzagReport:
     """Sample f(x,y) - (f(x+a, y+-a) + f(x-a, y-+a))/2 at random points.
 
     For a zigzag concave f both variants are >= 0; the reported margin is
     the minimum over samples, normalized by the stencil magnitude.
     """
-    fn = candidate.fn if isinstance(candidate, BellmanCandidate) else candidate
     rng = np.random.default_rng(seed)
     x = rng.uniform(-box, box, samples)
     y = rng.uniform(-box, box, samples)

@@ -8,6 +8,8 @@ Usage: bellmanlab <module> <operation> [flags], e.g.
     bellmanlab planar norm-ascent --op r11-r22 --p 4 --n 256 --iters 500
     bellmanlab suite fast --seed 1
 
+Each operation runs one of the suite's check builders with parameters
+taken from its flags, so it reports the same checks as the suite.
 Flags can also come from a config file of `key = value` lines passed with
 --config; explicit flags override file values.  Output is CSV or JSON
 (--format), written to --output or stdout.  Exit codes: 0 all checks
@@ -20,13 +22,12 @@ reading one sample per line (2^depth lines).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
-from . import __version__, bellman, dyadic, laminate, planar, qcmaps, stochastic
-from .reporting import CheckResult, RunReport, Stopwatch
+from . import __version__, dyadic, suite
+from .reporting import RunReport
 from .suite import run_suite
 
 USAGE_ERROR, CHECK_FAILURE, NUMERIC_ERROR = 2, 1, 3
@@ -42,6 +43,57 @@ def _parse_weight(spec: str, depth: int) -> dyadic.DyadicWeight:
     if kind == "file":
         return dyadic.DyadicWeight(np.loadtxt(arg))
     raise ValueError(f"unknown weight spec {spec!r}")
+
+
+def _weight_family(spec: str):
+    """depth -> weight for the spec; a file holds a single depth."""
+    if spec.startswith("file:"):
+        raise ValueError("a file: weight has one depth; buckley needs several")
+    return lambda depth: _parse_weight(spec, depth)
+
+
+# parameters that no flag sets take the full tier's value
+_FULL = suite.tier_params("full")
+
+# (module, operation) -> (builder, flags -> builder parameters)
+OPERATIONS = {
+    ("dyadic", "buckley"): (suite.buckley_checks, lambda a: dict(
+        weight=_weight_family(a.weight), depth=a.depth, label=f"weight={a.weight}")),
+    ("dyadic", "mt-ratio"): (suite.mt_envelope_checks, lambda a: dict(
+        w=_parse_weight(a.weight, a.depth), trials=a.trials, p=a.p, seed=a.seed)),
+    ("bellman", "zigzag"): (suite.zigzag_checks, lambda a: dict(
+        ps=[a.p], variants=[a.variant], samples=int(a.samples), box=a.box,
+        seed=a.seed)),
+    ("bellman", "tau"): (suite.tau_checks, lambda a: dict(ps=[a.p])),
+    ("bellman", "interp-sweep"): (suite.interp_checks, lambda a: dict(
+        qs=np.linspace(a.qmin, a.qmax, a.points))),
+    ("bellman", "jn"): (suite.strip_checks, lambda a: dict(
+        delta=a.delta, grid=_FULL["bellman-jn"]["grid"])),
+    ("planar", "norm-ascent"): (suite.ascent_checks, lambda a: dict(
+        op=a.op, p=a.p, n=a.n, iters=a.iters, seed=a.seed, witness=a.witness,
+        curve=a.curve)),
+    ("planar", "identity113"): (suite.heat_identity_checks, lambda a: dict(
+        ladder=[(a.n, a.nt, a.tmax)])),
+    ("planar", "ap"): (suite.ap_checks, lambda a: dict(n=a.n)),
+    ("laminate", "ratio"): (suite.ratio_sweep_checks, lambda a: dict(
+        p=a.p, etas=[a.eta])),
+    ("laminate", "sweep"): (suite.ratio_sweep_checks, lambda a: dict(
+        p=a.p, etas=[float(t) for t in a.etas.split(",")])),
+    ("laminate", "check"): (suite.measure_checks, lambda a: dict(
+        which=a.which, p=a.p, eta=a.eta, seed=a.seed)),
+    ("stoch", "riemann-gap"): (suite.riemann_checks, lambda a: dict(
+        a=a.a, b=a.b, steps=int(a.steps), paths=int(a.paths), seed=a.seed)),
+    ("stoch", "ab-mc"): (suite.conditioning_checks, lambda a: dict(
+        T=a.T, paths=int(a.paths), bins=a.bins,
+        steps=_FULL["stoch-conditioning"]["steps"],
+        min_count=_FULL["stoch-conditioning"]["min_count"],
+        disc_tol=_FULL["stoch-conditioning"]["disc_tol"], seed=a.seed)),
+    ("stoch", "constants"): (suite.constant_checks, lambda a: dict(
+        p=a.p, trials=int(a.trials), seed=a.seed)),
+    ("qc", "distortion"): (suite.distortion_checks, lambda a: dict(K=a.K)),
+    ("qc", "sobolev"): (suite.sobolev_checks, lambda a: dict(K=a.K)),
+    ("qc", "weight"): (suite.weight_checks, lambda a: dict(K=a.K, p=a.p, n=a.n)),
+}
 
 
 def _config_defaults(path: str) -> dict:
@@ -66,209 +118,12 @@ def _emit(report: RunReport, args) -> int:
     return 0 if report.passed else CHECK_FAILURE
 
 
-def _report(args, entries, **config) -> int:
-    rep = RunReport(config={**config, "seed": getattr(args, "seed", 0)},
-                    version=__version__)
-    rep.extend(entries)
-    rep.sort()
-    return _emit(rep, args)
-
-
-# ---------------------------------------------------------------------------
-# per-module command handlers
-
-
-def _cmd_dyadic(args) -> int:
-    w = _parse_weight(args.weight, args.depth)
-    if args.operation == "buckley":
-        val = dyadic.buckley_sum(w)
-        entries = [CheckResult("dyadic.buckley-bounded", val, None, None,
-                               "report", f"weight={args.weight},depth={args.depth}")]
-    elif args.operation == "mt-ratio":
-        val = dyadic.weighted_mt_ratio(w, args.trials, p=args.p, seed=args.seed)
-        entries = [CheckResult("dyadic.weighted-mt-envelope", val,
-                               2.0 * dyadic.a2_dyadic(w), 0.0, "bound",
-                               f"weight={args.weight},trials={args.trials}")]
-    else:
-        raise ValueError(args.operation)
-    return _report(args, entries, module="dyadic", operation=args.operation,
-                   weight=args.weight, depth=args.depth)
-
-
-def _cmd_bellman(args) -> int:
-    if args.operation == "zigzag":
-        rep = bellman.zigzag_check(
-            lambda x, y: bellman.eval_phi(x, y, args.p, args.variant),
-            int(args.samples), seed=args.seed, box=args.box)
-        entries = [CheckResult("bellman.zigzag", -rep.worst_margin, 0.0, 1e-9,
-                               "bound",
-                               f"variant={args.variant},p={args.p},"
-                               f"witness={rep.worst_point}")]
-    elif args.operation == "tau":
-        val = bellman.tau(args.p)
-        entries = [CheckResult("bellman.tau-quadrature",
-                               abs(val - bellman.tau_closed_form(args.p)), 0.0,
-                               1e-10, "match", f"p={args.p},tau={val!r}")]
-    elif args.operation == "interp-sweep":
-        qs = np.linspace(args.qmin, args.qmax, args.points)
-        ratios = [bellman.interpolation_constant(q) / (q - 1.0) for q in qs]
-        i = int(np.argmax(ratios))
-        entries = [CheckResult("bellman.interp-sweep", float(ratios[i]), 1.7,
-                               0.0, "bound", f"worst q={qs[i]:.3f}")]
-    elif args.operation == "jn":
-        rep = bellman.jn_bellman_check(args.delta)
-        entries = [
-            CheckResult("bellman.strip-eigenvalue",
-                        max(rep.fd_max_eig, rep.analytic_max_eig), 0.0, 1e-6,
-                        "bound", f"delta={args.delta}"),
-            CheckResult("bellman.strip-determinant",
-                        max(rep.fd_max_det_rel, rep.analytic_max_det_rel), 0.0,
-                        1e-5, "bound", f"delta={args.delta}"),
-            CheckResult("bellman.strip-obstacle", -rep.obstacle_min_gap, 0.0,
-                        1e-9, "bound", f"delta={args.delta}"),
-        ]
-    else:
-        raise ValueError(args.operation)
-    return _report(args, entries, module="bellman", operation=args.operation)
-
-
-def _cmd_planar(args) -> int:
-    if args.operation == "norm-ascent":
-        op = (planar.riesz_diff_multiplier() if args.op == "r11-r22"
-              else planar.ab_multiplier())
-        res = planar.norm_ratio_ascent(op, p=args.p, n=args.n,
-                                       iters=args.iters, seed=args.seed)
-        if args.witness:
-            planar.write_field(args.witness, res.witness)
-        if args.curve:
-            with open(args.curve, "w") as fh:
-                fh.write("iteration,ratio\n")
-                fh.writelines(f"{i},{float(r)!r}\n" for i, r in enumerate(res.curve))
-        entries = [
-            CheckResult("planar.ascent-ratio", res.ratio, None, None, "report",
-                        f"op={args.op},p={args.p},n={args.n}"),
-            CheckResult("planar.ascent-monotone",
-                        float(np.max(-np.diff(res.curve))) if res.curve.size > 1 else 0.0,
-                        0.0, 0.0, "bound"),
-        ]
-    elif args.operation == "identity113":
-        phi = planar.gaussian_bump(args.n, 8.0, sigma=0.35)
-        psi = planar.gaussian_bump(args.n, 8.0, sigma=0.45, center=(0.3, -0.15))
-        rep = planar.identity_1_13_check(phi, psi, tmax=args.tmax, nt=args.nt)
-        entries = [CheckResult("planar.heat-identity", rep.gap_rel, 0.0, 1e-3,
-                               "bound", f"n={args.n},tmax={args.tmax}")]
-    elif args.operation == "ap":
-        w = qcmaps.jacobian_weight(qcmaps.RadialMap(args.K, "regular"), args.p,
-                                   n=args.n)
-        val = (planar.ap_heat(w) if args.mode == "heat" else planar.ap_class(w))
-        entries = [CheckResult("planar.ap-two-sided", val, None, None, "report",
-                               f"mode={args.mode},K={args.K},p={args.p}")]
-    else:
-        raise ValueError(args.operation)
-    return _report(args, entries, module="planar", operation=args.operation)
-
-
-def _cmd_laminate(args) -> int:
-    if args.operation == "ratio":
-        r = laminate.ratio(args.p, args.eta)
-        entries = [CheckResult("laminate.ratio-limit",
-                               r.direct ** (1.0 / args.p), None, None, "report",
-                               f"eta={args.eta},target={r.target!r},"
-                               f"printed_discrepancy={r.discrepancy:.3e}")]
-    elif args.operation == "sweep":
-        etas = [float(t) for t in args.etas.split(",")]
-        entries = []
-        roots = []
-        for e in etas:
-            r = laminate.ratio(args.p, e)
-            roots.append(r.direct ** (1.0 / args.p))
-            entries.append(CheckResult(
-                "laminate.ratio-limit", roots[-1], None, None, "report",
-                f"eta={e},ratio={r.direct!r},target={r.target!r}"))
-        entries.append(CheckResult(
-            "laminate.ratio-monotone", float(np.max(-np.diff(roots))), 0.0,
-            0.0, "bound", "roots=" + ",".join(f"{r:.6f}" for r in roots)))
-        if min(etas) <= 2e-4:
-            # the 5e-3 tolerance is calibrated at eta = 1e-4
-            entries.append(CheckResult(
-                "laminate.ratio-limit", abs(roots[-1] - (args.p - 1.0)), 0.0,
-                5e-3, "bound", f"limit check at eta={etas[-1]}"))
-    elif args.operation == "check":
-        p, eta = args.p, args.eta
-        which = {"nu": None, "mu": laminate.mu_laminate(p, eta),
-                 "sigma": laminate.sigma_laminate(p, eta)}[args.which]
-        if which is None:
-            hi, lo = laminate.nu_pair(p, eta)
-            which = laminate.Laminate(atoms=hi.atoms + lo.atoms,
-                                      rays=hi.rays + lo.rays)
-            worst = laminate.laminate_inequality_check(which, seed=args.seed)
-            entries = [CheckResult("laminate.jensen", -worst, 0.0, 1e-10,
-                                   "bound", f"which={args.which}")]
-        else:
-            bx, by, m = laminate.baricenter(which)
-            entries = [CheckResult("laminate.mass-baricenter",
-                                   max(abs(bx), abs(by - 1.0), abs(m - 1.0)),
-                                   None, None, "report",
-                                   f"which={args.which},baricenter=({bx:.6f},{by:.6f})")]
-    else:
-        raise ValueError(args.operation)
-    return _report(args, entries, module="laminate", operation=args.operation)
-
-
-def _cmd_stoch(args) -> int:
-    if args.operation == "riemann-gap":
-        demo = stochastic.riemann_gap_demo(args.a, args.b, int(args.steps),
-                                           int(args.paths), seed=args.seed)
-        entries = [
-            CheckResult("stoch.riemann-gap",
-                        abs(demo["ES2"] - (args.b - args.a)) - demo["ES2_ci"],
-                        0.0, 0.0, "bound",
-                        f"ES1={demo['ES1']:.5f},ES2={demo['ES2']:.5f}"),
-            CheckResult("stoch.variance", abs(demo["ES1"]) - demo["ES1_ci"],
-                        0.0, 0.0, "bound"),
-        ]
-    elif args.operation == "ab-mc":
-        surf = stochastic.GaussianMix.single(sigma2=1.0)
-        res = stochastic.ab_by_conditioning(surf, T=args.T, paths=int(args.paths),
-                                            bins=args.bins, seed=args.seed)
-        frac = res.agreement_fraction(3.0, disc_tol=0.05)
-        entries = [CheckResult("stoch.conditioning", -frac, -0.95, 0.0, "bound",
-                               f"paths={int(args.paths)},bins={args.bins}")]
-    elif args.operation == "constants":
-        rep = stochastic.subordination_constants_mc(args.p, int(args.trials),
-                                                    seed=args.seed)
-        entries = [
-            CheckResult("stoch.plain-constant", rep["ratio_plain"],
-                        rep["plain_ceiling"], 0.0, "bound"),
-            CheckResult("stoch.conformal-constant", rep["ratio_conformal"],
-                        rep["conformal_ceiling"], 0.0, "bound"),
-        ]
-    else:
-        raise ValueError(args.operation)
-    return _report(args, entries, module="stoch", operation=args.operation)
-
-
-def _cmd_qc(args) -> int:
-    if args.operation == "distortion":
-        slope, spread = qcmaps.distortion_exponent(qcmaps.RadialMap(args.K, "regular"))
-        entries = [CheckResult("qc.distortion-slope",
-                               abs(slope - 1.0 / args.K) + spread, 0.0, 1e-10,
-                               "bound", f"K={args.K},slope={slope!r}")]
-    elif args.operation == "sobolev":
-        m = qcmaps.RadialMap(args.K, "singular")
-        rep = qcmaps.sobolev_threshold(m, args.q,
-                                       eps_min=2.0 ** round(np.log2(args.eps_min)))
-        entries = [CheckResult("qc.sobolev-boundary",
-                               rep["increment_slope"], None, None, "report",
-                               f"K={args.K},q={args.q},bounded={rep['bounded']}")]
-    elif args.operation == "weight":
-        w = qcmaps.jacobian_weight(qcmaps.RadialMap(args.K, "regular"), args.p,
-                                   n=args.n)
-        entries = [CheckResult("qc.weight-monotone", planar.ap_class(w), None,
-                               None, "report", f"K={args.K},p={args.p}")]
-    else:
-        raise ValueError(args.operation)
-    return _report(args, entries, module="qc", operation=args.operation)
+def _cmd_check(args) -> int:
+    builder, params = OPERATIONS[args.module, args.operation]
+    report = RunReport(config={"module": args.module, "operation": args.operation,
+                               "seed": args.seed}, version=__version__)
+    report.extend(builder(**params(args)))
+    return _emit(report, args)
 
 
 def _cmd_suite(args) -> int:
@@ -281,6 +136,13 @@ def _cmd_suite(args) -> int:
 
 # ---------------------------------------------------------------------------
 # argument wiring
+
+
+def _module_parser(sub, module):
+    sp = sub.add_parser(module)
+    sp.add_argument("operation", choices=[op for m, op in OPERATIONS if m == module])
+    sp.set_defaults(handler=_cmd_check)
+    return sp
 
 
 def _add_common(sp):
@@ -297,17 +159,14 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="module", required=True)
 
-    d = sub.add_parser("dyadic")
-    d.add_argument("operation", choices=("buckley", "mt-ratio"))
+    d = _module_parser(sub, "dyadic")
     d.add_argument("--weight", default="twovalue:2,1")
     d.add_argument("--depth", type=int, default=10)
     d.add_argument("--trials", type=int, default=1000)
     d.add_argument("--p", type=float, default=2.0)
     _add_common(d)
-    d.set_defaults(handler=_cmd_dyadic)
 
-    b = sub.add_parser("bellman")
-    b.add_argument("operation", choices=("zigzag", "tau", "interp-sweep", "jn"))
+    b = _module_parser(sub, "bellman")
     b.add_argument("--variant", choices=("phi", "phi0", "fp"), default="phi")
     b.add_argument("--p", type=float, default=3.0)
     b.add_argument("--samples", type=float, default=1e5)
@@ -317,36 +176,28 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--points", type=int, default=25)
     b.add_argument("--delta", type=float, default=0.25)
     _add_common(b)
-    b.set_defaults(handler=_cmd_bellman)
 
-    pl = sub.add_parser("planar")
-    pl.add_argument("operation", choices=("norm-ascent", "identity113", "ap"))
+    pl = _module_parser(sub, "planar")
     pl.add_argument("--op", choices=("ab", "r11-r22"), default="r11-r22")
     pl.add_argument("--p", type=float, default=4.0)
     pl.add_argument("--n", type=int, default=256)
     pl.add_argument("--iters", type=int, default=500)
     pl.add_argument("--tmax", type=float, default=24.0)
     pl.add_argument("--nt", type=int, default=65)
-    pl.add_argument("--mode", choices=("heat", "class"), default="class")
-    pl.add_argument("--K", type=float, default=2.0)
     pl.add_argument("--witness", default=None,
                     help="write the ascent witness field to this path")
     pl.add_argument("--curve", default=None,
                     help="write the (iteration, ratio) ascent curve CSV here")
     _add_common(pl)
-    pl.set_defaults(handler=_cmd_planar)
 
-    la = sub.add_parser("laminate")
-    la.add_argument("operation", choices=("ratio", "sweep", "check"))
+    la = _module_parser(sub, "laminate")
     la.add_argument("--p", type=float, default=3.0)
     la.add_argument("--eta", type=float, default=1e-3)
     la.add_argument("--etas", default="1e-1,1e-2,1e-3,1e-4")
     la.add_argument("--which", choices=("nu", "mu", "sigma"), default="nu")
     _add_common(la)
-    la.set_defaults(handler=_cmd_laminate)
 
-    st = sub.add_parser("stoch")
-    st.add_argument("operation", choices=("riemann-gap", "ab-mc", "constants"))
+    st = _module_parser(sub, "stoch")
     st.add_argument("--a", type=float, default=0.0)
     st.add_argument("--b", type=float, default=1.0)
     st.add_argument("--paths", type=float, default=1e5)
@@ -356,17 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--p", type=float, default=4.0)
     st.add_argument("--trials", type=float, default=1e4)
     _add_common(st)
-    st.set_defaults(handler=_cmd_stoch)
 
-    qc = sub.add_parser("qc")
-    qc.add_argument("operation", choices=("distortion", "sobolev", "weight"))
+    qc = _module_parser(sub, "qc")
     qc.add_argument("--K", type=float, default=2.0)
-    qc.add_argument("--q", type=float, default=1.3)
     qc.add_argument("--p", type=float, default=3.0)
     qc.add_argument("--n", type=int, default=256)
-    qc.add_argument("--eps-min", dest="eps_min", type=float, default=1e-6)
     _add_common(qc)
-    qc.set_defaults(handler=_cmd_qc)
 
     su = sub.add_parser("suite")
     su.add_argument("tier", choices=("fast", "full"))
@@ -379,35 +225,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            defaults = _config_defaults(args.config)
+            unknown = [key for key in defaults if key not in vars(args)]
+            if unknown:
+                print(f"config error: unknown field {unknown[0]!r}", file=sys.stderr)
+                return USAGE_ERROR
+            # file values go in as flags, so argparse casts and validates
+            # them; the explicit flags follow and therefore win
+            flags = [f"--{key}={val}" for key, val in defaults.items()]
+            args = parser.parse_args(argv[:1] + flags + argv[1:])
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code) if exc.code else 0
-    if args.config:
-        try:
-            defaults = _config_defaults(args.config)
-        except OSError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-        merged = []
-        known = vars(args)
-        explicit = set(a.lstrip("-").replace("-", "_").split("=")[0]
-                       for a in (argv or sys.argv[1:]) if a.startswith("--"))
-        for key, val in defaults.items():
-            if key not in known:
-                print(f"config error: unknown field {key!r}", file=sys.stderr)
-                return USAGE_ERROR
-            if key not in explicit and known[key] is not None:
-                cast = type(known[key]) if known[key] is not None else str
-                try:
-                    setattr(args, key, cast(val))
-                except ValueError:
-                    print(f"config error: bad value for {key!r}: {val!r}",
-                          file=sys.stderr)
-                    return USAGE_ERROR
-            merged.append(key)
+    except OSError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     try:
         return args.handler(args)
     except (ValueError, KeyError) as exc:

@@ -102,9 +102,6 @@ class DyadicFunction:
         out.reverse()
         return out
 
-    def average_on(self, interval: DyadicInterval) -> float:
-        return self.averages(interval.level)[interval.index]
-
     @property
     def mean(self):
         return self.values.mean()
@@ -310,14 +307,6 @@ class CarlesonSequence:
                 raise ValueError("level arrays must have sizes 1, 2, 4, ...")
             if np.any(a < 0):
                 raise ValueError("Carleson sequence values must be >= 0")
-
-    @classmethod
-    def from_dict(cls, d: dict, depth: int) -> "CarlesonSequence":
-        levels = [np.zeros(2 ** lev) for lev in range(depth + 1)]
-        for key, val in d.items():
-            lev, idx = (key.level, key.index) if isinstance(key, DyadicInterval) else key
-            levels[lev][idx] = val
-        return cls(levels)
 
     @property
     def depth(self) -> int:

@@ -336,10 +336,6 @@ class DiscSampling:
     radius_min_level: int = 1
     radius_max_level: int = 5
 
-    def refine(self) -> "DiscSampling":
-        return DiscSampling(max(1, self.stride // 2),
-                            self.radius_min_level, self.radius_max_level + 1)
-
 
 @dataclass(frozen=True)
 class HeatSampling:
@@ -348,9 +344,6 @@ class HeatSampling:
 
     stride: int = 4
     levels: int = 8
-
-    def refine(self) -> "HeatSampling":
-        return HeatSampling(max(1, self.stride // 2), self.levels + 1)
 
 
 def _disc_average(values: np.ndarray, box: float, radius: float) -> np.ndarray:

@@ -16,7 +16,7 @@ import json
 import time
 from dataclasses import dataclass, field, asdict
 
-__all__ = ["CheckResult", "RunReport", "CHECK_REGISTRY", "registry_describe"]
+__all__ = ["CheckResult", "RunReport", "CHECK_REGISTRY"]
 
 # stable identifiers for every quantity the laboratory certifies or reports
 CHECK_REGISTRY = {
@@ -74,10 +74,6 @@ CHECK_REGISTRY = {
     "qc.weight-monotone": "Jacobian weight characteristic grows with p",
     "suite.reproducible": "identical seeds give identical canonical reports",
 }
-
-
-def registry_describe(check_id: str) -> str:
-    return CHECK_REGISTRY[check_id]
 
 
 @dataclass

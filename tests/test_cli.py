@@ -1,13 +1,19 @@
+import csv
+import io
 import json
-import os
-import tempfile
+import re
+import shlex
+from pathlib import Path
 
-import numpy as np
 import pytest
 
+from bellmanlab import bellman as bm
+from bellmanlab import cli
 from bellmanlab import planar as pl
-from bellmanlab.cli import main
+from bellmanlab.cli import build_parser, main
 from bellmanlab.reporting import CheckResult, RunReport
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -16,28 +22,52 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def entries_of(out):
+    return {e["check_id"]: e for e in json.loads(out)["entries"]}
+
+
 def test_tau_value(capsys):
     code, out, _ = run_cli(capsys, "bellman", "tau", "--p", "2", "--format", "json")
+    entry = entries_of(out)["bellman.tau-quadrature"]
+    # quadrature matches the closed form, which is 2^(-1/2) at p = 2
+    assert entry["kind"] == "match" and entry["detail"] == "p in [2, 2]"
+    assert entry["value"] <= 1e-10 and entry["passed"]
+    assert bm.tau_closed_form(2.0) == pytest.approx(2 ** -0.5, abs=1e-15)
     assert code == 0
-    payload = json.loads(out)
-    entry = payload["entries"][0]
-    assert "tau=0.7071067811865" in entry["detail"]
 
 
 def test_csv_output_shape(capsys):
     code, out, _ = run_cli(capsys, "laminate", "sweep", "--p", "3",
                            "--etas", "1e-1,1e-2,1e-3")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0].startswith("check_id,")
-    assert len(lines) == 5   # header + one row per eta + monotone row
+    reader = csv.DictReader(io.StringIO(out))
+    assert reader.fieldnames == ["check_id", "value", "target", "tolerance",
+                                 "kind", "passed", "detail"]
+    rows = list(reader)
+    # smallest eta above 2e-4: the limit is reported, not gated
+    assert [(r["check_id"], r["kind"], r["detail"]) for r in rows] == [
+        ("laminate.ratio-limit", "report", "eta=0.001"),
+        ("laminate.ratio-monotone", "bound", "sweep 0.1,0.01,0.001"),
+    ]
+    assert code == (0 if all(r["passed"] == "1" for r in rows) else 1) == 0
+
+
+def sweep_limit(capsys, etas):
+    code, out, _ = run_cli(capsys, "laminate", "sweep", "--p", "3",
+                           "--etas", etas, "--format", "json")
+    return code, entries_of(out)["laminate.ratio-limit"]
 
 
 def test_sweep_limit_checked_at_small_eta(capsys):
-    code, out, _ = run_cli(capsys, "laminate", "sweep", "--p", "3",
-                           "--etas", "1e-2,1e-4")
+    code, limit = sweep_limit(capsys, "1e-2,1e-4")
+    assert (limit["kind"], limit["detail"]) == ("bound", "eta=0.0001")
+    assert limit["value"] <= 5e-3 and limit["passed"]
     assert code == 0
-    assert "limit check at eta=0.0001" in out
+
+
+def test_sweep_limit_ignores_eta_order(capsys):
+    code, limit = sweep_limit(capsys, "1e-4,1e-2")
+    assert (limit["kind"], limit["detail"], limit["passed"]) == ("bound", "eta=0.0001", True)
+    assert code == 0
 
 
 def test_unknown_subcommand_usage_error():
@@ -48,6 +78,15 @@ def test_bad_weight_spec_usage_error(capsys):
     code, _, err = run_cli(capsys, "dyadic", "buckley", "--weight", "wavelet:3")
     assert code == 2
     assert "unknown weight spec" in err
+
+
+def test_buckley_rejects_file_weight(tmp_path, capsys):
+    # a file holds one depth; the bounded-increment check needs several
+    path = tmp_path / "w.txt"
+    path.write_text("\n".join(["1.0"] * 2 ** 8))
+    code, out, err = run_cli(capsys, "dyadic", "buckley", "--weight", f"file:{path}")
+    assert code == 2 and out == ""
+    assert "one depth" in err
 
 
 def test_dyadic_mt_ratio(capsys):
@@ -71,8 +110,51 @@ def test_config_file_defaults(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# distortion study\nK = 3\nformat = json\n")
     code, out, _ = run_cli(capsys, "qc", "distortion", "--config", str(cfg))
+    entry = entries_of(out)["qc.distortion-slope"]
+    # K = 3 reached the check: the slope residual against 1/3 is tiny
+    assert entry["detail"] == "K=3.0"
+    assert entry["value"] <= 1e-10 and entry["passed"]
     assert code == 0
-    assert "slope=0.3333333333333" in json.loads(out)["entries"][0]["detail"]
+
+
+def test_config_explicit_flag_wins(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("K = 3\nformat = json\n")
+    code, out, _ = run_cli(capsys, "qc", "distortion", "--config", str(cfg),
+                           "--K", "1.5")
+    assert entries_of(out)["qc.distortion-slope"]["detail"] == "K=1.5"
+    assert code == 0
+
+
+def test_config_output_key(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"format = json\noutput = {target}\n")
+    code, out, _ = run_cli(capsys, "qc", "distortion", "--K", "3",
+                           "--config", str(cfg))
+    assert code == 0 and out == ""
+    assert entries_of(target.read_text())["qc.distortion-slope"]["passed"]
+
+
+def test_config_workers_key(tmp_path, capsys, monkeypatch):
+    seen = {}
+
+    def fake_suite(tier, seed, workers, skip):
+        seen["workers"] = workers
+        return RunReport(config={"tier": tier})
+
+    monkeypatch.setattr(cli, "run_suite", fake_suite)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("workers = 2\n")
+    assert run_cli(capsys, "suite", "fast", "--config", str(cfg))[0] == 0
+    assert seen["workers"] == 2 and type(seen["workers"]) is int
+
+
+def test_config_bad_value(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("workers = two\n")
+    code, _, err = run_cli(capsys, "suite", "fast", "--config", str(cfg))
+    assert code == 2 and "--workers" in err
 
 
 def test_config_unknown_field(tmp_path, capsys):
@@ -87,10 +169,15 @@ def test_ascent_witness_roundtrip(tmp_path, capsys):
     target = tmp_path / "witness.blf"
     code, out, _ = run_cli(capsys, "planar", "norm-ascent", "--op", "r11-r22",
                            "--p", "4", "--n", "32", "--iters", "30",
-                           "--witness", str(target))
-    assert code == 0
+                           "--witness", str(target), "--format", "json")
+    entries = entries_of(out)
     field = pl.read_field(target)
     assert field.n == 32
+    # the witness achieves the reported ratio
+    image = pl.apply_multiplier(pl.riesz_diff_multiplier(), field)
+    achieved = image.norm(4.0) / field.norm(4.0)
+    assert -entries["planar.ascent-ratio"]["value"] == pytest.approx(achieved, rel=1e-9)
+    assert code == (0 if all(e["passed"] for e in entries.values()) else 1)
 
 
 def test_report_canonical_json_excludes_timing():
@@ -113,3 +200,22 @@ def test_report_pass_fail_logic():
 def test_unregistered_check_id_rejected():
     with pytest.raises(KeyError):
         CheckResult("nonexistent.check", 0.0)
+
+
+def readme_commands():
+    """Every `bellmanlab ...` line of the README's command-line block,
+    with continuation lines joined."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("bellmanlab ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= len(cli.OPERATIONS)
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)   # exits 2 on a flag the CLI lacks
+    documented = {tuple(argv[:2]) for argv in commands}
+    assert set(cli.OPERATIONS) <= documented

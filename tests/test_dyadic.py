@@ -277,3 +277,22 @@ def test_mt_ratio_scale_invariance():
     r1 = dy.weighted_mt_ratio(w, trials=40, seed=2)
     r2 = dy.weighted_mt_ratio(w2, trials=40, seed=2)
     assert r1 == pytest.approx(r2, rel=1e-12)
+
+
+def gram_error(w, depth):
+    basis = np.array([dy.weighted_haar(w, dy.DyadicInterval(lev, idx))[2].values
+                      for lev in range(depth) for idx in range(2 ** lev)])
+    gram = (basis * w.values) @ basis.T / basis.shape[1]
+    return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+
+
+def test_suite_gram_check_reports_both_weights():
+    from bellmanlab.suite import run_experiment
+
+    seed = 1
+    entries = run_experiment("dyadic", {"depth": 7, "trials": 10}, seed=seed)
+    reported, = [e.value for e in entries if e.check_id == "dyadic.weighted-haar-gram"]
+    two_value = gram_error(dy.two_value_weight(2.0, 1.0, 7), 7)
+    rng = np.random.default_rng(seed + 1)
+    random_weight = dy.DyadicWeight(np.exp(0.7 * rng.standard_normal(2 ** 7)))
+    assert reported == max(two_value, gram_error(random_weight, 7))
