@@ -48,7 +48,8 @@ def test_csv_output_shape(capsys):
         ("laminate.ratio-limit", "report", "eta=0.001"),
         ("laminate.ratio-monotone", "bound", "sweep 0.1,0.01,0.001"),
     ]
-    assert code == (0 if all(r["passed"] == "1" for r in rows) else 1) == 0
+    assert all(r["passed"] == "1" for r in rows)
+    assert code == 0
 
 
 def sweep_limit(capsys, etas):
