@@ -167,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(d)
 
     b = _module_parser(sub, "bellman")
-    b.add_argument("--variant", choices=("phi", "phi0", "fp"), default="phi")
+    b.add_argument("--variant", choices=("phi", "phi0"), default="phi")
     b.add_argument("--p", type=float, default=3.0)
     b.add_argument("--samples", type=float, default=1e5)
     b.add_argument("--box", type=float, default=10.0)

@@ -72,7 +72,6 @@ CHECK_REGISTRY = {
     "qc.distortion-slope": "area distortion exponent equals 1/K",
     "qc.sobolev-boundary": "integrability threshold sits at 1 + k",
     "qc.weight-monotone": "Jacobian weight characteristic grows with p",
-    "suite.reproducible": "identical seeds give identical canonical reports",
 }
 
 

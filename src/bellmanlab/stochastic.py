@@ -5,20 +5,25 @@ law-of-W_t smoothing and u(T - t, W_t) is a martingale.  The planar module
 uses the kernel with variance t/2 per axis instead; the two conventions
 match under t_planar = 2 t_here (applied once, in the oracle comparison).
 
-Path generation is counter-based: each batch of paths draws from a
-Philox generator keyed by (seed, batch index), so ensembles are
-reproducible and partitionable across workers.
+Every simulation runs on one engine, `BrownianDriver.chunks`.  It streams
+increments time-major: for each block of at most CHUNK_PATHS paths it
+yields one (paths in block, dimension) array per time step, so a consumer
+holds per-path state and never a (paths, steps) array.  The draws are
+counter-based: stream `batch` of a driver is keyed by Philox (seed, batch)
+and block c starts at counter (0, 0, c, 0), so a block's draws depend only
+on (seed, batch, c), never on which blocks were drawn before it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .planar import GridField, conj_ab_transform
 
 __all__ = [
+    "CHUNK_PATHS",
     "BrownianDriver",
     "riemann_gap_demo",
     "ito_integral",
@@ -32,6 +37,9 @@ __all__ = [
     "ConditioningResult",
     "subordination_constants_mc",
 ]
+
+# paths per block of the engine: bounds the memory of every consumer
+CHUNK_PATHS = 250_000
 
 
 @dataclass
@@ -47,37 +55,62 @@ class BrownianDriver:
     def dt(self) -> float:
         return self.horizon / self.steps
 
+    def chunks(self, paths: int, batch: int = 0):
+        """Stream `batch` of increments, time-major, one block at a time.
+
+        Yields (rows, increments) for each block of at most CHUNK_PATHS
+        paths: `rows` is the block's slice of path indices and
+        `increments` an iterator over `steps` arrays of shape
+        (block paths, dimension), std sqrt(dt), in time order.  Block c
+        draws from Philox(key=[seed, batch], counter=[0, 0, c, 0]); block 0
+        is the generator's default stream.
+        """
+        for c, start in enumerate(range(0, paths, CHUNK_PATHS)):
+            m = min(CHUNK_PATHS, paths - start)
+            rng = np.random.Generator(np.random.Philox(
+                key=[self.seed, batch], counter=[0, 0, c, 0]))
+            yield slice(start, start + m), self._block(rng, m)
+
+    def _block(self, rng, m: int):
+        scale = np.sqrt(self.dt)
+        for _ in range(self.steps):
+            yield rng.normal(0.0, scale, size=(m, self.dimension))
+
     def increments(self, paths: int, batch: int = 0) -> np.ndarray:
-        """(paths, steps, dimension) Gaussian increments, std sqrt(dt)."""
-        rng = np.random.Generator(np.random.Philox(key=[self.seed, batch]))
-        return rng.normal(0.0, np.sqrt(self.dt),
-                          size=(paths, self.steps, self.dimension))
+        """The (steps, paths, dimension) stack of `chunks`.  It holds
+        every increment at once, so it is for tests and small checks."""
+        return np.concatenate([np.stack(list(incs))
+                               for _, incs in self.chunks(paths, batch)], axis=1)
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
 
 class PathView:
-    """Read-only view of one driver coordinate up to the current step;
-    asking for the future raises (adaptedness guard)."""
+    """One driver coordinate of a block at the current step, the only step
+    the engine keeps: asking for a future step raises (adaptedness guard),
+    and so does asking for a past one."""
 
-    def __init__(self, times: np.ndarray, values: np.ndarray, upto: int):
-        self._times = times
-        self._values = values
-        self._upto = upto
+    def __init__(self, time: float, current: np.ndarray, step: int):
+        self._time = time
+        self._current = current
+        self._step = step
 
     def value(self, step: int) -> np.ndarray:
-        if step > self._upto:
+        if step > self._step:
             raise ValueError("adaptedness violation: future increment requested")
-        return self._values[:, step]
+        if step < self._step:
+            raise ValueError(f"step {step} is past; only the current step "
+                             f"{self._step} is kept")
+        return self._current
 
     @property
     def current(self) -> np.ndarray:
-        return self._values[:, self._upto]
+        return self._current
 
     @property
     def time(self) -> float:
-        return float(self._times[self._upto])
+        return float(self._time)
 
 
 def riemann_gap_demo(a: float, b: float, steps: int, paths: int, seed: int = 0):
@@ -86,34 +119,31 @@ def riemann_gap_demo(a: float, b: float, steps: int, paths: int, seed: int = 0):
 
     S1 is the adapted (left-point) sum with mean 0; S2 differs by the
     accumulated squared increments, mean b - a.  Returns a dict with point
-    estimates and half-widths.
+    estimates and half-widths.  The increments are stream 0 of the seed;
+    W_a, for a > 0, is one step of variance a on stream 3.
     """
     if b < a:
         raise ValueError("need a <= b")
     if b == a:
         return {"ES1": 0.0, "ES1_ci": 0.0, "ES2": 0.0, "ES2_ci": 0.0,
                 "ES1_sq": 0.0, "ES1_sq_ci": 0.0, "gap": 0.0}
-    dt = (b - a) / steps
-    s1 = np.zeros(paths)
-    s2 = np.zeros(paths)
-    chunk = max(1, min(paths, 20_000))
-    done = 0
-    batch = 0
-    while done < paths:
-        m = min(chunk, paths - done)
-        rng = np.random.Generator(np.random.Philox(key=[seed, batch]))
-        w = rng.normal(0.0, np.sqrt(a), size=m) if a > 0 else np.zeros(m)
-        acc1 = np.zeros(m)
-        acc2 = np.zeros(m)
-        for _ in range(steps):
-            dw = rng.normal(0.0, np.sqrt(dt), size=m)
+    w_a = np.zeros(paths)
+    if a > 0:
+        for rows, incs in BrownianDriver(1, a, 1, seed).chunks(paths, batch=3):
+            w_a[rows] = next(incs)[:, 0]
+    s1 = np.empty(paths)
+    s2 = np.empty(paths)
+    for rows, incs in BrownianDriver(1, b - a, steps, seed).chunks(paths):
+        w = w_a[rows]
+        acc1 = np.zeros(len(w))
+        acc2 = np.zeros(len(w))
+        for inc in incs:
+            dw = inc[:, 0]
             acc1 += w * dw
             w = w + dw
             acc2 += w * dw
-        s1[done:done + m] = acc1
-        s2[done:done + m] = acc2
-        done += m
-        batch += 1
+        s1[rows] = acc1
+        s2[rows] = acc2
     half = lambda x: 3.0 * float(np.std(x)) / np.sqrt(paths)
     return {
         "ES1": float(np.mean(s1)), "ES1_ci": half(s1),
@@ -126,20 +156,25 @@ def riemann_gap_demo(a: float, b: float, steps: int, paths: int, seed: int = 0):
 def ito_integral(process, driver: BrownianDriver, paths: int, batch: int = 0):
     """Samples of sum_i f(t_i) (w(t_{i+1}) - w(t_i)) for a 1-d driver.
 
-    `process(view)` is called once per step with a PathView exposing the
-    path strictly up to the current node, which enforces adaptedness; it
-    returns the integrand value per path.
+    `process(view)` is called once per step of each block with a PathView
+    of the block's path at the current node only, which enforces
+    adaptedness.  It returns the integrand per path, shape (m,), or k
+    integrands against the same increments, shape (k, m); the result then
+    has shape (k, paths).
     """
     if driver.dimension != 1:
         raise ValueError("ito_integral expects a 1-d driver")
-    inc = driver.increments(paths, batch)[:, :, 0]
-    w = np.concatenate([np.zeros((paths, 1)), np.cumsum(inc, axis=1)], axis=1)
     times = driver.times()
-    total = np.zeros(paths)
-    for i in range(driver.steps):
-        fval = process(PathView(times, w, i))
-        total += np.asarray(fval) * inc[:, i]
-    return total
+    parts = []
+    for rows, incs in driver.chunks(paths, batch):
+        w = np.zeros(rows.stop - rows.start)
+        total = 0.0
+        for i, inc in enumerate(incs):
+            dw = inc[:, 0]
+            total = total + np.asarray(process(PathView(times[i], w, i))) * dw
+            w = w + dw      # a new array: a view handed out earlier keeps its step
+        parts.append(total)
+    return np.concatenate(parts, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -181,20 +216,33 @@ class GaussianMix:
         return out
 
     def gradient(self, t: float, x: np.ndarray) -> np.ndarray:
-        """(d1 u, d2 u) stacked on the last axis."""
-        gx = 0.0
-        gy = 0.0
+        """(d1 u, d2 u) on the last axis: each bump contributes
+        -u_j (x - c_j) / s_j with s_j = sigma_j^2 + t."""
+        g = None
         for a, c, s2 in zip(self.amplitudes, self.centers, self.sigma2):
             s = s2 + t
-            r2 = (x[..., 0] - c[0]) ** 2 + (x[..., 1] - c[1]) ** 2
-            u = a * (s2 / s) * np.exp(-r2 / (2.0 * s))
-            gx = gx + u * (-(x[..., 0] - c[0]) / s)
-            gy = gy + u * (-(x[..., 1] - c[1]) / s)
-        return np.stack([gx, gy], axis=-1)
+            d = x - c
+            e = np.exp((d[..., 0] ** 2 + d[..., 1] ** 2) * (-0.5 / s))
+            term = (e[..., None] * d) * (-a * s2 / s ** 2)
+            g = term if g is None else g + term
+        return g
 
     def dbar(self, t: float, x: np.ndarray) -> np.ndarray:
-        g = self.gradient(t, x)
-        return 0.5 * (g[..., 0] + 1j * g[..., 1])
+        """(d1 u + i d2 u) / 2: each bump contributes -u_j z_j / (2 s_j)
+        with z_j = (x1 - c_j1) + i (x2 - c_j2) and s_j = sigma_j^2 + t.
+        The real and imaginary parts are formed in place, in real arithmetic."""
+        out = None
+        for a, c, s2 in zip(self.amplitudes, self.centers, self.sigma2):
+            s = s2 + t
+            dx = x[..., 0] - c[0]
+            dy = x[..., 1] - c[1]
+            e = np.exp((dx * dx + dy * dy) * (-0.5 / s))
+            term = np.empty(e.shape, dtype=complex)
+            np.multiply(e, dx, out=term.real)
+            np.multiply(e, dy, out=term.imag)
+            term *= -0.5 * a * s2 / s ** 2
+            out = term if out is None else out + term
+        return out
 
     def on_grid(self, n: int, box: float) -> GridField:
         xs = (np.arange(n) - n // 2) * box / n
@@ -226,58 +274,56 @@ class HoloPoly:
 
 @dataclass
 class MartingalePath:
-    """Discretized martingale with its instantaneous transform rows."""
+    """Terminal value of a discretized martingale, with its instantaneous
+    transform rows when they were kept."""
 
-    times: np.ndarray           # (steps+1,)
-    values: np.ndarray          # complex, (paths, steps+1)
-    h_rows: np.ndarray | None = None   # (paths, steps, 2, 2): rows H1, H2
+    terminal: np.ndarray                # complex, (paths,)
+    h_rows: np.ndarray | None = None    # (paths, steps, 2, 2): rows H1, H2
     k_rows: np.ndarray | None = None
 
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.values[:, -1]
 
-
-def _simulate(surface: GaussianMix, T: float, driver: BrownianDriver,
-              paths: int, batch: int = 0, keep_rows: bool = False,
-              matrix: np.ndarray | None = None):
+def _simulate(surface, T: float, driver: BrownianDriver, paths: int,
+              batch: int = 0, matrix: np.ndarray | None = None, on_step=None):
     """Run X(t) = u(T,0) + sum grad u . dW and, if a 2x2 complex matrix is
-    given, Y(t) = sum dW . (matrix grad u).  Returns (X path, Y path)."""
+    given, Y(t) = sum dW . (matrix grad u).  Returns the terminal (X, Y),
+    each of shape (paths,); Y is None without a matrix.  `on_step(rows, i,
+    grad, mg)` is called at each step of each block with the gradient and
+    its image under the matrix (None without one), each (block paths, 2)."""
     if driver.dimension != 2:
         raise ValueError("planar martingales need a 2-d driver")
-    inc = driver.increments(paths, batch)
-    steps = driver.steps
     times = driver.times() * (T / driver.horizon)
-    dtimes = np.diff(times)
-    W = np.zeros((paths, 2))
-    X = np.empty((paths, steps + 1), dtype=complex)
-    X[:, 0] = surface.value(T, np.zeros((1, 2)))[0]
-    Y = np.zeros((paths, steps + 1), dtype=complex) if matrix is not None else None
-    hr = np.empty((paths, steps, 2, 2)) if keep_rows else None
-    kr = np.empty((paths, steps, 2, 2)) if keep_rows and matrix is not None else None
-    scale = np.sqrt(dtimes / driver.dt)
-    for i in range(steps):
-        grad = surface.gradient(T - times[i], W)     # (paths, 2) complex
-        dW = inc[:, i, :] * scale[i]
-        X[:, i + 1] = X[:, i] + grad[:, 0] * dW[:, 0] + grad[:, 1] * dW[:, 1]
-        if matrix is not None:
-            mg = np.stack([
-                matrix[0, 0] * grad[:, 0] + matrix[0, 1] * grad[:, 1],
-                matrix[1, 0] * grad[:, 0] + matrix[1, 1] * grad[:, 1],
-            ], axis=-1)
-            Y[:, i + 1] = Y[:, i] + mg[:, 0] * dW[:, 0] + mg[:, 1] * dW[:, 1]
-            if keep_rows:
-                kr[:, i, 0, 0] = mg[:, 0].real
-                kr[:, i, 0, 1] = mg[:, 0].imag
-                kr[:, i, 1, 0] = mg[:, 1].real
-                kr[:, i, 1, 1] = mg[:, 1].imag
-        if keep_rows:
-            hr[:, i, 0, 0] = grad[:, 0].real
-            hr[:, i, 0, 1] = grad[:, 0].imag
-            hr[:, i, 1, 0] = grad[:, 1].real
-            hr[:, i, 1, 1] = grad[:, 1].imag
-        W += dW
-    return times, X, Y, hr, kr, W
+    scale = np.sqrt(np.diff(times) / driver.dt)
+    X = np.full(paths, surface.value(T, np.zeros((1, 2)))[0], dtype=complex)
+    Y = np.zeros(paths, dtype=complex) if matrix is not None else None
+    for rows, incs in driver.chunks(paths, batch):
+        x = X[rows]
+        y = Y[rows] if matrix is not None else None
+        W = np.zeros((rows.stop - rows.start, 2))
+        for i, inc in enumerate(incs):
+            grad = surface.gradient(T - times[i], W)     # (m, 2) complex
+            dW = inc * scale[i]
+            x += grad[:, 0] * dW[:, 0] + grad[:, 1] * dW[:, 1]
+            mg = None
+            if matrix is not None:
+                mg = np.empty_like(grad)
+                mg[:, 0] = matrix[0, 0] * grad[:, 0] + matrix[0, 1] * grad[:, 1]
+                mg[:, 1] = matrix[1, 0] * grad[:, 0] + matrix[1, 1] * grad[:, 1]
+                y += mg[:, 0] * dW[:, 0] + mg[:, 1] * dW[:, 1]
+            if on_step is not None:
+                on_step(rows, i, grad, mg)
+            W += dW
+    return X, Y
+
+
+def _row_keeper(paths: int, steps: int, pick):
+    """A (paths, steps, 2, 2) array and the `on_step` hook that fills row
+    j of each step with (Re, Im) of component j of pick(grad, mg)."""
+    store = np.empty((paths, steps, 2, 2))
+
+    def keep(rows, i, grad, mg):
+        v = pick(grad, mg)
+        store[rows, i] = np.stack([v.real, v.imag], axis=-1)
+    return store, keep
 
 
 A_STAR = np.array([[1.0, 1.0j], [1.0j, -1.0]])
@@ -288,9 +334,10 @@ def heat_martingale(surface: GaussianMix, T: float, driver: BrownianDriver,
                     keep_rows: bool = False) -> MartingalePath:
     """X(t) = u(T, 0) + sum_i grad u(T - t_i, W_i) . dW_i; the terminal
     value approaches f(W_T) at strong order 1/2 in the step size."""
-    times, X, _, hr, _, _ = _simulate(surface, T, driver, paths, batch,
-                                      keep_rows=keep_rows)
-    return MartingalePath(times=times, values=X, h_rows=hr)
+    hr, keep = (_row_keeper(paths, driver.steps, lambda g, mg: g)
+                if keep_rows else (None, None))
+    X, _ = _simulate(surface, T, driver, paths, batch, on_step=keep)
+    return MartingalePath(terminal=X, h_rows=hr)
 
 
 def ab_star(surface: GaussianMix, T: float, driver: BrownianDriver,
@@ -298,9 +345,11 @@ def ab_star(surface: GaussianMix, T: float, driver: BrownianDriver,
             keep_rows: bool = False) -> MartingalePath:
     """Y(t) = sum_i dW_i . A grad u(T - t_i, W_i) with A = [[1, i], [i, -1]];
     equivalently the increments are (dW_1 + i dW_2) * 2 dbar u."""
-    times, _, Y, _, kr, _ = _simulate(surface, T, driver, paths, batch,
-                                      keep_rows=keep_rows, matrix=A_STAR)
-    return MartingalePath(times=times, values=Y, k_rows=kr)
+    kr, keep = (_row_keeper(paths, driver.steps, lambda g, mg: mg)
+                if keep_rows else (None, None))
+    _, Y = _simulate(surface, T, driver, paths, batch, matrix=A_STAR,
+                     on_step=keep)
+    return MartingalePath(terminal=Y, k_rows=kr)
 
 
 def terminal_gap_sweep(surface, T: float, steps_list, paths: int,
@@ -308,29 +357,37 @@ def terminal_gap_sweep(surface, T: float, steps_list, paths: int,
     """RMS of |X(T) - f(W_T)| across a ladder of step counts, all ladder
     levels driven by aggregated copies of the same finest increments (so
     the sweep isolates the time-discretization error).  Expected decay is
-    order 1/2 in dt."""
+    order 1/2 in dt.  The levels advance together in one pass over the
+    finest increments; each keeps only its own (X, W) and the sum of the
+    fine increments in its current coarse step."""
     steps_list = sorted(int(s) for s in steps_list)
     finest = steps_list[-1]
     for s in steps_list:
         if finest % s:
             raise ValueError("step counts must divide the finest one")
-    inc = BrownianDriver(2, T, finest, seed=seed).increments(paths)
-    w_end = np.sum(inc, axis=1)
-    target = surface.value(0.0, w_end)
-    out = []
-    for s in steps_list:
-        k = finest // s
-        coarse = inc.reshape(paths, s, k, 2).sum(axis=2)
-        dt = T / s
-        W = np.zeros((paths, 2))
-        X = np.full(paths, surface.value(T, np.zeros((1, 2)))[0], dtype=complex)
-        for i in range(s):
-            grad = surface.gradient(T - i * dt, W)
-            X += grad[:, 0] * coarse[:, i, 0] + grad[:, 1] * coarse[:, i, 1]
-            W += coarse[:, i]
-        rms = float(np.sqrt(np.mean(np.abs(X - target) ** 2)))
-        out.append((dt, rms))
-    return out
+    x0 = surface.value(T, np.zeros((1, 2)))[0]
+    sq = np.zeros(len(steps_list))
+    for rows, incs in BrownianDriver(2, T, finest, seed=seed).chunks(paths):
+        m = rows.stop - rows.start
+        W = np.zeros((len(steps_list), m, 2))
+        X = np.full((len(steps_list), m), x0, dtype=complex)
+        pending = np.zeros((len(steps_list), m, 2))
+        for j, inc in enumerate(incs):
+            pending += inc
+            for lvl, s in enumerate(steps_list):
+                k = finest // s
+                if (j + 1) % k:
+                    continue
+                dW = pending[lvl]
+                grad = surface.gradient(T - (j // k) * (T / s), W[lvl])
+                X[lvl] += grad[:, 0] * dW[:, 0] + grad[:, 1] * dW[:, 1]
+                W[lvl] += dW
+                dW[:] = 0.0
+        # the finest level's W is the sum of every increment: W_T
+        target = surface.value(0.0, W[-1])
+        sq += np.sum(np.abs(X - target) ** 2, axis=1)
+    return [(T / s, float(np.sqrt(sq[lvl] / paths)))
+            for lvl, s in enumerate(steps_list)]
 
 
 def transform_residuals(surface: GaussianMix, T: float, driver: BrownianDriver,
@@ -340,19 +397,23 @@ def transform_residuals(surface: GaussianMix, T: float, driver: BrownianDriver,
         max |K1 . K2|, max | |K1| - |K2| |,
         max(|K1|^2 + |K2|^2 - 4(|H1|^2 + |H2|^2))  (should be <= 0).
     """
-    _, _, _, hr, kr, _ = _simulate(surface, T, driver, paths, batch,
-                                   keep_rows=True, matrix=A_STAR)
-    k1, k2 = kr[:, :, 0, :], kr[:, :, 1, :]
-    h1, h2 = hr[:, :, 0, :], hr[:, :, 1, :]
-    dot = np.abs(np.sum(k1 * k2, axis=-1))
-    n1 = np.sqrt(np.sum(k1 ** 2, axis=-1))
-    n2 = np.sqrt(np.sum(k2 ** 2, axis=-1))
-    ksum = np.sum(k1 ** 2 + k2 ** 2, axis=-1)
-    hsum = np.sum(h1 ** 2 + h2 ** 2, axis=-1)
+    worst = np.full(3, -np.inf)
+
+    def residuals(rows, i, grad, mg):
+        k1r, k1i, k2r, k2i = mg[:, 0].real, mg[:, 0].imag, mg[:, 1].real, mg[:, 1].imag
+        h = grad.real ** 2 + grad.imag ** 2
+        ksum = (k1r ** 2 + k2r ** 2) + (k1i ** 2 + k2i ** 2)
+        worst[:] = np.maximum(worst, [
+            np.max(np.abs(k1r * k2r + k1i * k2i)),
+            np.max(np.abs(np.sqrt(k1r ** 2 + k1i ** 2) - np.sqrt(k2r ** 2 + k2i ** 2))),
+            np.max(ksum - 4.0 * (h[:, 0] + h[:, 1])),
+        ])
+
+    _simulate(surface, T, driver, paths, batch, matrix=A_STAR, on_step=residuals)
     return {
-        "max_orthogonality": float(np.max(dot)),
-        "max_norm_mismatch": float(np.max(np.abs(n1 - n2))),
-        "max_subordination_excess": float(np.max(ksum - 4.0 * hsum)),
+        "max_orthogonality": float(worst[0]),
+        "max_norm_mismatch": float(worst[1]),
+        "max_subordination_excess": float(worst[2]),
     }
 
 
@@ -383,8 +444,7 @@ class ConditioningResult:
 def ab_by_conditioning(surface: GaussianMix, T: float, paths: int,
                        bins: int = 24, box: float = 6.0, steps: int = 320,
                        seed: int = 0, oracle_n: int = 512,
-                       oracle_box: float = 24.0,
-                       batch_size: int = 250_000) -> ConditioningResult:
+                       oracle_box: float = 24.0) -> ConditioningResult:
     """Estimate the transform by conditioning: bin W_T on a bins x bins
     grid over [-box/2, box/2)^2 and average Y(T) per bin.
 
@@ -402,17 +462,15 @@ def ab_by_conditioning(surface: GaussianMix, T: float, paths: int,
     s1 = np.zeros(bins * bins, dtype=complex)
     s2 = np.zeros(bins * bins)
     dt = T / steps
-    done = 0
-    batch = 0
-    while done < paths:
-        m = min(batch_size, paths - done)
-        rng = np.random.Generator(np.random.Philox(key=[seed, batch]))
+    for rows, incs in BrownianDriver(2, T, steps, seed=seed).chunks(paths):
+        m = rows.stop - rows.start
         W = np.zeros((m, 2))
         Y = np.zeros(m, dtype=complex)
-        for i in range(steps):
+        for i, dW in enumerate(incs):
             db = surface.dbar(T - i * dt, W)
-            dW = rng.normal(0.0, np.sqrt(dt), size=(m, 2))
-            Y += 2.0 * db * (dW[:, 0] + 1j * dW[:, 1])
+            db *= dW.view(complex)[:, 0]     # the rows (dW1, dW2) as dW1 + i dW2
+            db *= 2.0
+            Y += db
             W += dW
         ix = np.floor((W[:, 0] - lo) / width).astype(int)
         iy = np.floor((W[:, 1] - lo) / width).astype(int)
@@ -422,8 +480,6 @@ def ab_by_conditioning(surface: GaussianMix, T: float, paths: int,
         s1 += (np.bincount(idx, weights=Y[ok].real, minlength=bins * bins)
                + 1j * np.bincount(idx, weights=Y[ok].imag, minlength=bins * bins))
         s2 += np.bincount(idx, weights=np.abs(Y[ok]) ** 2, minlength=bins * bins)
-        done += m
-        batch += 1
     denom = np.maximum(cnt, 1.0)
     mean = s1 / denom
     var = np.maximum(s2 / denom - np.abs(mean) ** 2, 0.0)
@@ -468,19 +524,18 @@ def subordination_constants_mc(p: float, trials: int, seed: int = 0,
     ratio_plain = 0.0
     for j in range(functions):
         surf = GaussianMix.random(rng, bumps=3)
-        times, X, Y, _, _, _ = _simulate(surf, T, driver, trials, batch=j,
-                                         matrix=A_STAR)
-        num = float(np.mean(np.abs(Y[:, -1]) ** p)) ** (1.0 / p)
-        den = float(np.mean(np.abs(2.0 * X[:, -1]) ** p)) ** (1.0 / p)
+        X, Y = _simulate(surf, T, driver, trials, batch=j, matrix=A_STAR)
+        num = float(np.mean(np.abs(Y) ** p)) ** (1.0 / p)
+        den = float(np.mean(np.abs(2.0 * X) ** p)) ** (1.0 / p)
         if den > 0:
             ratio_conf = max(ratio_conf, num / den)
         # a random real transform matrix, subordination constant = |B|_op
         B = rng.normal(size=(2, 2))
         bnorm = float(np.linalg.svd(B, compute_uv=False)[0])
-        _, Xr, Yr, _, _, _ = _simulate(surf, T, driver, trials,
-                                       batch=100 + j, matrix=B.astype(complex))
-        numr = float(np.mean(np.abs(Yr[:, -1]) ** p)) ** (1.0 / p)
-        denr = float(np.mean(np.abs(bnorm * Xr[:, -1]) ** p)) ** (1.0 / p)
+        Xr, Yr = _simulate(surf, T, driver, trials, batch=100 + j,
+                           matrix=B.astype(complex))
+        numr = float(np.mean(np.abs(Yr) ** p)) ** (1.0 / p)
+        denr = float(np.mean(np.abs(bnorm * Xr) ** p)) ** (1.0 / p)
         if denr > 0:
             ratio_plain = max(ratio_plain, numr / denr)
     ps = max(p, p / (p - 1.0))

@@ -393,21 +393,25 @@ def riemann_checks(a, b, steps, paths, seed):
 
 
 def _path_checks(steps, paths, sweep_steps, seed):
+    # streams of the seed: 0 drives riemann_checks, 1 the product, 2 the isometry
     out = []
     drv = stochastic.BrownianDriver(1, 1.0, steps, seed=seed)
-    vals = stochastic.ito_integral(lambda v: v.current, drv, paths)
+    vals = stochastic.ito_integral(lambda v: v.current, drv, paths, batch=2)
     iso_gap = abs(np.mean(vals ** 2) - 0.5)
     iso_ci = 3.0 * np.std(vals ** 2) / np.sqrt(paths)
     out.append(CheckResult("stoch.isometry", iso_gap - iso_ci, 0.0, 0.0,
                            "bound", "E(int w dw)^2 = 1/2"))
 
-    f_int = stochastic.ito_integral(lambda v: np.sin(v.current), drv, paths, batch=1)
-    g_int = stochastic.ito_integral(lambda v: np.cos(v.current), drv, paths, batch=1)
+    # one pass gives both integrals and the reference E sum sin(w) cos(w) dt
+    drift = []
+
+    def sin_cos(view):
+        f, g = np.sin(view.current), np.cos(view.current)
+        drift.append(np.dot(f, g))
+        return np.stack([f, g])
+    f_int, g_int = stochastic.ito_integral(sin_cos, drv, paths, batch=1)
     prod = f_int * g_int
-    drv2 = stochastic.BrownianDriver(1, 1.0, steps, seed=seed)
-    inc = drv2.increments(paths, 1)[:, :, 0]
-    w = np.concatenate([np.zeros((paths, 1)), np.cumsum(inc, axis=1)], axis=1)[:, :-1]
-    ref = np.mean(np.sum(np.sin(w) * np.cos(w), axis=1) * drv2.dt)
+    ref = sum(drift) * drv.dt / paths
     prod_gap = abs(np.mean(prod) - ref)
     prod_ci = 3.0 * np.std(prod) / np.sqrt(paths)
     out.append(CheckResult("stoch.product", prod_gap - prod_ci, 0.0, 0.0,
@@ -415,7 +419,7 @@ def _path_checks(steps, paths, sweep_steps, seed):
 
     surf = stochastic.GaussianMix.single(sigma2=0.8)
     sweep = stochastic.terminal_gap_sweep(surf, 4.0, sweep_steps,
-                                          max(512, paths // 40), seed=seed)
+                                          max(4096, paths // 40), seed=seed)
     dts = np.log([d for d, _ in sweep])
     rms = np.log([r for _, r in sweep])
     order = float(np.polyfit(dts, rms, 1)[0])
@@ -439,6 +443,9 @@ def conditioning_checks(T, paths, bins, steps, min_count, disc_tol, seed):
     res = stochastic.ab_by_conditioning(surf, T=T, paths=paths, bins=bins,
                                         steps=steps, seed=seed)
     res.min_count = min_count
+    if not res.populated.any():
+        raise ValueError(f"no bin holds min_count={min_count} paths (the fullest "
+                         f"holds {res.counts.max()}); raise the path count (--paths)")
     frac = res.agreement_fraction(3.0, disc_tol=disc_tol)
     return [CheckResult("stoch.conditioning", -frac, -0.95, 0.0, "bound",
                         f"paths={paths}")]

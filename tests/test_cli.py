@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -11,9 +12,10 @@ from bellmanlab import bellman as bm
 from bellmanlab import cli
 from bellmanlab import planar as pl
 from bellmanlab.cli import build_parser, main
-from bellmanlab.reporting import CheckResult, RunReport
+from bellmanlab.reporting import CHECK_REGISTRY, CheckResult, RunReport
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+GOLDEN = Path(__file__).resolve().parent / "golden_suite_fast_seed1.json"
 
 
 def run_cli(capsys, *argv):
@@ -88,6 +90,28 @@ def test_buckley_rejects_file_weight(tmp_path, capsys):
     code, out, err = run_cli(capsys, "dyadic", "buckley", "--weight", f"file:{path}")
     assert code == 2 and out == ""
     assert "one depth" in err
+
+
+def flag_choices(module, flag):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[module]._actions
+                if flag in a.option_strings)
+
+
+def test_every_zigzag_variant_runs(capsys):
+    for variant in flag_choices("bellman", "--variant"):
+        code, _, err = run_cli(capsys, "bellman", "zigzag", "--variant", variant,
+                               "--samples", "2000")
+        assert code in (0, 1), (variant, err)
+
+
+def test_ab_mc_without_populated_bins_is_usage_error(capsys):
+    # 2000 paths over 8 x 8 bins: no bin reaches the full tier's min_count
+    code, out, err = run_cli(capsys, "stoch", "ab-mc", "--paths", "2000",
+                             "--bins", "8")
+    assert code == 2 and out == ""
+    assert "min_count=100" in err and "--paths" in err
 
 
 def test_dyadic_mt_ratio(capsys):
@@ -201,6 +225,11 @@ def test_report_pass_fail_logic():
 def test_unregistered_check_id_rejected():
     with pytest.raises(KeyError):
         CheckResult("nonexistent.check", 0.0)
+
+
+def test_registry_lists_exactly_the_reported_ids():
+    entries = json.loads(GOLDEN.read_text())["entries"]
+    assert set(CHECK_REGISTRY) == {e["check_id"] for e in entries}
 
 
 def readme_commands():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,9 @@ from bellmanlab import stochastic as st
 def test_driver_variance_tracks_time():
     drv = st.BrownianDriver(1, 2.0, 64, seed=0)
     inc = drv.increments(20000)[:, :, 0]
-    w = np.cumsum(inc, axis=1)
+    w = np.cumsum(inc, axis=0)
     t = drv.times()[1:]
-    var = np.var(w, axis=0)
+    var = np.var(w, axis=1)
     # 4 sigma band for the empirical variance of a chi-square mean
     band = 4.0 * t * np.sqrt(2.0 / 20000)
     assert np.all(np.abs(var - t) <= band)
@@ -28,6 +30,29 @@ def test_driver_reproducible_batches():
     assert not np.array_equal(a, c)
 
 
+def test_chunks_block0_is_the_default_philox_stream():
+    drv = st.BrownianDriver(2, 1.0, 8, seed=3)
+    (rows, incs), = drv.chunks(100, batch=5)
+    rng = np.random.Generator(np.random.Philox(key=[3, 5]))
+    assert rows == slice(0, 100)
+    for inc in incs:
+        assert np.array_equal(inc, rng.normal(0.0, np.sqrt(drv.dt), size=(100, 2)))
+
+
+def test_chunks_split_into_counter_keyed_blocks():
+    drv = st.BrownianDriver(1, 1.0, 3, seed=4)
+    blocks = [(rows, np.stack(list(incs))) for rows, incs in
+              drv.chunks(st.CHUNK_PATHS + 7, batch=1)]
+    assert [rows for rows, _ in blocks] == [slice(0, st.CHUNK_PATHS),
+                                            slice(st.CHUNK_PATHS, st.CHUNK_PATHS + 7)]
+    rng = np.random.Generator(np.random.Philox(key=[4, 1], counter=[0, 0, 1, 0]))
+    expect = np.stack([rng.normal(0.0, np.sqrt(drv.dt), size=(7, 1)) for _ in range(3)])
+    assert np.array_equal(blocks[1][1], expect)
+    # the time-major stack is the same stream
+    assert np.array_equal(drv.increments(st.CHUNK_PATHS + 7, batch=1),
+                          np.concatenate([b for _, b in blocks], axis=1))
+
+
 # ---------------------------------------------------------------------------
 # the two Riemann sums
 
@@ -38,6 +63,13 @@ def test_riemann_gap_contains_b_minus_a():
     assert abs(demo["ES2"] - 1.0) <= demo["ES2_ci"]
     # E S1^2 <= b(b - a); the true value here is 1/2
     assert demo["ES1_sq"] <= 1.0 + demo["ES1_sq_ci"]
+
+
+def test_riemann_gap_from_a_positive_start():
+    demo = st.riemann_gap_demo(0.5, 1.5, 100, 20000, seed=2)
+    assert abs(demo["ES2"] - 1.0) <= demo["ES2_ci"]
+    # E S1^2 = int_a^b t dt = (b^2 - a^2) / 2 = 1
+    assert abs(demo["ES1_sq"] - 1.0) <= demo["ES1_sq_ci"]
 
 
 def test_riemann_gap_degenerate():
@@ -71,15 +103,44 @@ def test_product_identity():
     g = st.ito_integral(lambda v: np.cos(v.current), drv, paths, batch=2)
     prod = f * g
     inc = drv.increments(paths, 2)[:, :, 0]
-    w = np.concatenate([np.zeros((paths, 1)), np.cumsum(inc, axis=1)], axis=1)[:, :-1]
-    ref = np.mean(np.sum(np.sin(w) * np.cos(w), axis=1) * drv.dt)
+    w = np.concatenate([np.zeros((1, paths)), np.cumsum(inc, axis=0)], axis=0)[:-1]
+    ref = np.mean(np.sum(np.sin(w) * np.cos(w), axis=0) * drv.dt)
     assert abs(np.mean(prod) - ref) <= 3.0 * np.std(prod) / np.sqrt(paths)
+
+
+def test_vector_integrand_matches_scalar_integrals():
+    drv = st.BrownianDriver(1, 1.0, 64, seed=4)
+    both = st.ito_integral(lambda v: np.stack([np.sin(v.current), np.cos(v.current)]),
+                           drv, 1000, batch=2)
+    assert both.shape == (2, 1000)
+    for k, fn in enumerate((np.sin, np.cos)):
+        one = st.ito_integral(lambda v: fn(v.current), drv, 1000, batch=2)
+        assert np.array_equal(both[k], one)
 
 
 def test_adaptedness_guard():
     drv = st.BrownianDriver(1, 1.0, 32, seed=5)
     with pytest.raises(ValueError, match="adaptedness"):
         st.ito_integral(lambda v: v.value(33), drv, 4)
+
+
+def test_past_steps_are_not_kept():
+    drv = st.BrownianDriver(1, 1.0, 32, seed=5)
+    with pytest.raises(ValueError, match="past"):
+        st.ito_integral(lambda v: v.value(0), drv, 4)
+
+
+def test_ito_integral_memory_is_per_step():
+    paths, steps = 20_000, 400
+    one_array = paths * steps * 8          # a (paths, steps) float64 array: 64 MB
+    drv = st.BrownianDriver(1, 1.0, steps, seed=6)
+    tracemalloc.start()
+    try:
+        st.ito_integral(lambda v: v.current, drv, paths)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < one_array / 16
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +152,7 @@ def test_linear_input_gives_exact_martingale():
     drv = st.BrownianDriver(2, 2.0, 16, seed=6)
     path = st.heat_martingale(st.HoloPoly(1), 2.0, drv, 256)
     inc = drv.increments(256)
-    w_end = inc[:, :, 0].sum(1) + 1j * inc[:, :, 1].sum(1)
+    w_end = inc[:, :, 0].sum(0) + 1j * inc[:, :, 1].sum(0)
     assert np.max(np.abs(path.terminal - w_end)) < 1e-12
 
 
@@ -111,6 +172,28 @@ def test_terminal_gap_strong_order():
     rms = np.log([r for _, r in sweep])
     order = np.polyfit(dts, rms, 1)[0]
     assert order >= 0.45
+
+
+def test_terminal_order_holds_across_seeds():
+    # the suite's sweep, max(4096, paths // 40) coupled paths, at seeds 1-30
+    surf = st.GaussianMix.single(sigma2=0.8)
+    orders = []
+    for seed in range(1, 31):
+        sweep = st.terminal_gap_sweep(surf, 4.0, [16, 32, 64, 128, 256], 4096, seed=seed)
+        orders.append(np.polyfit(np.log([d for d, _ in sweep]),
+                                 np.log([r for _, r in sweep]), 1)[0])
+    assert min(orders) >= 0.45, orders
+
+
+def test_gradient_and_dbar_closed_forms():
+    surf = st.GaussianMix.random(np.random.default_rng(18), bumps=3)
+    x = np.random.default_rng(19).normal(size=(40, 2))
+    h = 1e-6
+    num = np.stack([(surf.value(0.7, x + h * e) - surf.value(0.7, x - h * e)) / (2 * h)
+                    for e in np.eye(2)], axis=-1)
+    g = surf.gradient(0.7, x)
+    assert np.allclose(g, num, atol=1e-8)
+    assert np.allclose(surf.dbar(0.7, x), 0.5 * (g[:, 0] + 1j * g[:, 1]), atol=1e-14)
 
 
 def test_semigroup_property_of_closed_form():
