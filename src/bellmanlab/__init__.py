@@ -13,9 +13,10 @@ Subpackages:
   and heat extensions, norm-ratio ascent.
 - laminate: atom + power-law-ray measures, Jensen checks against
   bi-concave batteries, the two-line ratio and its flat-tail limit.
-- stochastic: Brownian drivers, discrete stochastic integrals, heat
-  martingales and their matrix transforms, conditional-expectation
-  representation of the planar transform, moment-ratio ceilings.
+- stochastic: one streaming Brownian engine, discrete stochastic
+  integrals, one planar martingale simulator (a heat martingale and its
+  matrix transform), conditional-expectation representation of the
+  planar transform, moment-ratio ceilings.
 - qcmaps: radial model maps, distortion exponents, integrability
   thresholds, Jacobian-power weights.
 """

@@ -61,21 +61,17 @@ def eval_phi(x, y, p: float, variant: str = "phi"):
     variant 'phi':  gamma_p (|y| - (p*-1)|x|)(|x| + |y|)^(p-1) everywhere.
     variant 'phi0': |y|^p - (p*-1)^p |x|^p where that is <= 0 (i.e.
                     |y| <= (p*-1)|x|), the 'phi' expression elsewhere.
-    variant 'fp':   same split as 'phi0' but restricted to x, y >= 0.
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     ps = p_star(p)
-    if variant == "fp":
-        if np.any(x < 0) or np.any(y < 0):
-            raise ValueError("fp variant requires x, y >= 0")
     ax, ay = np.abs(x), np.abs(y)
     phi = gamma_p(p) * (ay - (ps - 1.0) * ax) * (ax + ay) ** (p - 1.0)
     if variant == "phi":
         return phi
-    if variant in ("phi0", "fp"):
+    if variant == "phi0":
         h = ay ** p - (ps - 1.0) ** p * ax ** p
         return np.where(h <= 0, h, phi)
     raise ValueError(f"unknown variant {variant!r}")
@@ -104,9 +100,9 @@ def _midpoint_margins(fn, x, y, a, sgn):
     return raw, raw / scale
 
 
-def zigzag_check(fn, samples: int, step: float = 1.0, seed: int = 0,
-                 box: float = 5.0) -> ZigzagReport:
-    """Sample f(x,y) - (f(x+a, y+-a) + f(x-a, y-+a))/2 at random points.
+def zigzag_check(fn, samples: int, seed: int = 0, box: float = 5.0) -> ZigzagReport:
+    """Sample f(x,y) - (f(x+a, y+-a) + f(x-a, y-+a))/2 at random points,
+    with steps a uniform in (0, 1].
 
     For a zigzag concave f both variants are >= 0; the reported margin is
     the minimum over samples, normalized by the stencil magnitude.
@@ -114,7 +110,7 @@ def zigzag_check(fn, samples: int, step: float = 1.0, seed: int = 0,
     rng = np.random.default_rng(seed)
     x = rng.uniform(-box, box, samples)
     y = rng.uniform(-box, box, samples)
-    a = rng.uniform(0.0, step, samples) + 1e-12
+    a = rng.uniform(0.0, 1.0, samples) + 1e-12
     worst = np.inf
     report = None
     for sgn in (1, -1):
@@ -143,8 +139,6 @@ def majorant_check(variant: str, p: float, samples: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     x = rng.uniform(-box, box, samples)
     y = rng.uniform(-box, box, samples)
-    if variant == "fp":
-        x, y = np.abs(x), np.abs(y)
     ps = p_star(p)
     h = np.abs(y) ** p - (ps - 1.0) ** p * np.abs(x) ** p
     val = eval_phi(x, y, p, variant)
@@ -268,10 +262,7 @@ class FeasibilityResult:
     a: float | None = None
 
 
-def linear_majorant_feasibility(
-    c: float, p: float, rho_points: int = 512, s_points: int = 4096,
-    tol: float = 1e-9,
-) -> FeasibilityResult:
+def linear_majorant_feasibility(c: float, p: float) -> FeasibilityResult:
     """Search g(s) = a((1+s)/2 - rho (1-s)/2) with a > 0 for
 
       g >= H_c on [-1, 1]   and   2 s g'(s) - p g(s) >= 0 at s = +-1,
@@ -279,16 +270,18 @@ def linear_majorant_feasibility(
     where H_c(s) = ((1+s)/2)^p - c^p ((1-s)/2)^p.  Feasibility is decided
     on a rho grid (augmented with the corner values p*-1 and c, where the
     constraint set degenerates to a point); for each rho the admissible
-    range of a is an exact interval computed from the s grid.  Expected:
-    feasible iff c >= p*-1.
+    range of a is an exact interval computed from the s grid.  The grids
+    hold 512 rho values on [0, 4 p*] and 4096 s values; sign tests use a
+    tolerance of 1e-9.  Expected: feasible iff c >= p*-1.
     """
     if c < 0 or p <= 1:
         raise ValueError("need c >= 0 and p > 1")
+    tol = 1e-9
     ps = p_star(p)
-    rhos = np.linspace(0.0, 4.0 * ps, rho_points)
+    rhos = np.linspace(0.0, 4.0 * ps, 512)
     corners = [ps - 1.0, c]
     rhos = np.unique(np.concatenate([rhos, [r for r in corners if 0 <= r <= 4 * ps]]))
-    s = np.linspace(-1.0, 1.0, s_points)
+    s = np.linspace(-1.0, 1.0, 4096)
     Hc = ((1.0 + s) / 2.0) ** p - c ** p * ((1.0 - s) / 2.0) ** p
     a_cap = 4.0 * gamma_p(p)
 
@@ -325,17 +318,16 @@ def linear_majorant_feasibility(
     return FeasibilityResult(False)
 
 
-def feasibility_transition(p: float, c_lo: float = 0.0, c_hi: float | None = None,
-                           tol: float = 1e-4) -> float:
-    """Bisect the smallest c for which the linear majorant family is
-    feasible; should land within grid tolerance of p*-1."""
-    if c_hi is None:
-        c_hi = 4.0 * (p_star(p) - 1.0)
+def feasibility_transition(p: float) -> float:
+    """Bisect, to width 1e-4 over [0, 4 (p*-1)], the smallest c for which
+    the linear majorant family is feasible; should land within grid
+    tolerance of p*-1."""
+    c_lo, c_hi = 0.0, 4.0 * (p_star(p) - 1.0)
     if linear_majorant_feasibility(c_lo, p).feasible:
         return c_lo
     if not linear_majorant_feasibility(c_hi, p).feasible:
         raise RuntimeError("no feasible c in the bracket")
-    while c_hi - c_lo > tol:
+    while c_hi - c_lo > 1e-4:
         mid = 0.5 * (c_lo + c_hi)
         if linear_majorant_feasibility(mid, p).feasible:
             c_hi = mid
@@ -492,26 +484,24 @@ def _fd_matrix(value, x1, x2, h):
     return v11 - 2.0 * v2, v12, v22
 
 
-def jn_bellman_check(
-    delta: float, grid: tuple[int, int] = (200, 200), x1_range: float = 1.0,
-    fd_step: float = 1e-4, fd_clearance: float = 0.05,
-    variants: tuple = ((None, 1.0), (0.6, 1.0), (0.9, 2.0)),
-) -> JNReport:
-    """Check the strip candidate v_delta on {|x1| <= L, 0 <= x2 < delta}:
+def jn_bellman_check(delta: float, grid: tuple[int, int] = (200, 200)) -> JNReport:
+    """Check the strip candidate v_delta on {|x1| <= 1, 0 <= x2 < delta}:
 
     (a) drift-modified matrix negative semidefinite, (b) its determinant
-    zero, (c) v_delta >= e^{x1}, and (a)+(b) for the phi_{eps,q} family.
+    zero, (c) v_delta >= e^{x1}, and (a)+(b) for the phi_{eps,q} family at
+    (eps, q) = (delta, 1), (0.6, 1) and (0.9, 2).
 
     (a), (b) are certified with the closed-form derivatives on the nearly
     full strip; the finite-difference cross-check runs only where
-    delta - x2 >= fd_clearance (clipped, since the x2-derivatives blow up
+    delta - x2 >= 0.05 (clipped, since the x2-derivatives blow up
     like (delta - x2)^{-1/2} at the branch point and centered differences
     at step 1e-4 lose the stated tolerances there).
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
+    fd_clearance = 0.05
     n1, n2 = grid
-    x1 = np.linspace(-x1_range, x1_range, n1)
+    x1 = np.linspace(-1.0, 1.0, n1)
     x2_full = np.linspace(0.0, delta - 1e-9 * max(delta, 1.0), n2)
     X1, X2 = np.meshgrid(x1, x2_full, indexing="ij")
 
@@ -528,16 +518,15 @@ def jn_bellman_check(
     fd_det = 0.0
     if x2_fd.size:
         X1f, X2f = np.meshgrid(x1, x2_fd, indexing="ij")
-        f11, f12, f22 = _fd_matrix(value, X1f, X2f, fd_step)
+        f11, f12, f22 = _fd_matrix(value, X1f, X2f, 1e-4)
         lam_f, det_f = _matrix_stats(f11, f12, f22)
         fd_eig = float(np.max(lam_f))
         fd_det = float(np.max(np.abs(det_f)))
 
     out_variants = []
-    for eps, q in variants:
-        eps = delta if eps is None else eps
-        if not delta <= eps < 1 or q < 1:
-            raise ValueError("variants need delta <= eps < 1 and q >= 1")
+    for eps, q in ((delta, 1.0), (0.6, 1.0), (0.9, 2.0)):
+        if eps < delta:
+            raise ValueError(f"delta must not exceed the variant eps = {eps}")
         _, mat = _strip_candidate(eps, q)
         v11, v12, v22 = mat(X1, X2)
         lam_v, det_v = _matrix_stats(v11, v12, v22)

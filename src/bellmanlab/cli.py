@@ -55,6 +55,12 @@ def _weight_family(spec: str):
 # parameters that no flag sets take the full tier's value
 _FULL = suite.tier_params("full")
 
+
+def _paths(args, experiment):
+    """--paths, or the full tier's path count for `experiment`."""
+    return int(_FULL[experiment]["paths"] if args.paths is None else args.paths)
+
+
 # (module, operation) -> (builder, flags -> builder parameters)
 OPERATIONS = {
     ("dyadic", "buckley"): (suite.buckley_checks, lambda a: dict(
@@ -82,9 +88,10 @@ OPERATIONS = {
     ("laminate", "check"): (suite.measure_checks, lambda a: dict(
         which=a.which, p=a.p, eta=a.eta, seed=a.seed)),
     ("stoch", "riemann-gap"): (suite.riemann_checks, lambda a: dict(
-        a=a.a, b=a.b, steps=int(a.steps), paths=int(a.paths), seed=a.seed)),
+        a=a.a, b=a.b, steps=int(a.steps), paths=_paths(a, "stoch-core"),
+        seed=a.seed)),
     ("stoch", "ab-mc"): (suite.conditioning_checks, lambda a: dict(
-        T=a.T, paths=int(a.paths), bins=a.bins,
+        T=a.T, paths=_paths(a, "stoch-conditioning"), bins=a.bins,
         steps=_FULL["stoch-conditioning"]["steps"],
         min_count=_FULL["stoch-conditioning"]["min_count"],
         disc_tol=_FULL["stoch-conditioning"]["disc_tol"], seed=a.seed)),
@@ -200,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     st = _module_parser(sub, "stoch")
     st.add_argument("--a", type=float, default=0.0)
     st.add_argument("--b", type=float, default=1.0)
-    st.add_argument("--paths", type=float, default=1e5)
+    st.add_argument("--paths", type=float, default=None,
+                    help="default: the full tier's count (1e5 riemann-gap, 1e6 ab-mc)")
     st.add_argument("--steps", type=float, default=1e3)
     st.add_argument("--T", type=float, default=40.0)
     st.add_argument("--bins", type=int, default=24)

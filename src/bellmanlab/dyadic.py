@@ -14,7 +14,7 @@ on the right half, so that (f, h_I) = sqrt(|I|)/2 * (<f>_right - <f>_left).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "haar_coefficients",
     "haar_synthesis",
     "martingale_transform",
-    "constant_signs",
     "random_signs",
     "a2_dyadic",
     "weighted_haar",
@@ -52,18 +51,6 @@ class DyadicInterval:
         if self.level < 0 or not 0 <= self.index < 2 ** self.level:
             raise ValueError(f"bad dyadic interval ({self.level}, {self.index})")
 
-    @property
-    def length(self) -> float:
-        return 2.0 ** (-self.level)
-
-    @property
-    def left(self) -> "DyadicInterval":
-        return DyadicInterval(self.level + 1, 2 * self.index)
-
-    @property
-    def right(self) -> "DyadicInterval":
-        return DyadicInterval(self.level + 1, 2 * self.index + 1)
-
 
 class DyadicFunction:
     """Step function on [0,1] with 2**depth equal-width pieces."""
@@ -76,21 +63,6 @@ class DyadicFunction:
             raise ValueError("sample count must be a power of two")
         self.values = values.astype(complex if np.iscomplexobj(values) else float)
         self.depth = depth
-
-    @classmethod
-    def from_callable(cls, fn, depth: int) -> "DyadicFunction":
-        """Sample fn at midpoints of the finest-level intervals."""
-        x = (np.arange(2 ** depth) + 0.5) * 2.0 ** (-depth)
-        return cls(fn(x))
-
-    def averages(self, level: int) -> np.ndarray:
-        """Per-interval averages at the given level (0 <= level <= depth)."""
-        if not 0 <= level <= self.depth:
-            raise ValueError("level out of range")
-        v = self.values
-        for _ in range(self.depth - level):
-            v = 0.5 * (v[0::2] + v[1::2])
-        return v
 
     def all_averages(self) -> list[np.ndarray]:
         """Averages at every level, index 0 (root) .. depth (samples)."""
@@ -175,46 +147,21 @@ def haar_synthesis(coeffs: list[np.ndarray], mean=0.0) -> DyadicFunction:
     return DyadicFunction(cur)
 
 
-def constant_signs(depth: int, sign: int = 1) -> list[np.ndarray]:
-    return [np.full(2 ** lev, float(sign)) for lev in range(depth)]
-
-
 def random_signs(depth: int, rng) -> list[np.ndarray]:
     return [rng.choice([-1.0, 1.0], size=2 ** lev) for lev in range(depth)]
-
-
-def _signs_as_levels(signs, depth: int) -> list[np.ndarray]:
-    """Accept per-level arrays or a {DyadicInterval/(level,index): +-1} map."""
-    if isinstance(signs, dict):
-        out = [np.full(2 ** lev, np.nan) for lev in range(depth)]
-        for key, s in signs.items():
-            lev, idx = (key.level, key.index) if isinstance(key, DyadicInterval) else key
-            out[lev][idx] = s
-        return out
-    out = [np.asarray(s, dtype=float) for s in signs]
-    if len(out) != depth or any(a.size != 2 ** lev for lev, a in enumerate(out)):
-        raise ValueError("sign arrays must match the coefficient tree shape")
-    return out
 
 
 def martingale_transform(f: DyadicFunction, signs) -> DyadicFunction:
     """T_sigma f = sum_I sigma(I) (f, h_I) h_I.
 
-    The mean of f is dropped (the result is mean zero).  A sign must be
-    supplied for every interval carrying a nonzero coefficient.
+    `signs` holds one array per level 0 .. depth-1, of sizes 1, 2, 4, ...
+    The mean of f is dropped (the result is mean zero).
     """
-    coeffs = haar_coefficients(f)
-    sgn = _signs_as_levels(signs, f.depth)
-    flipped = []
-    for lev, (c, s) in enumerate(zip(coeffs, sgn)):
-        missing = np.isnan(s) & (c != 0)
-        if np.any(missing):
-            idx = int(np.argmax(missing))
-            raise ValueError(
-                f"missing sign for interval ({lev}, {idx}) with nonzero coefficient"
-            )
-        flipped.append(np.where(np.isnan(s), 0.0, s) * c)
-    return haar_synthesis(flipped, mean=0.0)
+    sgn = [np.asarray(s, dtype=float) for s in signs]
+    if len(sgn) != f.depth or any(a.size != 2 ** lev for lev, a in enumerate(sgn)):
+        raise ValueError("sign arrays must match the coefficient tree shape")
+    return haar_synthesis([s * c for s, c in zip(sgn, haar_coefficients(f))],
+                          mean=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -241,21 +188,15 @@ def a_infinity_constant(w: DyadicWeight) -> float:
     return best
 
 
-def buckley_sum(w: DyadicWeight, interval: DyadicInterval | None = None) -> float:
-    """(1/|I|) sum over dyadic l inside I of (Delta_l w / <w>_l)^2 |l|,
+def buckley_sum(w: DyadicWeight) -> float:
+    """sum over dyadic l in [0, 1] of (Delta_l w / <w>_l)^2 |l|,
     Delta_l w = <w>_{l_right} - <w>_{l_left}."""
-    if interval is None:
-        interval = DyadicInterval(0, 0)
     aw = w.all_averages()
     total = 0.0
-    for lev in range(interval.level, w.depth):
-        lo = interval.index * 2 ** (lev - interval.level)
-        hi = (interval.index + 1) * 2 ** (lev - interval.level)
-        parent = aw[lev][lo:hi]
-        child = aw[lev + 1][2 * lo: 2 * hi]
-        delta = child[1::2] - child[0::2]
-        total += float(np.sum((delta / parent) ** 2)) * 2.0 ** (-lev)
-    return total / interval.length
+    for lev in range(w.depth):
+        delta = aw[lev + 1][1::2] - aw[lev + 1][0::2]
+        total += float(np.sum((delta / aw[lev]) ** 2)) * 2.0 ** (-lev)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +215,7 @@ def weighted_haar(w: DyadicWeight, interval: DyadicInterval):
     """
     if interval.level >= w.depth:
         raise ValueError("interval has no children at this resolution")
-    child = w.averages(interval.level + 1)
+    child = w.all_averages()[interval.level + 1]
     w_left = child[2 * interval.index]
     w_right = child[2 * interval.index + 1]
     if w_left <= 0 or w_right <= 0:
@@ -311,9 +252,6 @@ class CarlesonSequence:
     @property
     def depth(self) -> int:
         return len(self.levels) - 1
-
-    def __getitem__(self, interval: DyadicInterval) -> float:
-        return float(self.levels[interval.level][interval.index])
 
 
 def caral_sequence(w: DyadicWeight, alpha: float) -> CarlesonSequence:
@@ -358,7 +296,6 @@ class EmbeddingCheck:
     lhs2: float
     rhs2: float
     intensity: float
-    c2: float = 4.0
 
     @property
     def holds1(self) -> bool:
@@ -370,13 +307,12 @@ class EmbeddingCheck:
 
 
 def carleson_embedding_check(
-    seq: CarlesonSequence, f: DyadicFunction, w: DyadicWeight, c2: float = 4.0
+    seq: CarlesonSequence, f: DyadicFunction, w: DyadicWeight
 ) -> EmbeddingCheck:
     """Evaluate sum_L (inf_L F) alpha_L vs 2 B int F and
-    sum_L (inf_L F)/<w>_L alpha_L vs c2 B int F/w, B = intensity(seq).
+    sum_L (inf_L F)/<w>_L alpha_L vs 4 B int F/w, B = intensity(seq).
 
-    The constant 2 in the first inequality is fixed; c2 defaults to 4 and
-    the actual observed ratio can be read off the returned sides.
+    The actual observed ratios can be read off the returned sides.
     """
     if np.any(np.real(f.values) < 0) or np.iscomplexobj(f.values):
         raise ValueError("F must be real and nonnegative")
@@ -405,9 +341,8 @@ def carleson_embedding_check(
         lhs1=lhs1,
         rhs1=2.0 * intensity * int_f,
         lhs2=lhs2,
-        rhs2=c2 * intensity * int_f_over_w,
+        rhs2=4.0 * intensity * int_f_over_w,
         intensity=intensity,
-        c2=c2,
     )
 
 

@@ -139,14 +139,13 @@ def sigma_laminate(p: float, eta: float) -> Laminate:
 # Integration
 
 
-def _ray_quadrature(ray: Ray, phi, shift, rel_tol: float = 1e-12,
-                    panels: int = 24, order: int = 24) -> float:
+def _ray_quadrature(ray: Ray, phi, shift) -> float:
     """integral_1^inf phi(ax t + sx, ay t + sy) t^(-q) dt.
 
-    Substituting t = e^s, Gauss-Legendre panels cover [0, S]; the remainder
-    beyond e^S is estimated from the local power-law degree of the
-    integrand (fitted from samples) and S grows until that tail estimate
-    drops below rel_tol of the total.
+    Substituting t = e^s, order-24 Gauss-Legendre panels cover [0, S]; the
+    remainder beyond e^S is estimated from the local power-law degree of
+    the integrand (fitted from samples) and S grows until that tail
+    estimate drops below 1e-12 of the total.
     """
     sx, sy = shift
 
@@ -154,12 +153,12 @@ def _ray_quadrature(ray: Ray, phi, shift, rel_tol: float = 1e-12,
         t = np.exp(s)
         return phi(ray.ax * t + sx, ray.ay * t + sy) * t ** (1.0 - ray.q)
 
-    S = 8.0
+    S, panels = 8.0, 24
     for _ in range(12):
         total = 0.0
         edges = np.linspace(0.0, S, panels + 1)
         for a, b in zip(edges[:-1], edges[1:]):
-            val, _ = fixed_quad(integrand, a, b, n=order)
+            val, _ = fixed_quad(integrand, a, b, n=24)
             total += float(val)
         t_end = np.exp(S)
         f_end = float(phi(ray.ax * t_end + sx, ray.ay * t_end + sy))
@@ -172,7 +171,7 @@ def _ray_quadrature(ray: Ray, phi, shift, rel_tol: float = 1e-12,
         if decay <= 0.05:
             raise ValueError("ray integral does not converge fast enough")
         tail = f_end * t_end ** (1.0 - ray.q) / decay if abs(f_end) > 0 else 0.0
-        if tail <= rel_tol * max(abs(total), 1e-300):
+        if tail <= 1e-12 * max(abs(total), 1e-300):
             return ray.weight * (total + tail)
         S *= 1.6
         panels = int(panels * 1.6)
@@ -192,8 +191,8 @@ def integrate(lam: Laminate, phi, shift=(0.0, 0.0), method: str = "auto") -> flo
 
     Atoms are summed exactly.  Ray parts use the closed-form power rule
     when phi declares exact homogeneity and no shift is applied (method
-    'auto' or 'closed'), otherwise adaptive log-substituted quadrature;
-    method 'quad' forces quadrature, e.g. to cross-check the closed form.
+    'auto'), otherwise adaptive log-substituted quadrature; method 'quad'
+    forces quadrature, e.g. to cross-check the closed form.
     """
     fn = phi.fn if isinstance(phi, TestFunction2D) else phi
     total = sum(m * float(fn(x + shift[0], y + shift[1])) for x, y, m in lam.atoms)
@@ -201,13 +200,11 @@ def integrate(lam: Laminate, phi, shift=(0.0, 0.0), method: str = "auto") -> flo
         isinstance(phi, TestFunction2D)
         and phi.degree is not None
         and shift == (0.0, 0.0)
-        and method in ("auto", "closed")
+        and method == "auto"
     )
     for ray in lam.rays:
         if closed_ok:
             total += _ray_closed_form(ray, phi)
-        elif method == "closed":
-            raise ValueError("closed form needs a homogeneous test function, no shift")
         else:
             total += _ray_quadrature(ray, fn, shift)
     return total
@@ -260,12 +257,11 @@ def printed_ratio(p: float, eta: float, K: float) -> float:
     return num / den
 
 
-def ratio(p: float, eta: float, K: float | None = None) -> RatioResult:
+def ratio(p: float, eta: float) -> RatioResult:
     """int phi+ dmu / int phi- dmu by direct integration of the measure,
-    next to the printed closed form; K defaults to the linked value
-    p_eta/(p_eta - 2).  Direct integration is authoritative."""
-    if K is None:
-        _, K, _, _ = s0_K_p_relations(p, eta)
+    next to the printed closed form at the linked K = p_eta/(p_eta - 2).
+    Direct integration is authoritative."""
+    _, K, _, _ = s0_K_p_relations(p, eta)
     mu = mu_laminate(p, eta)
     num = integrate(mu, phi_plus(p))
     den = integrate(mu, phi_minus(p))
@@ -288,15 +284,16 @@ def sigma_ratio(p: float, eta: float) -> float:
 # Jensen inequality against a bi-concave battery
 
 
-def check_biconcave(fn, samples: int = 10000, seed: int = 0, box: float = 4.0,
-                    step: float = 0.5) -> tuple[bool, tuple | None]:
+def check_biconcave(fn, samples: int = 10000,
+                    seed: int = 0) -> tuple[bool, tuple | None]:
     """Sampled separate-concavity certificate: second differences along
     each axis must be <= 0 up to roundoff.  Probabilistic, as documented:
-    it inspects `samples` random (point, step) pairs."""
+    it inspects `samples` random points of [-4, 4]^2 with steps in
+    [1e-3, 0.5]."""
     rng = np.random.default_rng(seed)
-    x = rng.uniform(-box, box, samples)
-    y = rng.uniform(-box, box, samples)
-    h = rng.uniform(1e-3, step, samples)
+    x = rng.uniform(-4.0, 4.0, samples)
+    y = rng.uniform(-4.0, 4.0, samples)
+    h = rng.uniform(1e-3, 0.5, samples)
     for dx, dy in ((1.0, 0.0), (0.0, 1.0)):
         second = (fn(x + h * dx, y + h * dy) - 2.0 * fn(x, y)
                   + fn(x - h * dx, y - h * dy))
@@ -308,9 +305,10 @@ def check_biconcave(fn, samples: int = 10000, seed: int = 0, box: float = 4.0,
     return True, None
 
 
-def default_battery(seed: int = 0, n_affine: int = 5) -> list[TestFunction2D]:
-    """Affine functions, concave quadratics in one variable, and minima of
-    random affine functions (jointly concave, hence bi-concave)."""
+def default_battery(seed: int = 0) -> list[TestFunction2D]:
+    """Affine functions, concave quadratics in one variable, and the
+    minimum of 5 random affine functions (jointly concave, hence
+    bi-concave)."""
     rng = np.random.default_rng(seed)
     battery = [
         TestFunction2D(lambda X, Y: 2.0 * X - 3.0 * Y + 1.0, "affine"),
@@ -318,7 +316,7 @@ def default_battery(seed: int = 0, n_affine: int = 5) -> list[TestFunction2D]:
         TestFunction2D(lambda X, Y: -np.asarray(Y, dtype=float) ** 2, "neg-y-square"),
         TestFunction2D(lambda X, Y: -np.abs(X + 0.3 * Y), "neg-abs"),
     ]
-    coefs = rng.normal(size=(n_affine, 3))
+    coefs = rng.normal(size=(5, 3))
 
     def min_affine(X, Y, c=coefs):
         X = np.asarray(X, dtype=float)
@@ -330,8 +328,7 @@ def default_battery(seed: int = 0, n_affine: int = 5) -> list[TestFunction2D]:
 
 
 def laminate_inequality_check(lam: Laminate, a=(0.0, 0.0),
-                              battery: list | None = None,
-                              certify: bool = True, seed: int = 0) -> float:
+                              battery: list | None = None, seed: int = 0) -> float:
     """min over the battery of f(a) - int f(a + z) dlam~(z), where lam~ is
     lam recentered at its baricenter (so displacements average to zero).
     For a valid laminate and bi-concave battery this is >= -tol; battery
@@ -343,10 +340,9 @@ def laminate_inequality_check(lam: Laminate, a=(0.0, 0.0),
         raise ValueError("inequality check expects a probability laminate")
     worst = np.inf
     for f in battery:
-        if certify:
-            ok, witness = check_biconcave(f.fn, seed=seed)
-            if not ok:
-                raise ValueError(f"battery member {f.tag} fails bi-concavity at {witness}")
+        ok, witness = check_biconcave(f.fn, seed=seed)
+        if not ok:
+            raise ValueError(f"battery member {f.tag} fails bi-concavity at {witness}")
         lhs = float(f(a[0], a[1]))
         rhs = integrate(lam, f, shift=(a[0] - bx, a[1] - by))
         worst = min(worst, lhs - rhs)

@@ -99,26 +99,18 @@ class GridField:
         """L^p norm over the box."""
         return float((np.sum(np.abs(self.values) ** p) * self.cell_area) ** (1 / p))
 
-    def integral(self) -> complex:
-        return complex(np.sum(self.values) * self.cell_area)
-
 
 def grid_coordinates(n: int, box: float):
     x = (np.arange(n) - n // 2) * box / n
     return np.meshgrid(x, x, indexing="ij")
 
 
-def field_from_function(fn, n: int, box: float) -> GridField:
-    X, Y = grid_coordinates(n, box)
-    return GridField(box, fn(X, Y))
-
-
 def gaussian_bump(n: int, box: float, sigma: float = 1.0, center=(0.0, 0.0),
                   amplitude: float = 1.0) -> GridField:
+    X, Y = grid_coordinates(n, box)
     cx, cy = center
-    return field_from_function(
-        lambda X, Y: amplitude * np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2 * sigma ** 2)),
-        n, box)
+    return GridField(
+        box, amplitude * np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2 * sigma ** 2)))
 
 
 @lru_cache(maxsize=32)
@@ -137,7 +129,6 @@ class SpectralMultiplier:
     name: str
     symbol: Callable
     zero_mode: complex = 0.0
-    bound: float = 1.0
 
     def array(self, n: int, box: float) -> np.ndarray:
         k1, k2 = _freq_grids(n, box)
@@ -239,7 +230,6 @@ class Identity113Report:
     lhs: float
     rhs: float
     gap_rel: float
-    tail_fraction: float
     boundary_warning: bool
 
 
@@ -298,10 +288,8 @@ def identity_1_13_check(phi: GridField, psi: GridField, tmax: float,
     total = head + body + tail
     rhs = 0.5 * total
     gap = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-    return Identity113Report(
-        lhs=lhs, rhs=rhs, gap_rel=gap,
-        tail_fraction=tail / total if total else 0.0,
-        boundary_warning=boundary_warning)
+    return Identity113Report(lhs=lhs, rhs=rhs, gap_rel=gap,
+                             boundary_warning=boundary_warning)
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +318,9 @@ class PlanarWeight:
 @dataclass(frozen=True)
 class DiscSampling:
     """Disc centers on every stride-th grid point; dyadic radii
-    box/2^j for j = radius_min_level .. radius_max_level."""
+    box/2^j for j = 1 .. 5."""
 
     stride: int = 8
-    radius_min_level: int = 1
-    radius_max_level: int = 5
 
 
 @dataclass(frozen=True)
@@ -361,15 +347,14 @@ def _disc_average(values: np.ndarray, box: float, radius: float) -> np.ndarray:
     return conv / count
 
 
-def ap_class(w: PlanarWeight, p: float | None = None,
-             sampling: DiscSampling = DiscSampling()) -> float:
-    """sup over sampled discs of <w>_B <w^{-1/(p-1)}>_B^{p-1}."""
-    p = w.p if p is None else p
+def ap_class(w: PlanarWeight, sampling: DiscSampling = DiscSampling()) -> float:
+    """sup over sampled discs of <w>_B <w^{-1/(p-1)}>_B^{p-1}, p = w.p."""
+    p = w.p
     v = w.values
     dual = v ** (-1.0 / (p - 1.0))
     best = 1.0
     s = sampling.stride
-    for j in range(sampling.radius_min_level, sampling.radius_max_level + 1):
+    for j in range(1, 6):
         r = w.field.box / 2 ** j
         try:
             aw = _disc_average(v, w.field.box, r)
@@ -381,11 +366,10 @@ def ap_class(w: PlanarWeight, p: float | None = None,
     return best
 
 
-def ap_heat(w: PlanarWeight, p: float | None = None,
-            sampling: HeatSampling = HeatSampling()) -> float:
-    """sup over sampled (x, t) of w(x,t) (w^{-1/(p-1)}(x,t))^{p-1}, the
-    extensions taken with this module's heat kernel."""
-    p = w.p if p is None else p
+def ap_heat(w: PlanarWeight, sampling: HeatSampling = HeatSampling()) -> float:
+    """sup over sampled (x, t) of w(x,t) (w^{-1/(p-1)}(x,t))^{p-1}, p = w.p,
+    the extensions taken with this module's heat kernel."""
+    p = w.p
     v = w.values
     dual = v ** (-1.0 / (p - 1.0))
     wf = GridField(w.field.box, v)
@@ -417,20 +401,19 @@ def _pnorm(v: np.ndarray, p: float) -> float:
 
 
 def norm_ratio_ascent(op: SpectralMultiplier, p: float, n: int = 256,
-                      iters: int = 500, seed: int = 0, box: float = 1.0,
-                      p_continuation: bool = True) -> AscentResult:
-    """Maximize ||op f||_p / ||f||_p over mean-zero grid fields.
+                      iters: int = 500, seed: int = 0) -> AscentResult:
+    """Maximize ||op f||_p / ||f||_p over mean-zero fields on the unit box.
 
     Nonlinear power iterations with a mixing line search; a step is kept
     only if the ratio increases, so the reported curve is nondecreasing
     and its last value is an achieved ratio, hence a certified lower bound
-    for the discretized operator norm.  By default the iteration budget is
-    split over a continuation ladder in p starting near 2, which escapes
-    the weakest fixed points.
+    for the discretized operator norm.  For p > 2.25 the iteration budget
+    is split over a continuation ladder in p starting at 2.25, which
+    escapes the weakest fixed points.
     """
     if p < 2:
         raise ValueError("ascent is set up for p >= 2")
-    m = op.array(n, box)
+    m = op.array(n, 1.0)
     madj = np.conj(m)
     rng = np.random.default_rng(seed)
     f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -444,7 +427,7 @@ def norm_ratio_ascent(op: SpectralMultiplier, p: float, n: int = 256,
         return _pnorm(apply_(m, v), pp) / _pnorm(v, pp)
 
     ladder = [p]
-    if p_continuation and p > 2.25:
+    if p > 2.25:
         ladder = list(np.linspace(2.25, p, max(2, int(2 * (p - 2)) + 2)))
     per_stage = max(10, iters // len(ladder))
 
@@ -484,7 +467,7 @@ def norm_ratio_ascent(op: SpectralMultiplier, p: float, n: int = 256,
                 curve.append(r)
     final = ratio_of(f, p)
     curve.append(final)
-    return AscentResult(ratio=final, witness=GridField(box, f),
+    return AscentResult(ratio=final, witness=GridField(1.0, f),
                         curve=np.maximum.accumulate(np.array(curve)))
 
 

@@ -70,11 +70,11 @@ class RadialMap:
         return fz, fzb
 
 
-def beltrami_ratio(m: RadialMap, samples: int = 1000, seed: int = 0) -> float:
-    """max over sampled disc points of | |f_zbar / f_z| - k |."""
+def beltrami_ratio(m: RadialMap, seed: int = 0) -> float:
+    """max over 1000 sampled disc points of | |f_zbar / f_z| - k |."""
     rng = np.random.default_rng(seed)
-    r = np.sqrt(rng.uniform(1e-6, 1.0, samples))
-    th = rng.uniform(0.0, 2.0 * np.pi, samples)
+    r = np.sqrt(rng.uniform(1e-6, 1.0, 1000))
+    th = rng.uniform(0.0, 2.0 * np.pi, 1000)
     z = r * np.exp(1j * th)
     fz, fzb = m.wirtinger(z)
     return float(np.max(np.abs(np.abs(fzb / fz) - m.k)))
@@ -113,19 +113,16 @@ def _annulus_integral(m: RadialMap, q: float, eps: float) -> float:
     return 2.0 * np.pi * (1.0 - eps ** c) / c
 
 
-def sobolev_threshold(m: RadialMap, q: float, eps_min: float = 2.0 ** -60,
-                      octaves: int | None = None):
-    """Integrals over eps < |z| < 1 on a dyadic ladder of eps plus the
-    fitted blow-up exponent.
+def sobolev_threshold(m: RadialMap, q: float):
+    """Integrals over eps < |z| < 1 on the dyadic ladder eps = 2^-1 ..
+    2^-60 plus the fitted blow-up exponent.
 
     Returns a dict: the ladder values, the regression slope of the
     per-octave increments (log2 scale), and 'bounded' = slope < 0.  The
     increment sequence is exactly geometric with ratio 2^(q(1+1/K) - 2),
     so the fitted slope changes sign precisely at q = 1 + k.
     """
-    if octaves is None:
-        octaves = int(np.ceil(-np.log2(eps_min)))
-    eps = 2.0 ** -np.arange(1, octaves + 1)
+    eps = 2.0 ** -np.arange(1, 61)
     vals = np.array([_annulus_integral(m, q, e) for e in eps])
     inc = np.diff(vals)
     j = np.arange(inc.size)
@@ -138,15 +135,15 @@ def sobolev_threshold(m: RadialMap, q: float, eps_min: float = 2.0 ** -60,
             "bounded": slope < 0.0, "rate": max(slope, 0.0)}
 
 
-def sobolev_boundary(m: RadialMap, q_lo: float = 1.0, q_hi: float = 2.0,
-                     tol: float = 1e-4) -> float:
-    """Bisect the q where the annulus integrals stop being Cauchy in eps;
-    lands within tolerance of 1 + k."""
+def sobolev_boundary(m: RadialMap) -> float:
+    """Bisect, over q in [1, 2] to width 1e-4, the q where the annulus
+    integrals stop being Cauchy in eps; lands within tolerance of 1 + k."""
+    q_lo, q_hi = 1.0, 2.0
     if sobolev_threshold(m, q_lo)["bounded"] is False:
         raise ValueError("q_lo already divergent")
     if sobolev_threshold(m, q_hi)["bounded"]:
         raise ValueError("q_hi still convergent")
-    while q_hi - q_lo > tol:
+    while q_hi - q_lo > 1e-4:
         mid = 0.5 * (q_lo + q_hi)
         if sobolev_threshold(m, mid)["bounded"]:
             q_lo = mid
@@ -155,9 +152,8 @@ def sobolev_boundary(m: RadialMap, q_lo: float = 1.0, q_hi: float = 2.0,
     return 0.5 * (q_lo + q_hi)
 
 
-def jacobian_weight(m: RadialMap, p: float, n: int = 256,
-                    box: float = 2.5) -> PlanarWeight:
-    """w = J_{f0}^(1 - p/2) sampled on the periodic grid.
+def jacobian_weight(m: RadialMap, p: float, n: int = 256) -> PlanarWeight:
+    """w = J_{f0}^(1 - p/2) sampled on the periodic grid of side 2.5.
 
     J_{f0} = (1/K) |z|^(2/K - 2) inside the disc and 1 outside, so w is a
     bounded positive power of |z| for 2 <= p < 1 + 1/k = 2K/(K-1);
@@ -169,6 +165,7 @@ def jacobian_weight(m: RadialMap, p: float, n: int = 256,
     limit = 1.0 + 1.0 / m.k if m.k > 0 else np.inf
     if not 2.0 <= p < limit:
         raise ValueError(f"need 2 <= p < 1 + 1/k = {limit}")
+    box = 2.5
     X, Y = grid_coordinates(n, box)
     r = np.hypot(X, Y)
     r = np.maximum(r, box / n / 4.0)   # the grid hits the origin; clamp at a quarter cell

@@ -12,6 +12,13 @@ holds per-path state and never a (paths, steps) array.  The draws are
 counter-based: stream `batch` of a driver is keyed by Philox (seed, batch)
 and block c starts at counter (0, 0, c, 0), so a block's draws depend only
 on (seed, batch, c), never on which blocks were drawn before it.
+
+The engine feeds the 1-d Riemann-sum and Ito-integral studies and one
+planar martingale simulator, `simulate`: X(t) = u(T - t, W_t) as a sum of
+gradient increments and, given a 2x2 matrix, its transform Y.  The
+pathwise transform residuals and the moment-ratio constants run on
+`simulate`; the step-ladder sweep and the conditioning study keep their
+own loops, which carry per-level and per-bin state.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .planar import GridField, conj_ab_transform
+from .planar import GridField, conj_ab_transform, grid_coordinates
 
 __all__ = [
     "CHUNK_PATHS",
@@ -29,9 +36,8 @@ __all__ = [
     "ito_integral",
     "PathView",
     "GaussianMix",
-    "heat_martingale",
-    "ab_star",
-    "MartingalePath",
+    "simulate",
+    "terminal_gap_sweep",
     "transform_residuals",
     "ab_by_conditioning",
     "ConditioningResult",
@@ -91,8 +97,7 @@ class PathView:
     the engine keeps: asking for a future step raises (adaptedness guard),
     and so does asking for a past one."""
 
-    def __init__(self, time: float, current: np.ndarray, step: int):
-        self._time = time
+    def __init__(self, current: np.ndarray, step: int):
         self._current = current
         self._step = step
 
@@ -108,10 +113,6 @@ class PathView:
     def current(self) -> np.ndarray:
         return self._current
 
-    @property
-    def time(self) -> float:
-        return float(self._time)
-
 
 def riemann_gap_demo(a: float, b: float, steps: int, paths: int, seed: int = 0):
     """Means of S1 = sum w(t_{i-1}) dw_i and S2 = sum w(t_i) dw_i over [a, b]
@@ -126,7 +127,7 @@ def riemann_gap_demo(a: float, b: float, steps: int, paths: int, seed: int = 0):
         raise ValueError("need a <= b")
     if b == a:
         return {"ES1": 0.0, "ES1_ci": 0.0, "ES2": 0.0, "ES2_ci": 0.0,
-                "ES1_sq": 0.0, "ES1_sq_ci": 0.0, "gap": 0.0}
+                "ES1_sq": 0.0, "ES1_sq_ci": 0.0}
     w_a = np.zeros(paths)
     if a > 0:
         for rows, incs in BrownianDriver(1, a, 1, seed).chunks(paths, batch=3):
@@ -149,7 +150,6 @@ def riemann_gap_demo(a: float, b: float, steps: int, paths: int, seed: int = 0):
         "ES1": float(np.mean(s1)), "ES1_ci": half(s1),
         "ES2": float(np.mean(s2)), "ES2_ci": half(s2),
         "ES1_sq": float(np.mean(s1 ** 2)), "ES1_sq_ci": half(s1 ** 2),
-        "gap": float(np.mean(s2 - s1)),
     }
 
 
@@ -164,14 +164,13 @@ def ito_integral(process, driver: BrownianDriver, paths: int, batch: int = 0):
     """
     if driver.dimension != 1:
         raise ValueError("ito_integral expects a 1-d driver")
-    times = driver.times()
     parts = []
     for rows, incs in driver.chunks(paths, batch):
         w = np.zeros(rows.stop - rows.start)
         total = 0.0
         for i, inc in enumerate(incs):
             dw = inc[:, 0]
-            total = total + np.asarray(process(PathView(times[i], w, i))) * dw
+            total = total + np.asarray(process(PathView(w, i))) * dw
             w = w + dw      # a new array: a view handed out earlier keeps its step
         parts.append(total)
     return np.concatenate(parts, axis=-1)
@@ -194,15 +193,17 @@ class GaussianMix:
     sigma2: np.ndarray         # shape (m,)
 
     @classmethod
-    def single(cls, amplitude=1.0, center=(0.0, 0.0), sigma2=1.0):
+    def single(cls, amplitude=1.0, sigma2=1.0):
+        """One bump centered at the origin."""
         return cls(np.array([amplitude], dtype=complex),
-                   np.array([center], dtype=float),
+                   np.zeros((1, 2)),
                    np.array([sigma2], dtype=float))
 
     @classmethod
-    def random(cls, rng, bumps: int = 3, box: float = 1.5):
+    def random(cls, rng, bumps: int = 3):
+        """Bumps with centers uniform on [-1.5, 1.5]^2."""
         amp = rng.normal(size=bumps) + 1j * rng.normal(size=bumps)
-        cen = rng.uniform(-box, box, size=(bumps, 2))
+        cen = rng.uniform(-1.5, 1.5, size=(bumps, 2))
         s2 = rng.uniform(0.3, 1.5, size=bumps)
         return cls(amp, cen, s2)
 
@@ -245,50 +246,20 @@ class GaussianMix:
         return out
 
     def on_grid(self, n: int, box: float) -> GridField:
-        xs = (np.arange(n) - n // 2) * box / n
-        X, Y = np.meshgrid(xs, xs, indexing="ij")
-        pts = np.stack([X, Y], axis=-1)
+        pts = np.stack(grid_coordinates(n, box), axis=-1)
         return GridField(box, self.value(0.0, pts))
 
 
-@dataclass
-class HoloPoly:
-    """f(z) = z^m as a heat surface: harmonic components, so the heat
-    extension is the function itself and dbar u vanishes identically."""
-
-    m: int = 2
-
-    def value(self, t: float, x: np.ndarray) -> np.ndarray:
-        z = x[..., 0] + 1j * x[..., 1]
-        return z ** self.m
-
-    def gradient(self, t: float, x: np.ndarray) -> np.ndarray:
-        z = x[..., 0] + 1j * x[..., 1]
-        d = self.m * z ** (self.m - 1)
-        return np.stack([d, 1j * d], axis=-1)
-
-    def dbar(self, t: float, x: np.ndarray) -> np.ndarray:
-        z = x[..., 0] + 1j * x[..., 1]
-        return np.zeros_like(z)
-
-
-@dataclass
-class MartingalePath:
-    """Terminal value of a discretized martingale, with its instantaneous
-    transform rows when they were kept."""
-
-    terminal: np.ndarray                # complex, (paths,)
-    h_rows: np.ndarray | None = None    # (paths, steps, 2, 2): rows H1, H2
-    k_rows: np.ndarray | None = None
-
-
-def _simulate(surface, T: float, driver: BrownianDriver, paths: int,
-              batch: int = 0, matrix: np.ndarray | None = None, on_step=None):
-    """Run X(t) = u(T,0) + sum grad u . dW and, if a 2x2 complex matrix is
-    given, Y(t) = sum dW . (matrix grad u).  Returns the terminal (X, Y),
-    each of shape (paths,); Y is None without a matrix.  `on_step(rows, i,
-    grad, mg)` is called at each step of each block with the gradient and
-    its image under the matrix (None without one), each (block paths, 2)."""
+def simulate(surface, T: float, driver: BrownianDriver, paths: int,
+             batch: int = 0, matrix: np.ndarray | None = None, on_step=None):
+    """Run X(t) = u(T,0) + sum_i grad u(T - t_i, W_i) . dW_i, whose terminal
+    value approaches f(W_T) at strong order 1/2 in the step size, and, if a
+    2x2 complex matrix is given, Y(t) = sum dW . (matrix grad u); with
+    A_STAR the increments of Y are (dW_1 + i dW_2) * 2 dbar u.  Returns the
+    terminal (X, Y), each of shape (paths,); Y is None without a matrix.
+    `on_step(rows, i, grad, mg)` is called at each step of each block with
+    the gradient and its image under the matrix (None without one), each
+    (block paths, 2)."""
     if driver.dimension != 2:
         raise ValueError("planar martingales need a 2-d driver")
     times = driver.times() * (T / driver.horizon)
@@ -315,51 +286,18 @@ def _simulate(surface, T: float, driver: BrownianDriver, paths: int,
     return X, Y
 
 
-def _row_keeper(paths: int, steps: int, pick):
-    """A (paths, steps, 2, 2) array and the `on_step` hook that fills row
-    j of each step with (Re, Im) of component j of pick(grad, mg)."""
-    store = np.empty((paths, steps, 2, 2))
-
-    def keep(rows, i, grad, mg):
-        v = pick(grad, mg)
-        store[rows, i] = np.stack([v.real, v.imag], axis=-1)
-    return store, keep
-
-
+# the matrix A = [[1, i], [i, -1]] of the conformal transform
 A_STAR = np.array([[1.0, 1.0j], [1.0j, -1.0]])
 
 
-def heat_martingale(surface: GaussianMix, T: float, driver: BrownianDriver,
-                    paths: int, batch: int = 0,
-                    keep_rows: bool = False) -> MartingalePath:
-    """X(t) = u(T, 0) + sum_i grad u(T - t_i, W_i) . dW_i; the terminal
-    value approaches f(W_T) at strong order 1/2 in the step size."""
-    hr, keep = (_row_keeper(paths, driver.steps, lambda g, mg: g)
-                if keep_rows else (None, None))
-    X, _ = _simulate(surface, T, driver, paths, batch, on_step=keep)
-    return MartingalePath(terminal=X, h_rows=hr)
-
-
-def ab_star(surface: GaussianMix, T: float, driver: BrownianDriver,
-            paths: int, batch: int = 0,
-            keep_rows: bool = False) -> MartingalePath:
-    """Y(t) = sum_i dW_i . A grad u(T - t_i, W_i) with A = [[1, i], [i, -1]];
-    equivalently the increments are (dW_1 + i dW_2) * 2 dbar u."""
-    kr, keep = (_row_keeper(paths, driver.steps, lambda g, mg: mg)
-                if keep_rows else (None, None))
-    _, Y = _simulate(surface, T, driver, paths, batch, matrix=A_STAR,
-                     on_step=keep)
-    return MartingalePath(terminal=Y, k_rows=kr)
-
-
 def terminal_gap_sweep(surface, T: float, steps_list, paths: int,
-                       seed: int = 0):
+                       seed: int = 0, batch: int = 0):
     """RMS of |X(T) - f(W_T)| across a ladder of step counts, all ladder
-    levels driven by aggregated copies of the same finest increments (so
-    the sweep isolates the time-discretization error).  Expected decay is
-    order 1/2 in dt.  The levels advance together in one pass over the
-    finest increments; each keeps only its own (X, W) and the sum of the
-    fine increments in its current coarse step."""
+    levels driven by aggregated copies of the same finest increments of
+    stream `batch` (so the sweep isolates the time-discretization error).
+    Expected decay is order 1/2 in dt.  The levels advance together in one
+    pass over the finest increments; each keeps only its own (X, W) and
+    the sum of the fine increments in its current coarse step."""
     steps_list = sorted(int(s) for s in steps_list)
     finest = steps_list[-1]
     for s in steps_list:
@@ -367,7 +305,7 @@ def terminal_gap_sweep(surface, T: float, steps_list, paths: int,
             raise ValueError("step counts must divide the finest one")
     x0 = surface.value(T, np.zeros((1, 2)))[0]
     sq = np.zeros(len(steps_list))
-    for rows, incs in BrownianDriver(2, T, finest, seed=seed).chunks(paths):
+    for rows, incs in BrownianDriver(2, T, finest, seed=seed).chunks(paths, batch):
         m = rows.stop - rows.start
         W = np.zeros((len(steps_list), m, 2))
         X = np.full((len(steps_list), m), x0, dtype=complex)
@@ -409,7 +347,7 @@ def transform_residuals(surface: GaussianMix, T: float, driver: BrownianDriver,
             np.max(ksum - 4.0 * (h[:, 0] + h[:, 1])),
         ])
 
-    _simulate(surface, T, driver, paths, batch, matrix=A_STAR, on_step=residuals)
+    simulate(surface, T, driver, paths, batch, matrix=A_STAR, on_step=residuals)
     return {
         "max_orthogonality": float(worst[0]),
         "max_norm_mismatch": float(worst[1]),
@@ -428,34 +366,35 @@ class ConditioningResult:
     stderr: np.ndarray         # (bins, bins) per-bin standard errors
     counts: np.ndarray         # (bins, bins)
     oracle: np.ndarray         # (bins, bins) complex FFT values
-    min_count: int = 100
 
-    @property
-    def populated(self) -> np.ndarray:
-        return self.counts >= self.min_count
-
-    def agreement_fraction(self, n_sigma: float = 3.0, disc_tol: float = 0.0):
-        pop = self.populated
+    def agreement_fraction(self, min_count: int, disc_tol: float) -> float:
+        """Fraction of the bins holding at least `min_count` paths whose
+        estimate is within 3 standard errors plus disc_tol |oracle| of the
+        oracle; raises when no bin holds that many."""
+        pop = self.counts >= min_count
+        if not pop.any():
+            raise ValueError(f"no bin holds min_count={min_count} paths (the fullest "
+                             f"holds {self.counts.max()}); raise the path count (--paths)")
         err = np.abs(self.estimate - self.oracle)
-        tol = n_sigma * self.stderr + disc_tol * np.abs(self.oracle)
-        return float(np.mean(err[pop] <= tol[pop])) if pop.any() else float("nan")
+        tol = 3.0 * self.stderr + disc_tol * np.abs(self.oracle)
+        return float(np.mean(err[pop] <= tol[pop]))
 
 
 def ab_by_conditioning(surface: GaussianMix, T: float, paths: int,
-                       bins: int = 24, box: float = 6.0, steps: int = 320,
-                       seed: int = 0, oracle_n: int = 512,
-                       oracle_box: float = 24.0) -> ConditioningResult:
+                       bins: int = 24, steps: int = 320,
+                       seed: int = 0) -> ConditioningResult:
     """Estimate the transform by conditioning: bin W_T on a bins x bins
-    grid over [-box/2, box/2)^2 and average Y(T) per bin.
+    grid over [-3, 3)^2 and average Y(T) per bin.
 
     The matrix-A martingale represents the conjugate-chirality multiplier
     (k1 + i k2)^2/|k|^2, so the oracle column is conj_ab_transform of the
-    surface sampled on a large periodic grid.  Bin means are the
-    self-normalized estimator (the Gaussian terminal density cancels in
-    the conditional mean).  T should dominate the squared support radius;
-    underpopulated bins are flagged through `counts`, never averaged into
-    the agreement test.
+    surface sampled on a 512 x 512 periodic grid of side 24.  Bin means
+    are the self-normalized estimator (the Gaussian terminal density
+    cancels in the conditional mean).  T should dominate the squared
+    support radius; underpopulated bins are flagged through `counts`,
+    never averaged into the agreement test.
     """
+    box, oracle_n, oracle_box = 6.0, 512, 24.0
     lo = -box / 2.0
     width = box / bins
     cnt = np.zeros(bins * bins)
@@ -505,12 +444,11 @@ def ab_by_conditioning(surface: GaussianMix, T: float, paths: int,
 
 
 def subordination_constants_mc(p: float, trials: int, seed: int = 0,
-                               functions: int = 6, T: float = 8.0,
-                               steps: int = 200):
+                               T: float = 8.0):
     """Observed transform-to-martingale moment ratios against the two
     theoretical ceilings.
 
-    For random test surfaces f: ratio of (E|Y(T)|^p)^(1/p) to
+    For 6 random test surfaces f, simulated in 200 steps: ratio of (E|Y(T)|^p)^(1/p) to
     (E|2 X(T)|^p)^(1/p).  Y = A-star transform is conformal and
     differentially subordinate to 2X, so the plain ceiling is p* - 1 and,
     for p > 2, the conformal ceiling is sqrt(p(p-1)/2).  ratio_plain is
@@ -519,12 +457,12 @@ def subordination_constants_mc(p: float, trials: int, seed: int = 0,
     max observed ratios and their ceilings.
     """
     rng = np.random.default_rng(seed)
-    driver = BrownianDriver(2, T, steps, seed=seed)
+    driver = BrownianDriver(2, T, 200, seed=seed)
     ratio_conf = 0.0
     ratio_plain = 0.0
-    for j in range(functions):
+    for j in range(6):
         surf = GaussianMix.random(rng, bumps=3)
-        X, Y = _simulate(surf, T, driver, trials, batch=j, matrix=A_STAR)
+        X, Y = simulate(surf, T, driver, trials, batch=j, matrix=A_STAR)
         num = float(np.mean(np.abs(Y) ** p)) ** (1.0 / p)
         den = float(np.mean(np.abs(2.0 * X) ** p)) ** (1.0 / p)
         if den > 0:
@@ -532,8 +470,8 @@ def subordination_constants_mc(p: float, trials: int, seed: int = 0,
         # a random real transform matrix, subordination constant = |B|_op
         B = rng.normal(size=(2, 2))
         bnorm = float(np.linalg.svd(B, compute_uv=False)[0])
-        Xr, Yr = _simulate(surf, T, driver, trials, batch=100 + j,
-                           matrix=B.astype(complex))
+        Xr, Yr = simulate(surf, T, driver, trials, batch=100 + j,
+                          matrix=B.astype(complex))
         numr = float(np.mean(np.abs(Yr) ** p)) ** (1.0 / p)
         denr = float(np.mean(np.abs(bnorm * Xr) ** p)) ** (1.0 / p)
         if denr > 0:

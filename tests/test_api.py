@@ -1,0 +1,33 @@
+"""The public surface: every name a module exports has a user."""
+
+import re
+from pathlib import Path
+
+import bellmanlab
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = {p.resolve(): p.read_text() for p in [
+    *sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "demos").glob("*.py")),
+    *sorted((ROOT / "perfbench").glob("*.py")), ROOT / "README.md"]}
+
+
+def unused_exports(module):
+    """Names in `module.__all__` that appear nowhere in src/, demos/,
+    perfbench/ or README.md except in their own definition and their
+    `__all__` entry."""
+    own = Path(module.__file__).resolve()
+    unused = []
+    for name in module.__all__:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        own_only = re.compile(rf"(def|class)\s+{re.escape(name)}\b|\"{re.escape(name)}\"")
+        uses = sum(len(word.findall(text))
+                   - (len(own_only.findall(text)) if path == own else 0)
+                   for path, text in CORPUS.items())
+        if uses == 0:
+            unused.append(f"{module.__name__}.{name}")
+    return unused
+
+
+def test_every_export_is_used():
+    modules = [getattr(bellmanlab, n) for n in bellmanlab.__all__ if n != "__version__"]
+    assert [name for m in modules for name in unused_exports(m)] == []

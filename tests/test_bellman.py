@@ -25,11 +25,6 @@ def test_phi0_equals_power_difference_below_ray():
     assert bm.eval_phi(x, y, p, "phi0") == pytest.approx(expect)
 
 
-def test_fp_rejects_negatives():
-    with pytest.raises(ValueError):
-        bm.eval_phi(-1.0, 1.0, 3.0, "fp")
-
-
 def test_p_validation():
     with pytest.raises(ValueError):
         bm.eval_phi(1.0, 1.0, 1.0)

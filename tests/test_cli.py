@@ -114,6 +114,16 @@ def test_ab_mc_without_populated_bins_is_usage_error(capsys):
     assert "min_count=100" in err and "--paths" in err
 
 
+def test_stoch_paths_default_to_the_full_tier():
+    # the parameters bare `stoch ab-mc` and `stoch riemann-gap` would run with
+    full = cli.suite.tier_params("full")
+    for op, experiment in (("ab-mc", "stoch-conditioning"),
+                           ("riemann-gap", "stoch-core")):
+        _, params = cli.OPERATIONS["stoch", op]
+        args = build_parser().parse_args(["stoch", op])
+        assert params(args)["paths"] == full[experiment]["paths"], op
+
+
 def test_dyadic_mt_ratio(capsys):
     code, out, _ = run_cli(capsys, "dyadic", "mt-ratio", "--weight",
                            "twovalue:2,1", "--depth", "6", "--trials", "25",

@@ -43,24 +43,21 @@ def test_synthesis_inverts_analysis():
 # Martingale transform
 
 
+def constant_signs(depth, sign):
+    return [np.full(2 ** lev, float(sign)) for lev in range(depth)]
+
+
 def test_transform_all_plus_is_mean_removal():
     f = rand_fn(7, seed=3)
-    tf = dy.martingale_transform(f, dy.constant_signs(7, 1))
+    tf = dy.martingale_transform(f, constant_signs(7, 1))
     assert np.allclose(tf.values, f.values - f.mean, atol=1e-13)
 
 
 def test_transform_involution():
     f = rand_fn(7, seed=4)
-    minus = dy.constant_signs(7, -1)
+    minus = constant_signs(7, -1)
     twice = dy.martingale_transform(dy.martingale_transform(f, minus), minus)
     assert np.allclose(twice.values, f.values - f.mean, atol=1e-13)
-
-
-def test_transform_missing_sign_raises():
-    f = rand_fn(4, seed=5)
-    signs = {dy.DyadicInterval(0, 0): 1.0}   # deeper intervals uncovered
-    with pytest.raises(ValueError, match="missing sign"):
-        dy.martingale_transform(f, signs)
 
 
 def test_transform_l2_isometry_on_mean_zero():
