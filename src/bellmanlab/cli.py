@@ -93,7 +93,6 @@ OPERATIONS = {
     ("stoch", "ab-mc"): (suite.conditioning_checks, lambda a: dict(
         T=a.T, paths=_paths(a, "stoch-conditioning"), bins=a.bins,
         steps=_FULL["stoch-conditioning"]["steps"],
-        min_count=_FULL["stoch-conditioning"]["min_count"],
         disc_tol=_FULL["stoch-conditioning"]["disc_tol"], seed=a.seed)),
     ("stoch", "constants"): (suite.constant_checks, lambda a: dict(
         p=a.p, trials=int(a.trials), seed=a.seed)),
@@ -208,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--a", type=float, default=0.0)
     st.add_argument("--b", type=float, default=1.0)
     st.add_argument("--paths", type=float, default=None,
-                    help="default: the full tier's count (1e5 riemann-gap, 1e6 ab-mc)")
+                    help="default: the full tier's count (1e5 riemann-gap, "
+                         "231 per bin ab-mc)")
     st.add_argument("--steps", type=float, default=1e3)
     st.add_argument("--T", type=float, default=40.0)
     st.add_argument("--bins", type=int, default=24)
@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     su = sub.add_parser("suite")
     su.add_argument("tier", choices=("fast", "full"))
-    su.add_argument("--workers", type=int, default=None)
+    su.add_argument("--workers", type=int, default=1)
     su.add_argument("--skip", default="",
                     help="comma-separated experiment names to skip")
     _add_common(su)

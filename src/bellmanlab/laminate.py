@@ -194,6 +194,8 @@ def integrate(lam: Laminate, phi, shift=(0.0, 0.0), method: str = "auto") -> flo
     'auto'), otherwise adaptive log-substituted quadrature; method 'quad'
     forces quadrature, e.g. to cross-check the closed form.
     """
+    if method not in ("auto", "quad"):
+        raise ValueError(f"method must be 'auto' or 'quad', not {method!r}")
     fn = phi.fn if isinstance(phi, TestFunction2D) else phi
     total = sum(m * float(fn(x + shift[0], y + shift[1])) for x, y, m in lam.atoms)
     closed_ok = (

@@ -11,7 +11,6 @@ deterministic for a fixed (tier, seed) regardless of the worker count.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -395,7 +394,8 @@ def riemann_checks(a, b, steps, paths, seed):
 def _path_checks(steps, paths, sweep_steps, seed):
     # streams of the seed: 0 drives riemann_checks, 1 the product, 2 the
     # isometry, 6 the step-ladder sweep, 7 the transform residuals (3 is
-    # riemann_checks' W_a; stoch-constants draws 0-5 and 100-105)
+    # riemann_checks' W_a, 8 the conditioning bridges; stoch-constants
+    # draws 10-15 and 100-105)
     out = []
     drv = stochastic.BrownianDriver(1, 1.0, steps, seed=seed)
     vals = stochastic.ito_integral(lambda v: v.current, drv, paths, batch=2)
@@ -441,11 +441,11 @@ def _path_checks(steps, paths, sweep_steps, seed):
     return out
 
 
-def conditioning_checks(T, paths, bins, steps, min_count, disc_tol, seed):
+def conditioning_checks(T, paths, bins, steps, disc_tol, seed):
     surf = stochastic.GaussianMix.single(sigma2=1.0)
     res = stochastic.ab_by_conditioning(surf, T=T, paths=paths, bins=bins,
                                         steps=steps, seed=seed)
-    frac = res.agreement_fraction(min_count, disc_tol)
+    frac = res.agreement_fraction(disc_tol)
     return [CheckResult("stoch.conditioning", -frac, -0.95, 0.0, "bound",
                         f"paths={paths}")]
 
@@ -542,7 +542,7 @@ EXPERIMENTS = {
         + _path_checks(params["steps"], params["paths"], params["sweep_steps"], seed)),
     "stoch-conditioning": lambda params, seed: conditioning_checks(
         params["T"], params["paths"], params["bins"], params["steps"],
-        params["min_count"], params["disc_tol"], seed),
+        params["disc_tol"], seed),
     "stoch-constants": lambda params, seed: constant_checks(4.0, params["trials"], seed),
     "qc": _exp_qc,
 }
@@ -564,9 +564,8 @@ def tier_params(tier: str) -> dict:
             "laminate": {"etas": [1e-1, 1e-2, 1e-3, 1e-4]},
             "stoch-core": {"paths": 20_000, "steps": 400,
                            "sweep_steps": [16, 32, 64, 128, 256]},
-            "stoch-conditioning": {"paths": 150_000, "bins": 16, "T": 40.0,
-                                   "steps": 200, "min_count": 25,
-                                   "disc_tol": 0.05},
+            "stoch-conditioning": {"paths": 78, "bins": 16, "T": 40.0,
+                                   "steps": 200, "disc_tol": 0.05},
             "stoch-constants": {"trials": 2000},
             "qc": {"K_list": [2.0], "n": 128},
         }
@@ -586,9 +585,8 @@ def tier_params(tier: str) -> dict:
             "laminate": {"etas": [1e-1, 1e-2, 1e-3, 1e-4]},
             "stoch-core": {"paths": 100_000, "steps": 1000,
                            "sweep_steps": [16, 32, 64, 128, 256]},
-            "stoch-conditioning": {"paths": 1_000_000, "bins": 24, "T": 40.0,
-                                   "steps": 320, "min_count": 100,
-                                   "disc_tol": 0.05},
+            "stoch-conditioning": {"paths": 231, "bins": 24, "T": 40.0,
+                                   "steps": 320, "disc_tol": 0.05},
             "stoch-constants": {"trials": 10_000},
             "qc": {"K_list": [1.5, 2.0, 3.0], "n": 256},
         }
@@ -600,14 +598,11 @@ def run_experiment(name: str, params: dict, seed: int = 0):
 
 
 def run_suite(tier: str = "fast", seed: int = 0,
-              workers: int | None = None,
-              skip: tuple = ()) -> RunReport:
-    """Run the whole battery.  Experiments named in `skip` are omitted
-    (skipped, not failed).  Worker count defaults to the BELLMANLAB_WORKERS
-    environment variable, else 1; merging is deterministic by name."""
+              workers: int = 1, skip: tuple = ()) -> RunReport:
+    """Run the whole battery on `workers` threads.  Experiments named in
+    `skip` are omitted (skipped, not failed); merging is deterministic by
+    name."""
     params = tier_params(tier)
-    if workers is None:
-        workers = int(os.environ.get("BELLMANLAB_WORKERS", "1"))
     names = [n for n in sorted(EXPERIMENTS) if n not in skip]
     report = RunReport(config={"tier": tier, "seed": seed,
                                "skip": ",".join(sorted(skip))})

@@ -106,12 +106,11 @@ def test_every_zigzag_variant_runs(capsys):
         assert code in (0, 1), (variant, err)
 
 
-def test_ab_mc_without_populated_bins_is_usage_error(capsys):
-    # 2000 paths over 8 x 8 bins: no bin reaches the full tier's min_count
-    code, out, err = run_cli(capsys, "stoch", "ab-mc", "--paths", "2000",
-                             "--bins", "8")
-    assert code == 2 and out == ""
-    assert "min_count=100" in err and "--paths" in err
+def test_ab_mc_with_fewer_than_two_paths_per_bin_is_usage_error(capsys):
+    for paths in ("0", "1"):
+        code, out, err = run_cli(capsys, "stoch", "ab-mc", "--paths", paths)
+        assert code == 2 and out == "", paths
+        assert "at least 2" in err
 
 
 def test_stoch_paths_default_to_the_full_tier():

@@ -73,6 +73,13 @@ def test_closed_form_vs_quadrature():
         assert abs(closed - quad) / closed < 1e-10
 
 
+def test_unknown_method_raises():
+    mu = lam.mu_laminate(3.0, 0.5)
+    for method in ("closed", "Quad", ""):
+        with pytest.raises(ValueError, match="'auto' or 'quad'"):
+            lam.integrate(mu, lam.phi_plus(3.0), method=method)
+
+
 def test_divergent_ray_errors():
     p, eta = 3.0, 0.5
     hi, _ = lam.nu_pair(p, eta)
