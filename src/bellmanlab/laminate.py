@@ -169,7 +169,7 @@ def _ray_quadrature(ray: Ray, phi, shift) -> float:
             deg = 0.0
         decay = ray.q - 1.0 - deg
         if decay <= 0.05:
-            raise ValueError("ray integral does not converge fast enough")
+            raise ArithmeticError("ray integral does not converge fast enough")
         tail = f_end * t_end ** (1.0 - ray.q) / decay if abs(f_end) > 0 else 0.0
         if tail <= 1e-12 * max(abs(total), 1e-300):
             return ray.weight * (total + tail)

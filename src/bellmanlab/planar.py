@@ -17,8 +17,9 @@ their sum is the identity on mean-zero fields); with that convention the
 transform decomposes as R_1^2 - R_2^2 - 2i R_1R_2 and the quadratic-form
 representation through heat extensions carries a positive sign.
 
-Singular symbols are set to 0 at the zero frequency: every such operator
-acts on the mean-zero part of its input and returns a mean-zero field.
+A multiplier is its symbol (k1, k2) -> array, zero mode included.
+Singular symbols are 0 at the zero frequency: every such operator acts
+on the mean-zero part of its input and returns a mean-zero field.
 
 Band edge: symbols are evaluated at the canonical fftfreq representative,
 so the Nyquist plane (where +N/2 and -N/2 alias) picks the negative sign.
@@ -41,7 +42,6 @@ from scipy.integrate import simpson
 
 __all__ = [
     "GridField",
-    "SpectralMultiplier",
     "ab_multiplier",
     "conj_ab_multiplier",
     "riesz_sq_multiplier",
@@ -122,23 +122,6 @@ def _freq_grids(n: int, box: float):
     return k1, k2
 
 
-@dataclass(frozen=True)
-class SpectralMultiplier:
-    """Fourier multiplier: symbol(k1, k2) plus an explicit zero-mode value."""
-
-    name: str
-    symbol: Callable
-    zero_mode: complex = 0.0
-
-    def array(self, n: int, box: float) -> np.ndarray:
-        k1, k2 = _freq_grids(n, box)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            m = np.asarray(self.symbol(k1, k2), dtype=complex)
-        m = m.copy()
-        m[0, 0] = self.zero_mode
-        return m
-
-
 def _safe_ratio(num, den):
     out = np.zeros(np.broadcast(num, den).shape, dtype=complex)
     nz = den != 0
@@ -146,40 +129,34 @@ def _safe_ratio(num, den):
     return out
 
 
-def ab_multiplier() -> SpectralMultiplier:
+def ab_multiplier() -> Callable:
     """Symbol ((k1 - i k2)^2 / |k|^2: maps dbar-data to d-data."""
-    return SpectralMultiplier(
-        "ab", lambda k1, k2: _safe_ratio((k1 - 1j * k2) ** 2, k1 ** 2 + k2 ** 2))
+    return lambda k1, k2: _safe_ratio((k1 - 1j * k2) ** 2, k1 ** 2 + k2 ** 2)
 
 
-def conj_ab_multiplier() -> SpectralMultiplier:
+def conj_ab_multiplier() -> Callable:
     """Symbol (k1 + i k2)^2 / |k|^2, the conjugate chirality (the one the
     stochastic matrix-transform representation produces)."""
-    return SpectralMultiplier(
-        "conj_ab", lambda k1, k2: _safe_ratio((k1 + 1j * k2) ** 2, k1 ** 2 + k2 ** 2))
+    return lambda k1, k2: _safe_ratio((k1 + 1j * k2) ** 2, k1 ** 2 + k2 ** 2)
 
 
-def riesz_sq_multiplier(i: int) -> SpectralMultiplier:
+def riesz_sq_multiplier(i: int) -> Callable:
     if i not in (1, 2):
         raise ValueError("axis must be 1 or 2")
-    return SpectralMultiplier(
-        f"riesz_sq{i}",
-        lambda k1, k2: _safe_ratio((k1 if i == 1 else k2) ** 2, k1 ** 2 + k2 ** 2))
+    return lambda k1, k2: _safe_ratio((k1 if i == 1 else k2) ** 2, k1 ** 2 + k2 ** 2)
 
 
-def riesz_mixed_multiplier() -> SpectralMultiplier:
-    return SpectralMultiplier(
-        "riesz_mixed", lambda k1, k2: _safe_ratio(k1 * k2, k1 ** 2 + k2 ** 2))
+def riesz_mixed_multiplier() -> Callable:
+    return lambda k1, k2: _safe_ratio(k1 * k2, k1 ** 2 + k2 ** 2)
 
 
-def riesz_diff_multiplier() -> SpectralMultiplier:
+def riesz_diff_multiplier() -> Callable:
     """R_1^2 - R_2^2 in one multiplier (the real part of the transform)."""
-    return SpectralMultiplier(
-        "r11-r22", lambda k1, k2: _safe_ratio(k1 ** 2 - k2 ** 2, k1 ** 2 + k2 ** 2))
+    return lambda k1, k2: _safe_ratio(k1 ** 2 - k2 ** 2, k1 ** 2 + k2 ** 2)
 
 
-def apply_multiplier(mult: SpectralMultiplier, f: GridField) -> GridField:
-    out = np.fft.ifft2(mult.array(f.n, f.box) * np.fft.fft2(f.values))
+def apply_multiplier(mult: Callable, f: GridField) -> GridField:
+    out = np.fft.ifft2(mult(*_freq_grids(f.n, f.box)) * np.fft.fft2(f.values))
     return GridField(f.box, out)
 
 
@@ -200,13 +177,11 @@ def riesz_mixed(f: GridField) -> GridField:
 
 
 def d_z(f: GridField) -> GridField:
-    return apply_multiplier(
-        SpectralMultiplier("d", lambda k1, k2: 0.5j * (k1 - 1j * k2)), f)
+    return apply_multiplier(lambda k1, k2: 0.5j * (k1 - 1j * k2), f)
 
 
 def d_zbar(f: GridField) -> GridField:
-    return apply_multiplier(
-        SpectralMultiplier("dbar", lambda k1, k2: 0.5j * (k1 + 1j * k2)), f)
+    return apply_multiplier(lambda k1, k2: 0.5j * (k1 + 1j * k2), f)
 
 
 def heat_extension(f: GridField, t: float) -> GridField:
@@ -216,9 +191,7 @@ def heat_extension(f: GridField, t: float) -> GridField:
         raise ValueError("t must be >= 0")
     if t == 0:
         return GridField(f.box, f.values.copy())
-    mult = SpectralMultiplier(
-        "heat", lambda k1, k2: np.exp(-t * (k1 ** 2 + k2 ** 2) / 4.0), zero_mode=1.0)
-    return apply_multiplier(mult, f)
+    return apply_multiplier(lambda k1, k2: np.exp(-t * (k1 ** 2 + k2 ** 2) / 4.0), f)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +235,7 @@ def identity_1_13_check(phi: GridField, psi: GridField, tmax: float,
     P = np.fft.fft2(phi.values)
     S = np.fft.fft2(psi.values)
     lhs = float(np.real(np.sum(
-        apply_multiplier(riesz_sq_multiplier(1), phi).values * psi.values) * dA))
+        np.fft.ifft2(riesz_sq_multiplier(1)(k1, k2) * P) * psi.values) * dA))
 
     def g(t):
         damp = np.exp(-t * ksq / 4.0)
@@ -332,57 +305,52 @@ class HeatSampling:
     levels: int = 8
 
 
-def _disc_average(values: np.ndarray, box: float, radius: float) -> np.ndarray:
-    """Periodic disc averages of `values` around every grid point (FFT
-    convolution with the normalized disc indicator)."""
-    n = values.shape[0]
-    X, Y = grid_coordinates(n, box)
-    # indicator centered at the origin of the torus
-    mask = (np.roll(np.roll(X, n // 2, 0), n // 2, 1) ** 2
-            + np.roll(np.roll(Y, n // 2, 0), n // 2, 1) ** 2) <= radius ** 2
-    count = mask.sum()
-    if count == 0:
-        raise ValueError("radius below grid resolution")
-    conv = np.real(np.fft.ifft2(np.fft.fft2(values) * np.fft.fft2(mask)))
-    return conv / count
+def _sup_characteristic(p: float, averages, stride: int) -> float:
+    """max(1, sup of <w> <w^{-1/(p-1)}>^{p-1}) over the (w average, dual
+    average) field pairs in `averages`, each sampled on a stride-subgrid."""
+    best = 1.0
+    for aw, ad in averages:
+        char = aw[::stride, ::stride] * ad[::stride, ::stride] ** (p - 1.0)
+        best = max(best, float(np.max(char)))
+    return best
 
 
 def ap_class(w: PlanarWeight, sampling: DiscSampling = DiscSampling()) -> float:
-    """sup over sampled discs of <w>_B <w^{-1/(p-1)}>_B^{p-1}, p = w.p."""
-    p = w.p
-    v = w.values
-    dual = v ** (-1.0 / (p - 1.0))
-    best = 1.0
-    s = sampling.stride
-    for j in range(1, 6):
-        r = w.field.box / 2 ** j
-        try:
-            aw = _disc_average(v, w.field.box, r)
-            ad = _disc_average(dual, w.field.box, r)
-        except ValueError:
-            continue
-        char = aw[::s, ::s] * ad[::s, ::s] ** (p - 1.0)
-        best = max(best, float(np.max(char)))
-    return best
+    """sup over sampled discs of <w>_B <w^{-1/(p-1)}>_B^{p-1}, p = w.p.
+
+    Disc averages are periodic FFT convolutions with the normalized disc
+    indicator; w and its dual are transformed once for all radii."""
+    n, box = w.field.n, w.field.box
+    W = np.fft.fft2(w.values)
+    D = np.fft.fft2(w.values ** (-1.0 / (w.p - 1.0)))
+    # squared distance to the origin of the torus, at index (0, 0)
+    dist2 = sum(np.roll(c, (n // 2, n // 2), (0, 1)) ** 2
+                for c in grid_coordinates(n, box))
+
+    def disc_averages():
+        for j in range(1, 6):
+            # the disc always holds its center, so count >= 1
+            mask = dist2 <= (box / 2 ** j) ** 2
+            M, count = np.fft.fft2(mask), mask.sum()
+            yield (np.real(np.fft.ifft2(W * M)) / count,
+                   np.real(np.fft.ifft2(D * M)) / count)
+
+    return _sup_characteristic(w.p, disc_averages(), sampling.stride)
 
 
 def ap_heat(w: PlanarWeight, sampling: HeatSampling = HeatSampling()) -> float:
     """sup over sampled (x, t) of w(x,t) (w^{-1/(p-1)}(x,t))^{p-1}, p = w.p,
     the extensions taken with this module's heat kernel."""
-    p = w.p
-    v = w.values
-    dual = v ** (-1.0 / (p - 1.0))
-    wf = GridField(w.field.box, v)
-    df = GridField(w.field.box, dual)
-    best = 1.0
-    s = sampling.stride
-    for j in range(sampling.levels + 1):
-        t = w.field.box ** 2 / 4.0 ** j
-        aw = heat_extension(wf, t).values.real
-        ad = heat_extension(df, t).values.real
-        char = aw[::s, ::s] * ad[::s, ::s] ** (p - 1.0)
-        best = max(best, float(np.max(char)))
-    return best
+    box = w.field.box
+    wf = GridField(box, w.values)
+    df = GridField(box, w.values ** (-1.0 / (w.p - 1.0)))
+
+    def heat_averages():
+        for j in range(sampling.levels + 1):
+            t = box ** 2 / 4.0 ** j
+            yield heat_extension(wf, t).values.real, heat_extension(df, t).values.real
+
+    return _sup_characteristic(w.p, heat_averages(), sampling.stride)
 
 
 # ---------------------------------------------------------------------------
@@ -393,27 +361,28 @@ def ap_heat(w: PlanarWeight, sampling: HeatSampling = HeatSampling()) -> float:
 class AscentResult:
     ratio: float
     witness: GridField
-    curve: np.ndarray  # best ratio after each accepted iteration (monotone)
+    curve: np.ndarray  # ratio of the accepted iterate after each iteration
 
 
 def _pnorm(v: np.ndarray, p: float) -> float:
     return float(np.mean(np.abs(v) ** p) ** (1.0 / p))
 
 
-def norm_ratio_ascent(op: SpectralMultiplier, p: float, n: int = 256,
+def norm_ratio_ascent(op: Callable, p: float, n: int = 256,
                       iters: int = 500, seed: int = 0) -> AscentResult:
     """Maximize ||op f||_p / ||f||_p over mean-zero fields on the unit box.
 
     Nonlinear power iterations with a mixing line search; a step is kept
-    only if the ratio increases, so the reported curve is nondecreasing
-    and its last value is an achieved ratio, hence a certified lower bound
-    for the discretized operator norm.  For p > 2.25 the iteration budget
-    is split over a continuation ladder in p starting at 2.25, which
-    escapes the weakest fixed points.
+    only if the ratio increases, so the recorded curve rises and its last
+    value is an achieved ratio, hence a certified lower bound for the
+    discretized operator norm.  For p > 2.25 the iteration budget is split
+    over a continuation ladder in p starting at 2.25, which escapes the
+    weakest fixed points.  The image op f of the accepted iterate is kept
+    beside it, so every field is transformed once.
     """
     if p < 2:
         raise ValueError("ascent is set up for p >= 2")
-    m = op.array(n, 1.0)
+    m = op(*_freq_grids(n, 1.0))
     madj = np.conj(m)
     rng = np.random.default_rng(seed)
     f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -424,19 +393,20 @@ def norm_ratio_ascent(op: SpectralMultiplier, p: float, n: int = 256,
         return np.fft.ifft2(mm * np.fft.fft2(v))
 
     def ratio_of(v, pp):
-        return _pnorm(apply_(m, v), pp) / _pnorm(v, pp)
+        mv = apply_(m, v)
+        return _pnorm(mv, pp) / _pnorm(v, pp), mv
 
     ladder = [p]
     if p > 2.25:
         ladder = list(np.linspace(2.25, p, max(2, int(2 * (p - 2)) + 2)))
     per_stage = max(10, iters // len(ladder))
 
+    g = apply_(m, f)
     curve = []
     for stage_p in ladder:
         q = stage_p / (stage_p - 1.0)
-        r = ratio_of(f, stage_p)
+        r = _pnorm(g, stage_p) / _pnorm(f, stage_p)
         for _ in range(per_stage):
-            g = apply_(m, f)
             u = np.abs(g) ** (stage_p - 2.0) * g
             v = apply_(madj, u)
             cand = np.abs(v) ** (q - 2.0) * v
@@ -445,9 +415,9 @@ def norm_ratio_ascent(op: SpectralMultiplier, p: float, n: int = 256,
             if nc == 0:
                 break
             cand /= nc
-            rc = ratio_of(cand, stage_p)
+            rc, gc = ratio_of(cand, stage_p)
             if rc > r:
-                f, r = cand, rc
+                f, g, r = cand, gc, rc
             else:
                 accepted = False
                 for tmix in (0.5, 0.2, 0.05, 0.01):
@@ -457,18 +427,17 @@ def norm_ratio_ascent(op: SpectralMultiplier, p: float, n: int = 256,
                     if tn == 0:
                         continue
                     trial /= tn
-                    rt = ratio_of(trial, stage_p)
+                    rt, gt = ratio_of(trial, stage_p)
                     if rt > r:
-                        f, r, accepted = trial, rt, True
+                        f, g, r, accepted = trial, gt, rt, True
                         break
                 if not accepted:
                     break
             if stage_p == ladder[-1]:
                 curve.append(r)
-    final = ratio_of(f, p)
+    final = _pnorm(g, p) / _pnorm(f, p)
     curve.append(final)
-    return AscentResult(ratio=final, witness=GridField(1.0, f),
-                        curve=np.maximum.accumulate(np.array(curve)))
+    return AscentResult(ratio=final, witness=GridField(1.0, f), curve=np.array(curve))
 
 
 # ---------------------------------------------------------------------------

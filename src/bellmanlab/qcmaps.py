@@ -140,9 +140,9 @@ def sobolev_boundary(m: RadialMap) -> float:
     integrals stop being Cauchy in eps; lands within tolerance of 1 + k."""
     q_lo, q_hi = 1.0, 2.0
     if sobolev_threshold(m, q_lo)["bounded"] is False:
-        raise ValueError("q_lo already divergent")
+        raise ArithmeticError("q_lo already divergent")
     if sobolev_threshold(m, q_hi)["bounded"]:
-        raise ValueError("q_hi still convergent")
+        raise ArithmeticError("q_hi still convergent")
     while q_hi - q_lo > 1e-4:
         mid = 0.5 * (q_lo + q_hi)
         if sobolev_threshold(m, mid)["bounded"]:

@@ -65,7 +65,7 @@ CHECK_REGISTRY = {
     "stoch.terminal-order": "terminal gap decays at strong order one half",
     "stoch.conformality": "transform rows stay orthogonal with equal norms",
     "stoch.subordination": "transform rows stay dominated pathwise",
-    "stoch.conditioning": "binned conditional means match the spectral oracle",
+    "stoch.conditioning": "bridges pinned at the bin centers match the spectral oracle",
     "stoch.plain-constant": "moment ratio under p*-1",
     "stoch.conformal-constant": "moment ratio under sqrt(p(p-1)/2)",
     "qc.beltrami": "sampled dilatation matches (K-1)/(K+1)",

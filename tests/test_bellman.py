@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bellmanlab import bellman as bm
+from bellmanlab import suite
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +182,16 @@ def test_tau_values():
 def test_tau_matches_closed_form_range():
     for p in np.linspace(1.0, 50.0, 30):
         assert abs(bm.tau(p) - bm.tau_closed_form(p)) < 1e-10
+
+
+def test_tau_check_fails_on_a_perturbed_quadrature(monkeypatch):
+    # an error above the gate is reported as a failed check, not raised
+    quad = bm.integrate.quad
+    monkeypatch.setattr(bm.integrate, "quad",
+                        lambda *args, **kw: (quad(*args, **kw)[0] * (1 + 1e-6), 0.0))
+    [entry] = suite.tau_checks([2.0, 4.0])
+    assert entry.check_id == "bellman.tau-quadrature"
+    assert entry.value > 1e-8 and not entry.passed
 
 
 def test_tau_asymptotic_prefactor():

@@ -113,6 +113,18 @@ def test_ab_mc_with_fewer_than_two_paths_per_bin_is_usage_error(capsys):
         assert "at least 2" in err
 
 
+def test_numeric_failures_exit_3(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "laminate", "check", "--p", "2", "--eta", "0.01")
+    assert code == 3 and out == ""
+    assert "does not converge" in err
+    # a threshold that never diverges leaves the bisection without a bracket
+    monkeypatch.setattr(cli.suite.qcmaps, "sobolev_threshold",
+                        lambda m, q: {"bounded": True})
+    code, out, err = run_cli(capsys, "qc", "sobolev")
+    assert code == 3 and out == ""
+    assert "q_hi still convergent" in err
+
+
 def test_stoch_paths_default_to_the_full_tier():
     # the parameters bare `stoch ab-mc` and `stoch riemann-gap` would run with
     full = cli.suite.tier_params("full")

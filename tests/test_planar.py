@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bellmanlab import planar as pl
+from bellmanlab import suite
 
 
 def random_field(n, seed=0, box=1.0, mean_zero=False):
@@ -30,8 +31,7 @@ def strip_nyquist(values):
 
 def test_identity_symbol_is_identity():
     f = random_field(64, seed=1)
-    ident = pl.SpectralMultiplier("id", lambda k1, k2: np.ones_like(k1), zero_mode=1.0)
-    g = pl.apply_multiplier(ident, f)
+    g = pl.apply_multiplier(lambda k1, k2: np.ones_like(k1), f)
     assert np.max(np.abs(g.values - f.values)) < 1e-13
 
 
@@ -214,9 +214,18 @@ def test_ascent_monotone_and_sign_invariant():
     op = pl.riesz_diff_multiplier()
     res = pl.norm_ratio_ascent(op, p=4.0, n=32, iters=60, seed=1)
     assert np.all(np.diff(res.curve) >= 0)
-    neg = pl.SpectralMultiplier("neg", lambda k1, k2: -op.symbol(k1, k2))
-    res2 = pl.norm_ratio_ascent(neg, p=4.0, n=32, iters=60, seed=1)
+    res2 = pl.norm_ratio_ascent(lambda k1, k2: -op(k1, k2), p=4.0, n=32,
+                                iters=60, seed=1)
     assert res2.ratio == pytest.approx(res.ratio, rel=1e-10)
+
+
+def test_ascent_monotone_fails_on_a_dropping_curve(monkeypatch):
+    dropping = pl.AscentResult(ratio=1.5, witness=random_field(8),
+                               curve=np.array([1.2, 1.5, 1.4, 1.5]))
+    monkeypatch.setattr(pl, "norm_ratio_ascent", lambda *args, **kw: dropping)
+    checks = {c.check_id: c for c in suite.ascent_checks("r11-r22", 4.0, 8, 3, 0)}
+    assert checks["planar.ascent-monotone"].value == pytest.approx(0.1)
+    assert not checks["planar.ascent-monotone"].passed
 
 
 def test_ascent_ratio_is_achieved():

@@ -1,11 +1,12 @@
 import tracemalloc
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from bellmanlab import stochastic as st
-from bellmanlab.suite import tier_params
+from bellmanlab.suite import run_experiment, tier_params
 
 
 @dataclass
@@ -68,6 +69,24 @@ def test_chunks_split_into_counter_keyed_blocks():
     # the time-major stack is the same stream
     assert np.array_equal(drv.increments(st.CHUNK_PATHS + 7, batch=1),
                           np.concatenate([b for _, b in blocks], axis=1))
+
+
+def test_fast_tier_studies_draw_disjoint_streams(monkeypatch):
+    # each study of a seed owns its Philox key (seed, batch); a key drawn
+    # twice would let two checks score overlapping samples as independent
+    keys = []
+    chunks = st.BrownianDriver.chunks
+
+    def recording(self, paths, batch=0):
+        keys.append((self.seed, batch))
+        return chunks(self, paths, batch)
+
+    monkeypatch.setattr(st.BrownianDriver, "chunks", recording)
+    params = tier_params("fast")
+    for name in ("stoch-core", "stoch-conditioning", "stoch-constants"):
+        run_experiment(name, params[name], seed=1)
+    assert len(keys) >= 3
+    assert [key for key, n in Counter(keys).items() if n > 1] == [], sorted(keys)
 
 
 # ---------------------------------------------------------------------------
