@@ -20,7 +20,7 @@ print(f"E sum w(t_i)   dw = {demo['ES2']:+.4f} +- {demo['ES2_ci']:.4f}  (gap = b
 
 print("\n== isometry for the adapted integral of w against dw ==")
 drv = st.BrownianDriver(1, 1.0, 500, seed=1)
-vals = st.ito_integral(lambda view: view.current, drv, 100_000)
+vals = st.ito_integral(lambda w: w, drv, 100_000)
 print(f"E (int w dw)^2 = {np.mean(vals ** 2):.4f}  (exact value 1/2)")
 
 print("\n== heat martingales reach their boundary data ==")
@@ -31,7 +31,7 @@ print("(log-log slope ~ 1/2: strong order one half)")
 
 print("\n== the matrix transform is conformal and subordinate, pathwise ==")
 res = st.transform_residuals(st.GaussianMix.random(np.random.default_rng(3), 3),
-                             4.0, st.BrownianDriver(2, 4.0, 64, seed=4), 512)
+                             st.BrownianDriver(2, 4.0, 64, seed=4), 512)
 print(f"row orthogonality {res['max_orthogonality']:.1e}, norm mismatch "
       f"{res['max_norm_mismatch']:.1e}, subordination excess "
       f"{res['max_subordination_excess']:+.1e}")

@@ -484,8 +484,9 @@ def jn_bellman_check(delta: float, grid: tuple[int, int] = (200, 200)) -> JNRepo
     """Check the strip candidate v_delta on {|x1| <= 1, 0 <= x2 < delta}:
 
     (a) drift-modified matrix negative semidefinite, (b) its determinant
-    zero, (c) v_delta >= e^{x1}, and (a)+(b) for the phi_{eps,q} family at
-    (eps, q) = (delta, 1), (0.6, 1) and (0.9, 2).
+    zero, (c) v_delta >= e^{x1}, and (a)+(b) for the phi_{eps,q} family
+    members (eps, q) = (0.6, 1) and (0.9, 2) in `variants` (v_delta itself
+    is the member (delta, 1)).
 
     (a), (b) are certified with the closed-form derivatives on the nearly
     full strip; the finite-difference cross-check runs only where
@@ -520,7 +521,7 @@ def jn_bellman_check(delta: float, grid: tuple[int, int] = (200, 200)) -> JNRepo
         fd_det = float(np.max(np.abs(det_f)))
 
     out_variants = []
-    for eps, q in ((delta, 1.0), (0.6, 1.0), (0.9, 2.0)):
+    for eps, q in ((0.6, 1.0), (0.9, 2.0)):
         if eps < delta:
             raise ValueError(f"delta must not exceed the variant eps = {eps}")
         _, mat = _strip_candidate(eps, q)

@@ -53,7 +53,7 @@ __all__ = [
     "riesz_mixed",
     "d_z",
     "d_zbar",
-    "heat_extension",
+    "heat_multiplier",
     "Identity113Report",
     "identity_1_13_check",
     "PlanarWeight",
@@ -184,14 +184,12 @@ def d_zbar(f: GridField) -> GridField:
     return apply_multiplier(lambda k1, k2: 0.5j * (k1 + 1j * k2), f)
 
 
-def heat_extension(f: GridField, t: float) -> GridField:
-    """Heat extension with kernel (pi t)^-1 exp(-|x-y|^2/t), i.e. the
-    multiplier exp(-t |k|^2 / 4); t = 0 is the identity."""
+def heat_multiplier(t: float) -> Callable:
+    """Symbol exp(-t |k|^2 / 4) of the heat extension with kernel
+    (pi t)^-1 exp(-|x-y|^2/t); t = 0 gives the identity."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    if t == 0:
-        return GridField(f.box, f.values.copy())
-    return apply_multiplier(lambda k1, k2: np.exp(-t * (k1 ** 2 + k2 ** 2) / 4.0), f)
+    return lambda k1, k2: np.exp(-t * (k1 ** 2 + k2 ** 2) / 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -231,14 +229,13 @@ def identity_1_13_check(phi: GridField, psi: GridField, tmax: float,
 
     dA = phi.cell_area
     k1, k2 = _freq_grids(n, box)
-    ksq = k1 ** 2 + k2 ** 2
     P = np.fft.fft2(phi.values)
     S = np.fft.fft2(psi.values)
     lhs = float(np.real(np.sum(
         np.fft.ifft2(riesz_sq_multiplier(1)(k1, k2) * P) * psi.values) * dA))
 
     def g(t):
-        damp = np.exp(-t * ksq / 4.0)
+        damp = heat_multiplier(t)(k1, k2)
         d1p = np.fft.ifft2(1j * k1 * damp * P)
         d1s = np.fft.ifft2(1j * k1 * damp * S)
         return float(np.real(np.sum(d1p * d1s)) * dA)
@@ -305,12 +302,18 @@ class HeatSampling:
     levels: int = 8
 
 
-def _sup_characteristic(p: float, averages, stride: int) -> float:
-    """max(1, sup of <w> <w^{-1/(p-1)}>^{p-1}) over the (w average, dual
-    average) field pairs in `averages`, each sampled on a stride-subgrid."""
+def _sup_characteristic(w: PlanarWeight, kernels, stride: int) -> float:
+    """max(1, sup of <w> <w^{-1/(p-1)}>^{p-1}), p = w.p, over the averages
+    real(ifft2(spectrum * K)) / mass of w and its dual for each (K, mass)
+    in `kernels`, sampled on a stride-subgrid.  w and its dual are
+    transformed once for all kernels."""
+    W = np.fft.fft2(w.values)
+    D = np.fft.fft2(w.values ** (-1.0 / (w.p - 1.0)))
     best = 1.0
-    for aw, ad in averages:
-        char = aw[::stride, ::stride] * ad[::stride, ::stride] ** (p - 1.0)
+    for K, mass in kernels:
+        aw = np.real(np.fft.ifft2(W * K)) / mass
+        ad = np.real(np.fft.ifft2(D * K)) / mass
+        char = aw[::stride, ::stride] * ad[::stride, ::stride] ** (w.p - 1.0)
         best = max(best, float(np.max(char)))
     return best
 
@@ -318,39 +321,29 @@ def _sup_characteristic(p: float, averages, stride: int) -> float:
 def ap_class(w: PlanarWeight, sampling: DiscSampling = DiscSampling()) -> float:
     """sup over sampled discs of <w>_B <w^{-1/(p-1)}>_B^{p-1}, p = w.p.
 
-    Disc averages are periodic FFT convolutions with the normalized disc
-    indicator; w and its dual are transformed once for all radii."""
+    Disc averages are periodic FFT convolutions with the disc indicator
+    over its point count."""
     n, box = w.field.n, w.field.box
-    W = np.fft.fft2(w.values)
-    D = np.fft.fft2(w.values ** (-1.0 / (w.p - 1.0)))
     # squared distance to the origin of the torus, at index (0, 0)
     dist2 = sum(np.roll(c, (n // 2, n // 2), (0, 1)) ** 2
                 for c in grid_coordinates(n, box))
 
-    def disc_averages():
+    def discs():
         for j in range(1, 6):
             # the disc always holds its center, so count >= 1
             mask = dist2 <= (box / 2 ** j) ** 2
-            M, count = np.fft.fft2(mask), mask.sum()
-            yield (np.real(np.fft.ifft2(W * M)) / count,
-                   np.real(np.fft.ifft2(D * M)) / count)
+            yield np.fft.fft2(mask), mask.sum()
 
-    return _sup_characteristic(w.p, disc_averages(), sampling.stride)
+    return _sup_characteristic(w, discs(), sampling.stride)
 
 
 def ap_heat(w: PlanarWeight, sampling: HeatSampling = HeatSampling()) -> float:
     """sup over sampled (x, t) of w(x,t) (w^{-1/(p-1)}(x,t))^{p-1}, p = w.p,
     the extensions taken with this module's heat kernel."""
-    box = w.field.box
-    wf = GridField(box, w.values)
-    df = GridField(box, w.values ** (-1.0 / (w.p - 1.0)))
-
-    def heat_averages():
-        for j in range(sampling.levels + 1):
-            t = box ** 2 / 4.0 ** j
-            yield heat_extension(wf, t).values.real, heat_extension(df, t).values.real
-
-    return _sup_characteristic(w.p, heat_averages(), sampling.stride)
+    k1, k2 = _freq_grids(w.field.n, w.field.box)
+    times = (w.field.box ** 2 / 4.0 ** j for j in range(sampling.levels + 1))
+    return _sup_characteristic(
+        w, ((heat_multiplier(t)(k1, k2), 1.0) for t in times), sampling.stride)
 
 
 # ---------------------------------------------------------------------------

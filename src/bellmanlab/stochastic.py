@@ -3,7 +3,8 @@
 Heat extensions here solve d/dt u = (1/2) Laplacian u, so u(t, .) is the
 law-of-W_t smoothing and u(T - t, W_t) is a martingale.  The planar module
 uses the kernel with variance t/2 per axis instead; the two conventions
-match under t_planar = 2 t_here (applied once, in the oracle comparison).
+match under t_planar = 2 t_here.  No conversion is needed: the oracle
+transforms u(0, .), the surface itself.
 
 Every simulation runs on one engine, `BrownianDriver.chunks`.  It streams
 increments time-major: for each block of at most CHUNK_PATHS paths it
@@ -36,7 +37,6 @@ __all__ = [
     "BrownianDriver",
     "riemann_gap_demo",
     "ito_integral",
-    "PathView",
     "GaussianMix",
     "simulate",
     "terminal_gap_sweep",
@@ -84,36 +84,8 @@ class BrownianDriver:
         for _ in range(self.steps):
             yield rng.normal(0.0, scale, size=(m, self.dimension))
 
-    def increments(self, paths: int, batch: int = 0) -> np.ndarray:
-        """The (steps, paths, dimension) stack of `chunks`.  It holds
-        every increment at once, so it is for tests and small checks."""
-        return np.concatenate([np.stack(list(incs))
-                               for _, incs in self.chunks(paths, batch)], axis=1)
-
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.steps + 1)
-
-
-class PathView:
-    """One driver coordinate of a block at the current step, the only step
-    the engine keeps: asking for a future step raises (adaptedness guard),
-    and so does asking for a past one."""
-
-    def __init__(self, current: np.ndarray, step: int):
-        self._current = current
-        self._step = step
-
-    def value(self, step: int) -> np.ndarray:
-        if step > self._step:
-            raise ValueError("adaptedness violation: future increment requested")
-        if step < self._step:
-            raise ValueError(f"step {step} is past; only the current step "
-                             f"{self._step} is kept")
-        return self._current
-
-    @property
-    def current(self) -> np.ndarray:
-        return self._current
 
 
 def riemann_gap_demo(a: float, b: float, steps: int, paths: int, seed: int = 0):
@@ -158,11 +130,11 @@ def riemann_gap_demo(a: float, b: float, steps: int, paths: int, seed: int = 0):
 def ito_integral(process, driver: BrownianDriver, paths: int, batch: int = 0):
     """Samples of sum_i f(t_i) (w(t_{i+1}) - w(t_i)) for a 1-d driver.
 
-    `process(view)` is called once per step of each block with a PathView
-    of the block's path at the current node only, which enforces
-    adaptedness.  It returns the integrand per path, shape (m,), or k
-    integrands against the same increments, shape (k, m); the result then
-    has shape (k, paths).
+    `process(w)` is called once per step of each block with w(t_i), the
+    block's paths at the current node, shape (m,); the engine keeps no
+    other step, so the integrand is adapted.  It returns the integrand per
+    path, shape (m,), or k integrands against the same increments, shape
+    (k, m); the result then has shape (k, paths).
     """
     if driver.dimension != 1:
         raise ValueError("ito_integral expects a 1-d driver")
@@ -170,10 +142,10 @@ def ito_integral(process, driver: BrownianDriver, paths: int, batch: int = 0):
     for rows, incs in driver.chunks(paths, batch):
         w = np.zeros(rows.stop - rows.start)
         total = 0.0
-        for i, inc in enumerate(incs):
+        for inc in incs:
             dw = inc[:, 0]
-            total = total + np.asarray(process(PathView(w, i))) * dw
-            w = w + dw      # a new array: a view handed out earlier keeps its step
+            total = total + np.asarray(process(w)) * dw
+            w = w + dw      # a new array: one handed to `process` is not changed
         parts.append(total)
     return np.concatenate(parts, axis=-1)
 
@@ -252,10 +224,11 @@ class GaussianMix:
         return GridField(box, self.value(0.0, pts))
 
 
-def simulate(surface, T: float, driver: BrownianDriver, paths: int,
+def simulate(surface, driver: BrownianDriver, paths: int,
              batch: int = 0, matrix: np.ndarray | None = None, on_step=None):
-    """Run X(t) = u(T,0) + sum_i grad u(T - t_i, W_i) . dW_i, whose terminal
-    value approaches f(W_T) at strong order 1/2 in the step size, and, if a
+    """Run X(t) = u(T,0) + sum_i grad u(T - t_i, W_i) . dW_i on the
+    driver's horizon T, whose terminal value approaches f(W_T) at strong
+    order 1/2 in the step size, and, if a
     2x2 complex matrix is given, Y(t) = sum dW . (matrix grad u); with
     A_STAR the increments of Y are (dW_1 + i dW_2) * 2 dbar u.  Returns the
     terminal (X, Y), each of shape (paths,); Y is None without a matrix.
@@ -264,17 +237,15 @@ def simulate(surface, T: float, driver: BrownianDriver, paths: int,
     (block paths, 2)."""
     if driver.dimension != 2:
         raise ValueError("planar martingales need a 2-d driver")
-    times = driver.times() * (T / driver.horizon)
-    scale = np.sqrt(np.diff(times) / driver.dt)
+    T, times = driver.horizon, driver.times()
     X = np.full(paths, surface.value(T, np.zeros((1, 2)))[0], dtype=complex)
     Y = np.zeros(paths, dtype=complex) if matrix is not None else None
     for rows, incs in driver.chunks(paths, batch):
         x = X[rows]
         y = Y[rows] if matrix is not None else None
         W = np.zeros((rows.stop - rows.start, 2))
-        for i, inc in enumerate(incs):
+        for i, dW in enumerate(incs):
             grad = surface.gradient(T - times[i], W)     # (m, 2) complex
-            dW = inc * scale[i]
             x += grad[:, 0] * dW[:, 0] + grad[:, 1] * dW[:, 1]
             mg = None
             if matrix is not None:
@@ -330,9 +301,10 @@ def terminal_gap_sweep(surface, T: float, steps_list, paths: int,
             for lvl, s in enumerate(steps_list)]
 
 
-def transform_residuals(surface: GaussianMix, T: float, driver: BrownianDriver,
+def transform_residuals(surface: GaussianMix, driver: BrownianDriver,
                         paths: int, batch: int = 0):
-    """Pathwise conformality and subordination residuals of the K rows:
+    """Pathwise conformality and subordination residuals of the K rows
+    over the driver's horizon:
 
         max |K1 . K2|, max | |K1| - |K2| |,
         max(|K1|^2 + |K2|^2 - 4(|H1|^2 + |H2|^2))  (should be <= 0).
@@ -349,7 +321,7 @@ def transform_residuals(surface: GaussianMix, T: float, driver: BrownianDriver,
             np.max(ksum - 4.0 * (h[:, 0] + h[:, 1])),
         ])
 
-    simulate(surface, T, driver, paths, batch, matrix=A_STAR, on_step=residuals)
+    simulate(surface, driver, paths, batch, matrix=A_STAR, on_step=residuals)
     return {
         "max_orthogonality": float(worst[0]),
         "max_norm_mismatch": float(worst[1]),
@@ -447,7 +419,7 @@ def subordination_constants_mc(p: float, trials: int, seed: int = 0,
     ratio_plain = 0.0
     for j in range(6):
         surf = GaussianMix.random(rng, bumps=3)
-        X, Y = simulate(surf, T, driver, trials, batch=10 + j, matrix=A_STAR)
+        X, Y = simulate(surf, driver, trials, batch=10 + j, matrix=A_STAR)
         num = float(np.mean(np.abs(Y) ** p)) ** (1.0 / p)
         den = float(np.mean(np.abs(2.0 * X) ** p)) ** (1.0 / p)
         if den > 0:
@@ -455,7 +427,7 @@ def subordination_constants_mc(p: float, trials: int, seed: int = 0,
         # a random real transform matrix, subordination constant = |B|_op
         B = rng.normal(size=(2, 2))
         bnorm = float(np.linalg.svd(B, compute_uv=False)[0])
-        Xr, Yr = simulate(surf, T, driver, trials, batch=100 + j,
+        Xr, Yr = simulate(surf, driver, trials, batch=100 + j,
                           matrix=B.astype(complex))
         numr = float(np.mean(np.abs(Yr) ** p)) ** (1.0 / p)
         denr = float(np.mean(np.abs(bnorm * Xr) ** p)) ** (1.0 / p)

@@ -400,7 +400,7 @@ def _path_checks(steps, paths, sweep_steps, seed):
     # draws 10-15 and 100-105)
     out = []
     drv = stochastic.BrownianDriver(1, 1.0, steps, seed=seed)
-    vals = stochastic.ito_integral(lambda v: v.current, drv, paths, batch=2)
+    vals = stochastic.ito_integral(lambda w: w, drv, paths, batch=2)
     iso_gap = abs(np.mean(vals ** 2) - 0.5)
     iso_ci = 3.0 * np.std(vals ** 2) / np.sqrt(paths)
     out.append(CheckResult("stoch.isometry", iso_gap - iso_ci, 0.0, 0.0,
@@ -409,8 +409,8 @@ def _path_checks(steps, paths, sweep_steps, seed):
     # one pass gives both integrals and the reference E sum sin(w) cos(w) dt
     drift = []
 
-    def sin_cos(view):
-        f, g = np.sin(view.current), np.cos(view.current)
+    def sin_cos(w):
+        f, g = np.sin(w), np.cos(w)
         drift.append(np.dot(f, g))
         return np.stack([f, g])
     f_int, g_int = stochastic.ito_integral(sin_cos, drv, paths, batch=1)
@@ -433,8 +433,8 @@ def _path_checks(steps, paths, sweep_steps, seed):
 
     drv_pl = stochastic.BrownianDriver(2, 4.0, 64, seed=seed)
     res = stochastic.transform_residuals(
-        stochastic.GaussianMix.random(np.random.default_rng(seed), 2), 4.0,
-        drv_pl, min(256, paths), batch=7)
+        stochastic.GaussianMix.random(np.random.default_rng(seed), 2), drv_pl,
+        min(256, paths), batch=7)
     out.append(CheckResult("stoch.conformality",
                            max(res["max_orthogonality"], res["max_norm_mismatch"]),
                            0.0, 1e-10, "bound"))

@@ -184,13 +184,12 @@ def test_criterion_08_stochastic_suite():
               and abs(demo["ES2"] - 1.0) <= demo["ES2_ci"])
 
     drv = st.BrownianDriver(1, 1.0, 500, seed=5)
-    vals = st.ito_integral(lambda v: v.current, drv, 100_000)
+    vals = st.ito_integral(lambda w: w, drv, 100_000)
     second = vals ** 2
     iso_ok = abs(np.mean(second) - 0.5) <= 3.0 * np.std(second) / np.sqrt(vals.size)
 
     surf_r = st.GaussianMix.random(np.random.default_rng(6), 3)
-    res = st.transform_residuals(surf_r, 4.0,
-                                 st.BrownianDriver(2, 4.0, 64, seed=7), 512)
+    res = st.transform_residuals(surf_r, st.BrownianDriver(2, 4.0, 64, seed=7), 512)
     rows_ok = (res["max_orthogonality"] <= 1e-10
                and res["max_norm_mismatch"] <= 1e-10
                and res["max_subordination_excess"] <= 1e-10)

@@ -92,16 +92,16 @@ def test_conj_ab_is_conjugate_on_real():
 
 
 def test_heat_zero_time_and_constants():
-    f = random_field(64, seed=7)
-    assert np.max(np.abs(pl.heat_extension(f, 0.0).values - f.values)) == 0.0
+    assert np.all(pl.heat_multiplier(0.0)(*pl._freq_grids(64, 1.0)) == 1.0)
     c = pl.GridField(1.0, np.full((32, 32), 2.5 + 0j))
     for t in (0.1, 1.0, 10.0):
-        assert np.max(np.abs(pl.heat_extension(c, t).values - 2.5)) < 1e-12
+        out = pl.apply_multiplier(pl.heat_multiplier(t), c)
+        assert np.max(np.abs(out.values - 2.5)) < 1e-12
 
 
 def test_heat_negative_time_raises():
     with pytest.raises(ValueError):
-        pl.heat_extension(random_field(32), -1.0)
+        pl.heat_multiplier(-1.0)
 
 
 def test_heat_gaussian_composition():
@@ -109,7 +109,7 @@ def test_heat_gaussian_composition():
     # width-(sigma^2 + t/2) bump with mass preserved
     s2, t = 1.0, 2.0
     g = pl.gaussian_bump(256, 20.0, sigma=np.sqrt(s2))
-    out = pl.heat_extension(g, t)
+    out = pl.apply_multiplier(pl.heat_multiplier(t), g)
     s2_new = s2 + t / 2.0
     pred = pl.gaussian_bump(256, 20.0, sigma=np.sqrt(s2_new),
                             amplitude=s2 / s2_new)
@@ -191,6 +191,21 @@ def test_ap_heat_constant_and_refinement_monotone():
     coarse = pl.ap_heat(wr, sampling=pl.HeatSampling(stride=8, levels=6))
     fine = pl.ap_heat(wr, sampling=pl.HeatSampling(stride=4, levels=7))
     assert fine >= coarse  # sup over a superset of sample points
+
+
+def test_ap_heat_transforms_its_fields_once(monkeypatch):
+    # w and its dual go forward once; each of the 9 heat times takes one
+    # inverse transform per field
+    calls = {"fft2": 0, "ifft2": 0}
+    for name in calls:
+        fn = getattr(np.fft, name)
+
+        def counting(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counting)
+    pl.ap_heat(radial_weight(64, 2.0, 0.5))
+    assert calls == {"fft2": 2, "ifft2": 18}
 
 
 def test_ap_two_sided_envelope():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bellmanlab import stochastic as st
-from bellmanlab.suite import run_experiment, tier_params
+from bellmanlab.suite import _path_checks, run_experiment, tier_params
 
 
 @dataclass
@@ -24,13 +24,19 @@ class HoloPoly:
         return np.stack([d, 1j * d], axis=-1)
 
 
+def increments(driver, paths, batch=0):
+    """The (steps, paths, dimension) stack of `driver.chunks`."""
+    return np.concatenate([np.stack(list(incs))
+                           for _, incs in driver.chunks(paths, batch)], axis=1)
+
+
 # ---------------------------------------------------------------------------
 # driver
 
 
 def test_driver_variance_tracks_time():
     drv = st.BrownianDriver(1, 2.0, 64, seed=0)
-    inc = drv.increments(20000)[:, :, 0]
+    inc = increments(drv, 20000)[:, :, 0]
     w = np.cumsum(inc, axis=0)
     t = drv.times()[1:]
     var = np.var(w, axis=1)
@@ -41,9 +47,9 @@ def test_driver_variance_tracks_time():
 
 def test_driver_reproducible_batches():
     drv = st.BrownianDriver(2, 1.0, 16, seed=3)
-    a = drv.increments(100, batch=5)
-    b = drv.increments(100, batch=5)
-    c = drv.increments(100, batch=6)
+    a = increments(drv, 100, batch=5)
+    b = increments(drv, 100, batch=5)
+    c = increments(drv, 100, batch=6)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -67,7 +73,7 @@ def test_chunks_split_into_counter_keyed_blocks():
     expect = np.stack([rng.normal(0.0, np.sqrt(drv.dt), size=(7, 1)) for _ in range(3)])
     assert np.array_equal(blocks[1][1], expect)
     # the time-major stack is the same stream
-    assert np.array_equal(drv.increments(st.CHUNK_PATHS + 7, batch=1),
+    assert np.array_equal(increments(drv, st.CHUNK_PATHS + 7, batch=1),
                           np.concatenate([b for _, b in blocks], axis=1))
 
 
@@ -119,7 +125,7 @@ def test_riemann_gap_degenerate():
 
 def test_integral_of_one_is_endpoint_difference():
     drv = st.BrownianDriver(1, 1.0, 128, seed=2)
-    vals = st.ito_integral(lambda v: np.ones_like(v.current), drv, 30000)
+    vals = st.ito_integral(np.ones_like, drv, 30000)
     assert abs(np.mean(vals)) < 4.0 * np.std(vals) / np.sqrt(30000)
     assert np.var(vals) == pytest.approx(1.0, rel=0.05)
 
@@ -127,7 +133,7 @@ def test_integral_of_one_is_endpoint_difference():
 def test_isometry_for_w_dw():
     # E (int w dw)^2 = int_0^1 t dt = 1/2 within 3 sigma
     drv = st.BrownianDriver(1, 1.0, 256, seed=3)
-    vals = st.ito_integral(lambda v: v.current, drv, 40000)
+    vals = st.ito_integral(lambda w: w, drv, 40000)
     second = vals ** 2
     assert abs(np.mean(second) - 0.5) <= 3.0 * np.std(second) / np.sqrt(40000)
 
@@ -135,10 +141,10 @@ def test_isometry_for_w_dw():
 def test_product_identity():
     drv = st.BrownianDriver(1, 1.0, 256, seed=4)
     paths = 40000
-    f = st.ito_integral(lambda v: np.sin(v.current), drv, paths, batch=2)
-    g = st.ito_integral(lambda v: np.cos(v.current), drv, paths, batch=2)
+    f = st.ito_integral(np.sin, drv, paths, batch=2)
+    g = st.ito_integral(np.cos, drv, paths, batch=2)
     prod = f * g
-    inc = drv.increments(paths, 2)[:, :, 0]
+    inc = increments(drv, paths, 2)[:, :, 0]
     w = np.concatenate([np.zeros((1, paths)), np.cumsum(inc, axis=0)], axis=0)[:-1]
     ref = np.mean(np.sum(np.sin(w) * np.cos(w), axis=0) * drv.dt)
     assert abs(np.mean(prod) - ref) <= 3.0 * np.std(prod) / np.sqrt(paths)
@@ -146,24 +152,12 @@ def test_product_identity():
 
 def test_vector_integrand_matches_scalar_integrals():
     drv = st.BrownianDriver(1, 1.0, 64, seed=4)
-    both = st.ito_integral(lambda v: np.stack([np.sin(v.current), np.cos(v.current)]),
+    both = st.ito_integral(lambda w: np.stack([np.sin(w), np.cos(w)]),
                            drv, 1000, batch=2)
     assert both.shape == (2, 1000)
     for k, fn in enumerate((np.sin, np.cos)):
-        one = st.ito_integral(lambda v: fn(v.current), drv, 1000, batch=2)
+        one = st.ito_integral(fn, drv, 1000, batch=2)
         assert np.array_equal(both[k], one)
-
-
-def test_adaptedness_guard():
-    drv = st.BrownianDriver(1, 1.0, 32, seed=5)
-    with pytest.raises(ValueError, match="adaptedness"):
-        st.ito_integral(lambda v: v.value(33), drv, 4)
-
-
-def test_past_steps_are_not_kept():
-    drv = st.BrownianDriver(1, 1.0, 32, seed=5)
-    with pytest.raises(ValueError, match="past"):
-        st.ito_integral(lambda v: v.value(0), drv, 4)
 
 
 def test_ito_integral_memory_is_per_step():
@@ -172,7 +166,7 @@ def test_ito_integral_memory_is_per_step():
     drv = st.BrownianDriver(1, 1.0, steps, seed=6)
     tracemalloc.start()
     try:
-        st.ito_integral(lambda v: v.current, drv, paths)
+        st.ito_integral(lambda w: w, drv, paths)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -186,8 +180,8 @@ def test_ito_integral_memory_is_per_step():
 def test_linear_input_gives_exact_martingale():
     # f(z) = z has constant gradient: X(t) = W_t exactly, no time error
     drv = st.BrownianDriver(2, 2.0, 16, seed=6)
-    X, Y = st.simulate(HoloPoly(1), 2.0, drv, 256)
-    inc = drv.increments(256)
+    X, Y = st.simulate(HoloPoly(1), drv, 256)
+    inc = increments(drv, 256)
     w_end = inc[:, :, 0].sum(0) + 1j * inc[:, :, 1].sum(0)
     assert Y is None
     assert np.max(np.abs(X - w_end)) < 1e-12
@@ -196,7 +190,7 @@ def test_linear_input_gives_exact_martingale():
 def test_martingale_mean_is_initial_value():
     surf = st.GaussianMix.single(sigma2=0.8)
     drv = st.BrownianDriver(2, 4.0, 64, seed=7)
-    X, _ = st.simulate(surf, 4.0, drv, 20000)
+    X, _ = st.simulate(surf, drv, 20000)
     u0 = surf.value(4.0, np.zeros((1, 2)))[0]
     gap = abs(np.mean(X) - u0)
     assert gap <= 3.0 * np.std(X.real) / np.sqrt(20000) + 1e-12
@@ -251,7 +245,7 @@ def test_semigroup_property_of_closed_form():
 
 def test_holomorphic_input_vanishes():
     drv = st.BrownianDriver(2, 2.0, 32, seed=9)
-    _, Y = st.simulate(HoloPoly(2), 2.0, drv, 64, matrix=st.A_STAR)
+    _, Y = st.simulate(HoloPoly(2), drv, 64, matrix=st.A_STAR)
     assert np.max(np.abs(Y)) == 0.0
 
 
@@ -259,10 +253,34 @@ def test_conformality_and_subordination_pathwise():
     rng = np.random.default_rng(10)
     surf = st.GaussianMix.random(rng, bumps=3)
     drv = st.BrownianDriver(2, 3.0, 48, seed=11)
-    res = st.transform_residuals(surf, 3.0, drv, 512)
+    res = st.transform_residuals(surf, drv, 512)
     assert res["max_orthogonality"] <= 1e-10
     assert res["max_norm_mismatch"] <= 1e-10
     assert res["max_subordination_excess"] <= 1e-10
+
+
+def path_check_values(monkeypatch, matrix):
+    """The suite's path checks at small sizes, seed 1, with `matrix` in
+    place of A_STAR: {id: (value, passed)}."""
+    monkeypatch.setattr(st, "A_STAR", matrix)
+    return {c.check_id: (c.value, c.passed)
+            for c in _path_checks(steps=32, paths=256, sweep_steps=[16, 32], seed=1)}
+
+
+def test_conformality_fails_for_a_non_conformal_matrix(monkeypatch):
+    # the identity keeps Y = X, whose gradient rows are not orthogonal
+    checks = path_check_values(monkeypatch, np.eye(2, dtype=complex))
+    assert checks["stoch.conformality"][1] is False
+    assert checks["stoch.conformality"][0] > 0.1
+    assert checks["stoch.subordination"][1] is True
+
+
+def test_subordination_fails_for_a_scaled_matrix(monkeypatch):
+    # 3 A_STAR is still conformal, but |K|^2 = 9 * 4 |H|^2 exceeds 4 |H|^2
+    checks = path_check_values(monkeypatch, 3.0 * st.A_STAR)
+    assert checks["stoch.subordination"][1] is False
+    assert checks["stoch.subordination"][0] > 1.0
+    assert checks["stoch.conformality"] == (0.0, True)
 
 
 # ---------------------------------------------------------------------------
