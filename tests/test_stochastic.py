@@ -72,9 +72,6 @@ def test_chunks_split_into_counter_keyed_blocks():
     rng = np.random.Generator(np.random.Philox(key=[4, 1], counter=[0, 0, 1, 0]))
     expect = np.stack([rng.normal(0.0, np.sqrt(drv.dt), size=(7, 1)) for _ in range(3)])
     assert np.array_equal(blocks[1][1], expect)
-    # the time-major stack is the same stream
-    assert np.array_equal(increments(drv, st.CHUNK_PATHS + 7, batch=1),
-                          np.concatenate([b for _, b in blocks], axis=1))
 
 
 def test_fast_tier_studies_draw_disjoint_streams(monkeypatch):
