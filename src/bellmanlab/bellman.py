@@ -290,8 +290,14 @@ def linear_majorant_feasibility(c: float, p: float) -> FeasibilityResult:
         # a(rho(p-1)-1) >= 0; a > 0, so both reduce to constraints on rho
         if (1.0 + rho - p) < -tol or (rho * (p - 1.0) - 1.0) < -tol:
             continue
+        # at the zero of g1 the majorization needs H_c(s_rho) <= 0 exactly;
+        # this scalar test rejects every rho > c before any array work
+        srho = (rho - 1.0) / (rho + 1.0)
+        if -1.0 <= srho <= 1.0:
+            h_at = ((1.0 + srho) / 2.0) ** p - c ** p * ((1.0 - srho) / 2.0) ** p
+            if h_at > tol:
+                continue
         g1 = (1.0 + s) / 2.0 - rho * (1.0 - s) / 2.0
-        srho = (rho - 1.0) / (rho + 1.0)  # zero of g1
         pos = g1 > tol
         neg = g1 < -tol
         a_min = 0.0
@@ -299,17 +305,12 @@ def linear_majorant_feasibility(c: float, p: float) -> FeasibilityResult:
             a_min = float(np.max(Hc[pos] / g1[pos]))
         a_max = np.inf
         if np.any(neg):
+            if np.any(Hc[neg] > tol):
+                continue  # H_c > 0 where g < 0: hopeless for this rho
             ratios = Hc[neg] / g1[neg]
             up = ratios[Hc[neg] < 0]
             if up.size:
                 a_max = float(np.min(up))
-            if np.any(Hc[neg] > tol):
-                continue  # H_c > 0 where g < 0: hopeless for this rho
-        # at the zero of g1 the majorization needs H_c(s_rho) <= 0 exactly
-        if -1.0 <= srho <= 1.0:
-            h_at = ((1.0 + srho) / 2.0) ** p - c ** p * ((1.0 - srho) / 2.0) ** p
-            if h_at > tol:
-                continue
         a_min = max(a_min, tol)
         a_hi = min(a_max, a_cap)
         if a_min <= a_hi * (1 + 1e-12):

@@ -81,10 +81,15 @@ class DyadicFunction:
     def norm(self, p: float = 2.0, weight: "DyadicWeight | None" = None) -> float:
         """L^p([0,1]) norm; integrals are plain sample means since the grid
         is uniform.  With a weight, the L^p(w dx) norm."""
-        a = np.abs(self.values) ** p
-        if weight is not None:
-            a = a * weight.values
-        return float(np.mean(a) ** (1.0 / p))
+        return float(_lp_means(self.values, p, weight) ** (1.0 / p))
+
+
+def _lp_means(values: np.ndarray, p: float, weight=None) -> np.ndarray:
+    """Means of |values|^p (times the weight) along the last axis."""
+    a = np.abs(values) ** p
+    if weight is not None:
+        a = a * weight.values
+    return np.mean(a, axis=-1)
 
 
 class DyadicWeight(DyadicFunction):
@@ -117,6 +122,38 @@ def two_value_weight(u: float, v: float, depth: int) -> DyadicWeight:
 # Haar analysis / synthesis
 
 
+def _haar_analysis(values: np.ndarray) -> list[np.ndarray]:
+    """Haar coefficients along the last axis, one array per level 0 ..
+    depth-1; each row of `values` is one step function."""
+    coeffs = []
+    v = values
+    for lev in range(v.shape[-1].bit_length() - 2, -1, -1):
+        coeffs.append(2.0 ** (-lev / 2.0) / 2.0 * (v[..., 1::2] - v[..., 0::2]))
+        v = 0.5 * (v[..., 0::2] + v[..., 1::2])
+    coeffs.reverse()
+    return coeffs
+
+
+def _haar_synthesis(coeffs: list[np.ndarray], mean) -> np.ndarray:
+    """Inverse of _haar_analysis, with `mean` added to every row."""
+    dtype = complex if any(np.iscomplexobj(c) for c in coeffs) else float
+    cur = np.array([mean], dtype=dtype)
+    for lev, c in enumerate(coeffs):
+        step = np.asarray(c) * 2.0 ** (lev / 2.0)  # coefficient times h value
+        nxt = np.empty(step.shape[:-1] + (2 * step.shape[-1],), dtype=dtype)
+        nxt[..., 0::2] = cur - step
+        nxt[..., 1::2] = cur + step
+        cur = nxt
+    return cur
+
+
+def _transform_rows(values: np.ndarray, signs) -> np.ndarray:
+    """T_sigma along the last axis; signs[lev] broadcasts against the
+    level-lev coefficients."""
+    return _haar_synthesis(
+        [s * c for s, c in zip(signs, _haar_analysis(values))], 0.0)
+
+
 def haar_coefficients(f: DyadicFunction) -> list[np.ndarray]:
     """Haar coefficients (f, h_I), one array per level 0 .. depth-1.
 
@@ -125,30 +162,26 @@ def haar_coefficients(f: DyadicFunction) -> list[np.ndarray]:
     """
     if f.depth < 1:
         raise ValueError("need depth >= 1")
-    avgs = f.all_averages()
-    coeffs = []
-    for lev in range(f.depth):
-        child = avgs[lev + 1]
-        scale = 2.0 ** (-lev / 2.0) / 2.0  # sqrt(|I|)/2
-        coeffs.append(scale * (child[1::2] - child[0::2]))
-    return coeffs
+    return _haar_analysis(f.values)
 
 
 def haar_synthesis(coeffs: list[np.ndarray], mean=0.0) -> DyadicFunction:
     """Inverse of haar_coefficients (mean supplied separately)."""
-    dtype = complex if any(np.iscomplexobj(c) for c in coeffs) else float
-    cur = np.array([mean], dtype=dtype)
-    for lev, c in enumerate(coeffs):
-        step = np.asarray(c) * 2.0 ** (lev / 2.0)  # coefficient times h value
-        nxt = np.empty(2 * cur.size, dtype=dtype)
-        nxt[0::2] = cur - step
-        nxt[1::2] = cur + step
-        cur = nxt
-    return DyadicFunction(cur)
+    return DyadicFunction(_haar_synthesis(coeffs, mean))
+
+
+_SIGN_VALUES = np.array([-1.0, 1.0])
 
 
 def random_signs(depth: int, rng) -> list[np.ndarray]:
-    return [rng.choice([-1.0, 1.0], size=2 ** lev) for lev in range(depth)]
+    """Independent +-1 signs, one array per level 0 .. depth-1.
+
+    All 2**depth - 1 signs come from one draw, split per level; the stream
+    and the generator state after it equal one rng.choice([-1.0, 1.0])
+    call per level.
+    """
+    flat = _SIGN_VALUES[rng.integers(0, 2, 2 ** depth - 1)]
+    return [flat[2 ** lev - 1: 2 ** (lev + 1) - 1] for lev in range(depth)]
 
 
 def martingale_transform(f: DyadicFunction, signs) -> DyadicFunction:
@@ -160,8 +193,7 @@ def martingale_transform(f: DyadicFunction, signs) -> DyadicFunction:
     sgn = [np.asarray(s, dtype=float) for s in signs]
     if len(sgn) != f.depth or any(a.size != 2 ** lev for lev, a in enumerate(sgn)):
         raise ValueError("sign arrays must match the coefficient tree shape")
-    return haar_synthesis([s * c for s, c in zip(sgn, haar_coefficients(f))],
-                          mean=0.0)
+    return DyadicFunction(_transform_rows(f.values, sgn))
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +393,22 @@ def weighted_mt_ratio(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if w.depth < 1:
+        raise ValueError("need depth >= 1")
+    n, e = 2 ** w.depth, 1.0 / p
+    rows = max(1, 2 ** 16 >> w.depth)  # a block of trials is ~0.5 MB per array
     best = 0.0
     seeds = np.random.SeedSequence(seed).spawn(trials)
-    for s in seeds:
-        rng = np.random.default_rng(s)
-        f = DyadicFunction(rng.standard_normal(2 ** w.depth))
-        tf = martingale_transform(f, random_signs(w.depth, rng))
-        best = max(best, tf.norm(p, w) / f.norm(p, w))
+    for start in range(0, trials, rows):
+        block = seeds[start:start + rows]
+        f = np.empty((len(block), n))
+        row_signs = []
+        for row, s in enumerate(block):
+            rng = np.random.default_rng(s)
+            rng.standard_normal(out=f[row])
+            row_signs.append(random_signs(w.depth, rng))
+        tf = _transform_rows(f, [np.stack(level) for level in zip(*row_signs)])
+        # DyadicFunction.norm per row; the root stays a scalar power
+        for a, b in zip(_lp_means(tf, p, w), _lp_means(f, p, w)):
+            best = max(best, float(a ** e) / float(b ** e))
     return best

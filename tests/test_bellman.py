@@ -148,6 +148,56 @@ def test_feasible_far_above():
     assert bm.linear_majorant_feasibility(10.0 * 2.0, 3.0).feasible
 
 
+def loop_feasibility(c, p):
+    """The search loop with every array test ahead of the scalar H_c(s_rho)
+    test; linear_majorant_feasibility must decide every (c, p) alike."""
+    tol = 1e-9
+    ps = bm.p_star(p)
+    rhos = np.linspace(0.0, 4.0 * ps, 512)
+    corners = [ps - 1.0, c]
+    rhos = np.unique(np.concatenate([rhos, [r for r in corners if 0 <= r <= 4 * ps]]))
+    s = np.linspace(-1.0, 1.0, 4096)
+    Hc = ((1.0 + s) / 2.0) ** p - c ** p * ((1.0 - s) / 2.0) ** p
+    a_cap = 4.0 * bm.gamma_p(p)
+    for rho in rhos:
+        if (1.0 + rho - p) < -tol or (rho * (p - 1.0) - 1.0) < -tol:
+            continue
+        g1 = (1.0 + s) / 2.0 - rho * (1.0 - s) / 2.0
+        srho = (rho - 1.0) / (rho + 1.0)
+        pos = g1 > tol
+        neg = g1 < -tol
+        a_min = 0.0
+        if np.any(pos & (Hc > 0)):
+            a_min = float(np.max(Hc[pos] / g1[pos]))
+        a_max = np.inf
+        if np.any(neg):
+            ratios = Hc[neg] / g1[neg]
+            up = ratios[Hc[neg] < 0]
+            if up.size:
+                a_max = float(np.min(up))
+            if np.any(Hc[neg] > tol):
+                continue
+        if -1.0 <= srho <= 1.0:
+            h_at = ((1.0 + srho) / 2.0) ** p - c ** p * ((1.0 - srho) / 2.0) ** p
+            if h_at > tol:
+                continue
+        a_min = max(a_min, tol)
+        a_hi = min(a_max, a_cap)
+        if a_min <= a_hi * (1 + 1e-12):
+            a = min(max(bm.gamma_p(p), a_min), a_hi)
+            return bm.FeasibilityResult(True, float(rho), float(a))
+    return bm.FeasibilityResult(False)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0, 6.0])
+def test_feasibility_matches_reference_loop(p):
+    crit = bm.p_star(p) - 1.0
+    cs = [crit - 1e-7, crit, crit + 1e-7, *np.linspace(0.0, 4.0 * crit, 13)]
+    for c in cs:
+        got, want = bm.linear_majorant_feasibility(c, p), loop_feasibility(c, p)
+        assert (got.feasible, got.rho, got.a) == (want.feasible, want.rho, want.a)
+
+
 def test_transition_location():
     for p in (2.5, 3.0, 4.0):
         c = bm.feasibility_transition(p)

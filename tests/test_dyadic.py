@@ -257,6 +257,47 @@ def test_a_infinity_values_and_domination():
 # Monte-Carlo transform ratio
 
 
+def choice_signs(depth, rng):
+    """The per-level draw random_signs must reproduce."""
+    return [rng.choice([-1.0, 1.0], size=2 ** lev) for lev in range(depth)]
+
+
+def test_random_signs_match_per_level_choice():
+    for i, child in enumerate(np.random.SeedSequence(11).spawn(50)):
+        depth = 1 + i % 12
+        rng, ref = np.random.default_rng(child), np.random.default_rng(child)
+        got, want = dy.random_signs(depth, rng), choice_signs(depth, ref)
+        assert len(got) == len(want) == depth
+        assert all(np.array_equal(g, r) for g, r in zip(got, want))
+        assert rng.standard_normal() == ref.standard_normal()
+
+
+def per_trial_mt_ratios(w, trials, p, seed):
+    """One trial at a time: f, then the signs, from each trial's child."""
+    ratios = []
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.default_rng(child)
+        f = dy.DyadicFunction(rng.standard_normal(2 ** w.depth))
+        tf = dy.martingale_transform(f, choice_signs(w.depth, rng))
+        ratios.append(tf.norm(p, w) / f.norm(p, w))
+    return ratios
+
+
+@pytest.mark.parametrize("depth", [1, 6, 12])
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_mt_ratio_blocks_equal_per_trial_loop(depth, p):
+    # 37 trials end in a partial block at every depth; each trial count
+    # that sets a new running maximum is checked too, so a dropped or
+    # reordered trial shows
+    w = dy.DyadicWeight(np.exp(rand_fn(depth, seed=depth).values))
+    for seed in (0, 1, 5):
+        ratios = per_trial_mt_ratios(w, 37, p, seed)
+        records = [k for k in range(1, 38) if ratios[k - 1] == max(ratios[:k])]
+        for trials in {1, 37, *records}:
+            assert (dy.weighted_mt_ratio(w, trials, p=p, seed=seed)
+                    == max(ratios[:trials]))
+
+
 def test_mt_ratio_unweighted_below_one():
     w = dy.DyadicWeight(np.ones(2 ** 7))
     assert dy.weighted_mt_ratio(w, trials=50, seed=0) <= 1.0 + 1e-12
