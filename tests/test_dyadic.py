@@ -287,8 +287,8 @@ def per_trial_mt_ratios(w, trials, p, seed):
 @pytest.mark.parametrize("p", [2.0, 4.0])
 def test_mt_ratio_blocks_equal_per_trial_loop(depth, p):
     # 37 trials end in a partial block at every depth; each trial count
-    # that sets a new running maximum is checked too, so a dropped or
-    # reordered trial shows
+    # that sets a new running maximum is checked too, so a dropped trial
+    # or one drawn from the wrong child shows
     w = dy.DyadicWeight(np.exp(rand_fn(depth, seed=depth).values))
     for seed in (0, 1, 5):
         ratios = per_trial_mt_ratios(w, 37, p, seed)
