@@ -28,7 +28,7 @@ print("\n== integrability threshold of the singular companion ==")
 m = qc.RadialMap(2.0, "singular")          # k = 1/3, threshold 4/3
 for q in (1.2, 4.0 / 3.0, 1.4):
     rep = qc.sobolev_threshold(m, q)
-    verdict = "converges" if rep["bounded"] else f"diverges at rate {rep['rate']:.3f}/octave"
+    verdict = "converges" if rep["bounded"] else f"diverges at rate {rep['increment_slope']:.3f}/octave"
     print(f"  q = {q:.4f}: annulus integrals {verdict}")
 for K in (1.5, 2.0, 3.0):
     m = qc.RadialMap(K, "singular")

@@ -28,7 +28,6 @@ __all__ = [
     "p_star",
     "gamma_p",
     "eval_phi",
-    "ZigzagReport",
     "zigzag_check",
     "majorant_check",
     "hessian_form_identity",
@@ -62,8 +61,6 @@ def eval_phi(x, y, p: float, variant: str = "phi"):
     variant 'phi0': |y|^p - (p*-1)^p |x|^p where that is <= 0 (i.e.
                     |y| <= (p*-1)|x|), the 'phi' expression elsewhere.
     """
-    if p <= 1:
-        raise ValueError("p must exceed 1")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     ps = p_star(p)
@@ -81,52 +78,26 @@ def eval_phi(x, y, p: float, variant: str = "phi"):
 # Zigzag concavity and majorization by sampling
 
 
-@dataclass
-class ZigzagReport:
-    samples: int
-    worst_margin: float       # relative to the stencil scale
-    worst_raw: float
-    worst_point: tuple[float, float]
-    worst_step: float
-    worst_variant: int        # +1 for (a, a) steps, -1 for (a, -a)
+def zigzag_check(fn, samples: int, seed: int = 0, box: float = 5.0) -> float:
+    """Worst (relative) f(x,y) - (f(x+a, y+-a) + f(x-a, y-+a))/2 over random
+    points, with steps a uniform in (0, 1].
 
-
-def _midpoint_margins(fn, x, y, a, sgn):
-    c = fn(x, y)
-    p1 = fn(x + a, y + sgn * a)
-    p2 = fn(x - a, y - sgn * a)
-    raw = c - 0.5 * (p1 + p2)
-    scale = np.maximum(1.0, np.maximum(np.abs(c), np.maximum(np.abs(p1), np.abs(p2))))
-    return raw, raw / scale
-
-
-def zigzag_check(fn, samples: int, seed: int = 0, box: float = 5.0) -> ZigzagReport:
-    """Sample f(x,y) - (f(x+a, y+-a) + f(x-a, y-+a))/2 at random points,
-    with steps a uniform in (0, 1].
-
-    For a zigzag concave f both variants are >= 0; the reported margin is
-    the minimum over samples, normalized by the stencil magnitude.
+    For a zigzag concave f both variants are >= 0; the returned margin is
+    the minimum over samples and both variants, each normalized by its
+    stencil magnitude.
     """
     rng = np.random.default_rng(seed)
     x = rng.uniform(-box, box, samples)
     y = rng.uniform(-box, box, samples)
     a = rng.uniform(0.0, 1.0, samples) + 1e-12
+    c = fn(x, y)
     worst = np.inf
-    report = None
     for sgn in (1, -1):
-        raw, rel = _midpoint_margins(fn, x, y, a, sgn)
-        i = int(np.argmin(rel))
-        if rel[i] < worst:
-            worst = float(rel[i])
-            report = ZigzagReport(
-                samples=samples,
-                worst_margin=float(rel[i]),
-                worst_raw=float(raw[i]),
-                worst_point=(float(x[i]), float(y[i])),
-                worst_step=float(a[i]),
-                worst_variant=sgn,
-            )
-    return report
+        p1 = fn(x + a, y + sgn * a)
+        p2 = fn(x - a, y - sgn * a)
+        scale = np.maximum(1.0, np.maximum(np.abs(c), np.maximum(np.abs(p1), np.abs(p2))))
+        worst = min(worst, float(np.min((c - 0.5 * (p1 + p2)) / scale)))
+    return worst
 
 
 def majorant_check(variant: str, p: float, samples: int, seed: int = 0,
@@ -220,9 +191,9 @@ def hessian_form_identity(x, y, dx, dy, p: float, h: float = 1e-4):
 # The slope-section analysis on [-1, 1]
 
 
-def _H(s, p):
-    cp = (p_star(p) - 1.0) ** p
-    return ((1.0 + s) / 2.0) ** p - cp * ((1.0 - s) / 2.0) ** p
+def _H(s, p, c):
+    """H_c(s) = ((1+s)/2)^p - c^p ((1-s)/2)^p."""
+    return ((1.0 + s) / 2.0) ** p - c ** p * ((1.0 - s) / 2.0) ** p
 
 
 def _Hp(s, p):
@@ -237,17 +208,18 @@ def _Hpp(s, p):
     )
 
 
-def h_section_inequality(p: float, grid: int = 10001) -> float:
+def h_section_inequality(p: float) -> float:
     """max over [-1, s_p] of s^2 H'' + (p-1)(-2 s H' + p H), expected <= 0.
 
-    H(s) = ((1+s)/2)^p - (p*-1)^p ((1-s)/2)^p and s_p = (p*-2)/p* is its
-    zero; requires p >= 2.
+    H = H_c at c = p*-1, s_p = (p*-2)/p* is its zero, and the grid holds
+    10,001 points; requires p >= 2.
     """
     if p < 2:
         raise ValueError("section inequality is asserted for p >= 2")
     sp = (p_star(p) - 2.0) / p_star(p)
-    s = np.linspace(-1.0 + 1e-9, sp, grid)
-    expr = s ** 2 * _Hpp(s, p) + (p - 1.0) * (-2.0 * s * _Hp(s, p) + p * _H(s, p))
+    s = np.linspace(-1.0 + 1e-9, sp, 10001)
+    expr = (s ** 2 * _Hpp(s, p)
+            + (p - 1.0) * (-2.0 * s * _Hp(s, p) + p * _H(s, p, p_star(p) - 1.0)))
     return float(np.max(expr))
 
 
@@ -282,7 +254,7 @@ def linear_majorant_feasibility(c: float, p: float) -> FeasibilityResult:
     corners = [ps - 1.0, c]
     rhos = np.unique(np.concatenate([rhos, [r for r in corners if 0 <= r <= 4 * ps]]))
     s = np.linspace(-1.0, 1.0, 4096)
-    Hc = ((1.0 + s) / 2.0) ** p - c ** p * ((1.0 - s) / 2.0) ** p
+    Hc = _H(s, p, c)
     a_cap = 4.0 * gamma_p(p)
 
     for rho in rhos:
@@ -290,13 +262,10 @@ def linear_majorant_feasibility(c: float, p: float) -> FeasibilityResult:
         # a(rho(p-1)-1) >= 0; a > 0, so both reduce to constraints on rho
         if (1.0 + rho - p) < -tol or (rho * (p - 1.0) - 1.0) < -tol:
             continue
-        # at the zero of g1 the majorization needs H_c(s_rho) <= 0 exactly;
-        # this scalar test rejects every rho > c before any array work
-        srho = (rho - 1.0) / (rho + 1.0)
-        if -1.0 <= srho <= 1.0:
-            h_at = ((1.0 + srho) / 2.0) ** p - c ** p * ((1.0 - srho) / 2.0) ** p
-            if h_at > tol:
-                continue
+        # H_c(s_rho) <= 0 at the zero s_rho = (rho-1)/(rho+1) of g1: a
+        # scalar test that rejects every rho > c before any array work
+        if _H((rho - 1.0) / (rho + 1.0), p, c) > tol:
+            continue
         g1 = (1.0 + s) / 2.0 - rho * (1.0 - s) / 2.0
         pos = g1 > tol
         neg = g1 < -tol
@@ -424,13 +393,11 @@ def bq_hessian_check(Q: float, alpha: float, samples: int, seed: int = 0) -> BqR
 
 @dataclass
 class JNReport:
-    delta: float
     fd_max_eig: float
     fd_max_det_rel: float
     obstacle_min_gap: float
     analytic_max_eig: float
     analytic_max_det_rel: float
-    clipped: bool
     variants: list
 
 
@@ -486,8 +453,8 @@ def jn_bellman_check(delta: float, grid: tuple[int, int] = (200, 200)) -> JNRepo
 
     (a) drift-modified matrix negative semidefinite, (b) its determinant
     zero, (c) v_delta >= e^{x1}, and (a)+(b) for the phi_{eps,q} family
-    members (eps, q) = (0.6, 1) and (0.9, 2) in `variants` (v_delta itself
-    is the member (delta, 1)).
+    members (eps, q) = (0.6, 1) and (0.9, 2), in that order, in `variants`
+    (v_delta itself is the member (delta, 1)).
 
     (a), (b) are certified with the closed-form derivatives on the nearly
     full strip; the finite-difference cross-check runs only where
@@ -510,7 +477,6 @@ def jn_bellman_check(delta: float, grid: tuple[int, int] = (200, 200)) -> JNRepo
     analytic_max_det = float(np.max(np.abs(detrel)))
     obstacle = float(np.min(value(X1, X2) - np.exp(X1)))
 
-    clipped = delta - fd_clearance <= x2_full[-1]
     x2_fd = x2_full[x2_full <= delta - fd_clearance]
     fd_eig = -np.inf
     fd_det = 0.0
@@ -528,19 +494,14 @@ def jn_bellman_check(delta: float, grid: tuple[int, int] = (200, 200)) -> JNRepo
         _, mat = _strip_candidate(eps, q)
         v11, v12, v22 = mat(X1, X2)
         lam_v, det_v = _matrix_stats(v11, v12, v22)
-        out_variants.append(
-            {"eps": eps, "q": q,
-             "max_eig": float(np.max(lam_v)),
-             "max_det_rel": float(np.max(np.abs(det_v)))}
-        )
+        out_variants.append({"max_eig": float(np.max(lam_v)),
+                             "max_det_rel": float(np.max(np.abs(det_v)))})
 
     return JNReport(
-        delta=delta,
         fd_max_eig=fd_eig,
         fd_max_det_rel=fd_det,
         obstacle_min_gap=obstacle,
         analytic_max_eig=analytic_max_eig,
         analytic_max_det_rel=analytic_max_det,
-        clipped=clipped,
         variants=out_variants,
     )

@@ -173,6 +173,16 @@ def haar_synthesis(coeffs: list[np.ndarray], mean=0.0) -> DyadicFunction:
 _SIGN_VALUES = np.array([-1.0, 1.0])
 
 
+def _flat_signs(depth: int, rng) -> np.ndarray:
+    """All 2**depth - 1 signs of one tree, level by level, in one draw."""
+    return _SIGN_VALUES[rng.integers(0, 2, 2 ** depth - 1)]
+
+
+def _levels(flat: np.ndarray, depth: int) -> list[np.ndarray]:
+    """Split the last axis of flat signs into one array per level."""
+    return [flat[..., 2 ** lev - 1: 2 ** (lev + 1) - 1] for lev in range(depth)]
+
+
 def random_signs(depth: int, rng) -> list[np.ndarray]:
     """Independent +-1 signs, one array per level 0 .. depth-1.
 
@@ -180,8 +190,7 @@ def random_signs(depth: int, rng) -> list[np.ndarray]:
     and the generator state after it equal one rng.choice([-1.0, 1.0])
     call per level.
     """
-    flat = _SIGN_VALUES[rng.integers(0, 2, 2 ** depth - 1)]
-    return [flat[2 ** lev - 1: 2 ** (lev + 1) - 1] for lev in range(depth)]
+    return _levels(_flat_signs(depth, rng), depth)
 
 
 def martingale_transform(f: DyadicFunction, signs) -> DyadicFunction:
@@ -327,15 +336,6 @@ class EmbeddingCheck:
     rhs1: float
     lhs2: float
     rhs2: float
-    intensity: float
-
-    @property
-    def holds1(self) -> bool:
-        return self.lhs1 <= self.rhs1 * (1 + 1e-12)
-
-    @property
-    def holds2(self) -> bool:
-        return self.lhs2 <= self.rhs2 * (1 + 1e-12)
 
 
 def carleson_embedding_check(
@@ -374,7 +374,6 @@ def carleson_embedding_check(
         rhs1=2.0 * intensity * int_f,
         lhs2=lhs2,
         rhs2=4.0 * intensity * int_f_over_w,
-        intensity=intensity,
     )
 
 
@@ -389,7 +388,8 @@ def weighted_mt_ratio(
 
     Trials draw independent Gaussian step functions and sign patterns from
     per-trial child seeds, so the result is reproducible and the trial
-    space can be partitioned across workers.
+    space can be partitioned across workers.  A block's signs are one flat
+    draw per row, sliced per level as in random_signs.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -402,12 +402,12 @@ def weighted_mt_ratio(
     for start in range(0, trials, rows):
         block = seeds[start:start + rows]
         f = np.empty((len(block), n))
-        row_signs = []
+        signs = np.empty((len(block), n - 1))
         for row, s in enumerate(block):
             rng = np.random.default_rng(s)
             rng.standard_normal(out=f[row])
-            row_signs.append(random_signs(w.depth, rng))
-        tf = _transform_rows(f, [np.stack(level) for level in zip(*row_signs)])
+            signs[row] = _flat_signs(w.depth, rng)
+        tf = _transform_rows(f, _levels(signs, w.depth))
         # DyadicFunction.norm per row; the root stays a scalar power
         for a, b in zip(_lp_means(tf, p, w), _lp_means(f, p, w)):
             best = max(best, float(a ** e) / float(b ** e))

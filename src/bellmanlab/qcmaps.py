@@ -80,15 +80,14 @@ def beltrami_ratio(m: RadialMap, seed: int = 0) -> float:
     return float(np.max(np.abs(np.abs(fzb / fz) - m.k)))
 
 
-def distortion_exponent(m: RadialMap, radii=None):
-    """Fit |f0(B_r)| ~ |B_r|^e on discs; |f0(B_r)| = pi r^(2/K) exactly, so
-    the fitted slope is 1/K up to regression roundoff.  Returns (slope,
-    max deviation of |f(B_r)| / |B_r|^(1/K) from its mean)."""
+def distortion_exponent(m: RadialMap):
+    """Fit |f0(B_r)| ~ |B_r|^e on discs of radii 2^-1 .. 2^-10; |f0(B_r)|
+    = pi r^(2/K) exactly, so the fitted slope is 1/K up to regression
+    roundoff.  Returns (slope, max deviation of |f(B_r)| / |B_r|^(1/K)
+    from its mean)."""
     if m.variant != "regular":
         raise ValueError("distortion exponent is for the regular variant")
-    if radii is None:
-        radii = 2.0 ** -np.arange(1, 11)
-    radii = np.asarray(radii, dtype=float)
+    radii = 2.0 ** -np.arange(1, 11)
     # the map is radial and increasing, so the image of B_r is the disc of
     # radius |f(r)| and areas are exact
     image_area = np.pi * np.abs(m.apply(radii + 0j)) ** 2
@@ -117,10 +116,11 @@ def sobolev_threshold(m: RadialMap, q: float):
     """Integrals over eps < |z| < 1 on the dyadic ladder eps = 2^-1 ..
     2^-60 plus the fitted blow-up exponent.
 
-    Returns a dict: the ladder values, the regression slope of the
-    per-octave increments (log2 scale), and 'bounded' = slope < 0.  The
-    increment sequence is exactly geometric with ratio 2^(q(1+1/K) - 2),
-    so the fitted slope changes sign precisely at q = 1 + k.
+    Returns a dict: the ladder 'values', the regression slope
+    'increment_slope' of the per-octave increments (log2 scale), and
+    'bounded' = slope < 0.  The increment sequence is exactly geometric
+    with ratio 2^(q(1+1/K) - 2), so the fitted slope changes sign
+    precisely at q = 1 + k.
     """
     eps = 2.0 ** -np.arange(1, 61)
     vals = np.array([_annulus_integral(m, q, e) for e in eps])
@@ -131,8 +131,7 @@ def sobolev_threshold(m: RadialMap, q: float):
         slope = float(np.polyfit(j[good], np.log2(inc[good]), 1)[0])
     else:
         slope = -np.inf
-    return {"eps": eps, "values": vals, "increment_slope": slope,
-            "bounded": slope < 0.0, "rate": max(slope, 0.0)}
+    return {"values": vals, "increment_slope": slope, "bounded": slope < 0.0}
 
 
 def sobolev_boundary(m: RadialMap) -> float:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import time
 from dataclasses import dataclass, field, asdict
 
 __all__ = ["CheckResult", "RunReport", "CHECK_REGISTRY"]
@@ -112,14 +111,8 @@ class RunReport:
     wall_time: float = 0.0
     version: str = "0.1.0"
 
-    def add(self, result: CheckResult):
-        self.entries.append(result)
-
     def extend(self, results):
         self.entries.extend(results)
-
-    def sort(self):
-        self.entries.sort(key=lambda e: e.check_id)
 
     @property
     def passed(self) -> bool:
@@ -159,11 +152,3 @@ class RunReport:
                              repr(e.tolerance), e.kind, int(e.passed), e.detail])
         return out.getvalue()
 
-
-class Stopwatch:
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self.start

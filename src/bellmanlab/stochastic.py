@@ -16,7 +16,7 @@ on (seed, batch, c), never on which blocks were drawn before it.
 
 The engine feeds the 1-d Riemann-sum and Ito-integral studies and one
 planar martingale simulator, `simulate`: X(t) = u(T - t, W_t) as a sum of
-gradient increments and, given a 2x2 matrix, its transform Y.  The
+gradient increments and its transform Y by a 2x2 matrix.  The
 pathwise transform residuals and the moment-ratio constants run on
 `simulate`.  The step-ladder sweep keeps its own loop, which carries
 per-level state, and the conditioning study turns the engine's
@@ -225,34 +225,31 @@ class GaussianMix:
 
 
 def simulate(surface, driver: BrownianDriver, paths: int,
-             batch: int = 0, matrix: np.ndarray | None = None, on_step=None):
+             batch: int = 0, *, matrix: np.ndarray, on_step=None):
     """Run X(t) = u(T,0) + sum_i grad u(T - t_i, W_i) . dW_i on the
     driver's horizon T, whose terminal value approaches f(W_T) at strong
-    order 1/2 in the step size, and, if a
-    2x2 complex matrix is given, Y(t) = sum dW . (matrix grad u); with
-    A_STAR the increments of Y are (dW_1 + i dW_2) * 2 dbar u.  Returns the
-    terminal (X, Y), each of shape (paths,); Y is None without a matrix.
-    `on_step(rows, i, grad, mg)` is called at each step of each block with
-    the gradient and its image under the matrix (None without one), each
-    (block paths, 2)."""
+    order 1/2 in the step size, and its transform by the 2x2 complex
+    `matrix`, Y(t) = sum dW . (matrix grad u); with A_STAR the increments
+    of Y are (dW_1 + i dW_2) * 2 dbar u.  Returns the terminal (X, Y),
+    each of shape (paths,).  `on_step(rows, i, grad, mg)` is called at
+    each step of each block with the gradient and its image under the
+    matrix, each (block paths, 2)."""
     if driver.dimension != 2:
         raise ValueError("planar martingales need a 2-d driver")
     T, times = driver.horizon, driver.times()
     X = np.full(paths, surface.value(T, np.zeros((1, 2)))[0], dtype=complex)
-    Y = np.zeros(paths, dtype=complex) if matrix is not None else None
+    Y = np.zeros(paths, dtype=complex)
     for rows, incs in driver.chunks(paths, batch):
         x = X[rows]
-        y = Y[rows] if matrix is not None else None
+        y = Y[rows]
         W = np.zeros((rows.stop - rows.start, 2))
         for i, dW in enumerate(incs):
             grad = surface.gradient(T - times[i], W)     # (m, 2) complex
             x += grad[:, 0] * dW[:, 0] + grad[:, 1] * dW[:, 1]
-            mg = None
-            if matrix is not None:
-                mg = np.empty_like(grad)
-                mg[:, 0] = matrix[0, 0] * grad[:, 0] + matrix[0, 1] * grad[:, 1]
-                mg[:, 1] = matrix[1, 0] * grad[:, 0] + matrix[1, 1] * grad[:, 1]
-                y += mg[:, 0] * dW[:, 0] + mg[:, 1] * dW[:, 1]
+            mg = np.empty_like(grad)
+            mg[:, 0] = matrix[0, 0] * grad[:, 0] + matrix[0, 1] * grad[:, 1]
+            mg[:, 1] = matrix[1, 0] * grad[:, 0] + matrix[1, 1] * grad[:, 1]
+            y += mg[:, 0] * dW[:, 0] + mg[:, 1] * dW[:, 1]
             if on_step is not None:
                 on_step(rows, i, grad, mg)
             W += dW

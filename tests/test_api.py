@@ -1,5 +1,8 @@
 """The public surface: every name a module exports has a user."""
 
+import dataclasses
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -31,3 +34,19 @@ def unused_exports(module):
 def test_every_export_is_used():
     modules = [getattr(bellmanlab, n) for n in bellmanlab.__all__ if n != "__version__"]
     assert [name for m in modules for name in unused_exports(m)] == []
+
+
+def test_every_dataclass_field_is_read():
+    """Every field of a dataclass defined in src/bellmanlab is read as
+    `.field` somewhere in src/, demos/, perfbench/, README.md or tests/."""
+    texts = [*CORPUS.values(),
+             *(p.read_text() for p in sorted((ROOT / "tests").glob("*.py")))]
+    unread = []
+    for path in sorted(Path(bellmanlab.__file__).parent.glob("[!_]*.py")):
+        module = importlib.import_module(f"bellmanlab.{path.stem}")
+        for cls in vars(module).values():
+            if (inspect.isclass(cls) and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module.__name__):
+                unread += [f"{cls.__name__}.{f.name}" for f in dataclasses.fields(cls)
+                           if not any(re.search(rf"\.{f.name}\b", t) for t in texts)]
+    assert unread == []

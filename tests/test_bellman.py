@@ -44,23 +44,21 @@ def test_variants_collapse_at_p2():
 
 
 def test_zigzag_affine_margin_zero():
-    rep = bm.zigzag_check(lambda x, y: 2.0 * x - 0.7 * y + 1.0, 5000, seed=0)
-    assert abs(rep.worst_margin) < 1e-13
+    margin = bm.zigzag_check(lambda x, y: 2.0 * x - 0.7 * y + 1.0, 5000, seed=0)
+    assert abs(margin) < 1e-13
 
 
 def test_zigzag_majorants():
     for p in (2.0, 3.0, 5.0):
         for variant in ("phi", "phi0"):
-            rep = bm.zigzag_check(
+            margin = bm.zigzag_check(
                 lambda x, y, p=p, v=variant: bm.eval_phi(x, y, p, v),
                 20000, seed=1, box=5.0)
-            assert rep.worst_margin >= -1e-9
+            assert margin >= -1e-9
 
 
 def test_zigzag_detects_convexity():
-    rep = bm.zigzag_check(lambda x, y: x ** 2 + y ** 2, 5000, seed=2)
-    assert rep.worst_margin < -1e-6
-    assert rep.worst_variant == 1   # the unison direction violates
+    assert bm.zigzag_check(lambda x, y: x ** 2 + y ** 2, 5000, seed=2) < -1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +213,7 @@ def test_section_identity_p2():
 
 def test_section_nonpositive():
     for p in (2.5, 4.0, 8.0):
-        assert bm.h_section_inequality(p, grid=20001) <= 1e-10
+        assert bm.h_section_inequality(p) <= 1e-10
 
 
 def test_section_requires_p_ge_2():
@@ -288,7 +286,6 @@ def test_jn_strip_candidate():
     assert rep.fd_max_det_rel <= 1e-5
     assert rep.analytic_max_eig <= 1e-10
     assert rep.obstacle_min_gap >= -1e-9
-    assert rep.clipped   # the FD pass cannot approach the branch point
     for v in rep.variants:
         assert v["max_eig"] <= 1e-6 and v["max_det_rel"] <= 1e-5
 

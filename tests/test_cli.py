@@ -228,10 +228,10 @@ def test_ascent_witness_roundtrip(tmp_path, capsys):
 
 def test_report_canonical_json_excludes_timing():
     rep = RunReport(config={"b": 1, "a": 2})
-    rep.add(CheckResult("bellman.tau-quadrature", 0.0, 0.0, 1e-10, "match"))
+    rep.extend([CheckResult("bellman.tau-quadrature", 0.0, 0.0, 1e-10, "match")])
     rep.wall_time = 123.0
     other = RunReport(config={"a": 2, "b": 1})
-    other.add(CheckResult("bellman.tau-quadrature", 0.0, 0.0, 1e-10, "match"))
+    other.extend([CheckResult("bellman.tau-quadrature", 0.0, 0.0, 1e-10, "match")])
     other.wall_time = 4.0
     assert rep.canonical_json() == other.canonical_json()
 

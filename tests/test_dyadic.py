@@ -186,7 +186,8 @@ def test_embedding_constant_f():
     chk = dy.carleson_embedding_check(seq, f, w)
     assert chk.lhs1 == pytest.approx(D + 1.0)
     assert chk.rhs1 == pytest.approx(2.0 * (D + 1.0))
-    assert chk.holds1 and chk.holds2
+    assert chk.lhs1 <= chk.rhs1 * (1 + 1e-12)
+    assert chk.lhs2 <= chk.rhs2 * (1 + 1e-12)
 
 
 def test_embedding_indicator_random_sequences():
@@ -199,7 +200,7 @@ def test_embedding_indicator_random_sequences():
         seq = dy.CarlesonSequence(
             [rng.uniform(0, 1, 2 ** lev) * 2.0 ** -lev for lev in range(D + 1)])
         chk = dy.carleson_embedding_check(seq, f, w)
-        assert chk.holds1
+        assert chk.lhs1 <= chk.rhs1 * (1 + 1e-12)
 
 
 def test_embedding_weight_one_reduces():

@@ -125,8 +125,6 @@ def test_ratio_limit_and_monotone_sweep():
     for eta in (1e-1, 1e-2, 1e-3, 1e-4):
         r = lam.ratio(p, eta)
         roots.append(r.direct ** (1.0 / p))
-        # both evaluations approach the same target from the same data
-        assert r.target == pytest.approx((r.K + 1) / (r.K - 1))
     assert roots == sorted(roots)
     assert abs(roots[-1] - (p - 1.0)) < 5e-3
 
@@ -135,8 +133,8 @@ def test_ratio_printed_form_same_limit():
     p = 3.0
     r = lam.ratio(p, 1e-4)
     assert abs(r.printed ** (1 / p) - (p - 1.0)) < 5e-3
-    # the two bookkeepings differ at finite eta; the discrepancy is reported
-    assert r.discrepancy > 0
+    # the two bookkeepings differ at finite eta
+    assert r.printed != r.direct
 
 
 def test_sigma_reflection_swaps_tests_exactly():
@@ -181,5 +179,5 @@ def test_battery_certification_rejects_convex():
 
 
 def test_check_biconcave_flags_phi_plus():
-    ok, witness = lam.check_biconcave(lam.phi_plus(3.0).fn, samples=5000, seed=1)
+    ok, witness = lam.check_biconcave(lam.phi_plus(3.0).fn, seed=1)
     assert not ok and witness is not None

@@ -130,7 +130,6 @@ def test_identity113_gap_and_symmetry():
     phi, psi = bump_pair(128)
     rep = pl.identity_1_13_check(phi, psi, tmax=12.0, nt=33)
     assert rep.gap_rel < 1e-3
-    assert not rep.boundary_warning
     swapped = pl.identity_1_13_check(psi, phi, tmax=12.0, nt=33)
     assert swapped.lhs == pytest.approx(rep.lhs, rel=1e-10)
     assert swapped.rhs == pytest.approx(rep.rhs, rel=1e-10)

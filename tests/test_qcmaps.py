@@ -22,7 +22,7 @@ def test_identity_map():
 
 def test_distortion_slope_and_constancy():
     m = qc.RadialMap(3.0, "regular")
-    slope, spread = qc.distortion_exponent(m, radii=2.0 ** -np.arange(1, 11))
+    slope, spread = qc.distortion_exponent(m)
     assert abs(slope - 1.0 / 3.0) < 1e-10
     assert spread < 1e-10  # |f(B_r)| / |B_r|^{1/K} constant in r
 

@@ -177,17 +177,16 @@ def test_ito_integral_memory_is_per_step():
 def test_linear_input_gives_exact_martingale():
     # f(z) = z has constant gradient: X(t) = W_t exactly, no time error
     drv = st.BrownianDriver(2, 2.0, 16, seed=6)
-    X, Y = st.simulate(HoloPoly(1), drv, 256)
+    X, _ = st.simulate(HoloPoly(1), drv, 256, matrix=st.A_STAR)
     inc = increments(drv, 256)
     w_end = inc[:, :, 0].sum(0) + 1j * inc[:, :, 1].sum(0)
-    assert Y is None
     assert np.max(np.abs(X - w_end)) < 1e-12
 
 
 def test_martingale_mean_is_initial_value():
     surf = st.GaussianMix.single(sigma2=0.8)
     drv = st.BrownianDriver(2, 4.0, 64, seed=7)
-    X, _ = st.simulate(surf, drv, 20000)
+    X, _ = st.simulate(surf, drv, 20000, matrix=st.A_STAR)
     u0 = surf.value(4.0, np.zeros((1, 2)))[0]
     gap = abs(np.mean(X) - u0)
     assert gap <= 3.0 * np.std(X.real) / np.sqrt(20000) + 1e-12
