@@ -18,10 +18,10 @@ demo = st.riemann_gap_demo(0.0, 1.0, 1000, 100_000, seed=0)
 print(f"E sum w(t_i-1) dw = {demo['ES1']:+.4f} +- {demo['ES1_ci']:.4f}")
 print(f"E sum w(t_i)   dw = {demo['ES2']:+.4f} +- {demo['ES2_ci']:.4f}  (gap = b - a = 1)")
 
-print("\n== isometry for the adapted integral of w against dw ==")
-drv = st.BrownianDriver(1, 1.0, 500, seed=1)
-vals = st.ito_integral(lambda w: w, drv, 100_000)
-print(f"E (int w dw)^2 = {np.mean(vals ** 2):.4f}  (exact value 1/2)")
+print("\n== isometry and product rule, read off the same paths ==")
+print(f"E (int w dw)^2 = {demo['ES1_sq']:.4f} +- {demo['ES1_sq_ci']:.4f}  (exact value 1/2)")
+print(f"E int sin w dw int cos w dw = {demo['EFG']:+.4f} +- {demo['EFG_ci']:.4f}  "
+      f"(E int sin w cos w dt = {demo['EFG_ref']:+.4f})")
 
 print("\n== heat martingales reach their boundary data ==")
 surf = st.GaussianMix.single(sigma2=0.8)

@@ -57,7 +57,7 @@ CHECK_REGISTRY = {
     "laminate.ratio-limit": "ratio root approaches p-1 as the tail flattens",
     "laminate.ratio-monotone": "ratio sweep is monotone in the tail parameter",
     "laminate.reflection": "reflecting the measure swaps the two tests",
-    "stoch.variance": "ensemble variance tracks the clock",
+    "stoch.variance": "left-point sums average to zero",
     "stoch.riemann-gap": "left and right sums disagree by the quadratic variation",
     "stoch.isometry": "integral second moment equals the time integral",
     "stoch.product": "product of integrals averages the integrand product",

@@ -16,12 +16,18 @@ on (seed, batch, c), never on which blocks were drawn before it.
 
 The engine feeds the 1-d Riemann-sum and Ito-integral studies and one
 planar martingale simulator, `simulate`: X(t) = u(T - t, W_t) as a sum of
-gradient increments and its transform Y by a 2x2 matrix.  The
-pathwise transform residuals and the moment-ratio constants run on
-`simulate`.  The step-ladder sweep keeps its own loop, which carries
-per-level state, and the conditioning study turns the engine's
-increments into Brownian bridges pinned at each bin center, so it
-conditions on the endpoint W_T directly.
+gradient increments and its transforms Y by a stack of 2x2 matrices, all
+read off the same path set.  The pathwise transform residuals and the
+moment-ratio constants run on `simulate`.  The step-ladder sweep keeps
+its own loop, which carries per-level state, and the conditioning study
+turns the engine's increments into Brownian bridges pinned at each bin
+center, so it conditions on the endpoint W_T directly.
+
+In the suite each study of a seed draws its own streams, once: 0 the 1-d
+study (the Riemann sums, the isometry and the sin/cos product in one
+pass), 3 its W_a for a > 0, 6 the step-ladder sweep, 7 the transform
+residuals, 8 the conditioning bridges and 10 + j surface j of the
+moment-ratio constants.
 """
 
 from __future__ import annotations
@@ -90,40 +96,55 @@ class BrownianDriver:
 
 def riemann_gap_demo(a: float, b: float, steps: int, paths: int, seed: int = 0):
     """Means of S1 = sum w(t_{i-1}) dw_i and S2 = sum w(t_i) dw_i over [a, b]
-    with 3-sigma confidence intervals, and the second moment of S1.
+    with 3-sigma confidence intervals, the second moment of S1, and the
+    product of the left-point integrals F = sum sin w dw, G = sum cos w dw.
 
-    S1 is the adapted (left-point) sum with mean 0; S2 differs by the
-    accumulated squared increments, mean b - a.  Returns a dict with point
-    estimates and half-widths.  The increments are stream 0 of the seed;
-    W_a, for a > 0, is one step of variance a on stream 3.
+    S1 is the adapted (left-point) sum with mean 0 and second moment
+    (b^2 - a^2) / 2; S2 differs by the accumulated squared increments,
+    mean b - a.  E FG equals E sum sin w cos w dt, which the same pass
+    returns as `EFG_ref`.  Returns a dict with point estimates and
+    half-widths.  The increments are stream 0 of the seed; W_a, for a > 0,
+    is one step of variance a on stream 3.
     """
     if b < a:
         raise ValueError("need a <= b")
     if b == a:
-        return {"ES1": 0.0, "ES1_ci": 0.0, "ES2": 0.0, "ES2_ci": 0.0,
-                "ES1_sq": 0.0, "ES1_sq_ci": 0.0}
+        return dict.fromkeys(("ES1", "ES1_ci", "ES2", "ES2_ci", "ES1_sq",
+                              "ES1_sq_ci", "EFG", "EFG_ci", "EFG_ref"), 0.0)
     w_a = np.zeros(paths)
     if a > 0:
         for rows, incs in BrownianDriver(1, a, 1, seed).chunks(paths, batch=3):
             w_a[rows] = next(incs)[:, 0]
     s1 = np.empty(paths)
     s2 = np.empty(paths)
-    for rows, incs in BrownianDriver(1, b - a, steps, seed).chunks(paths):
+    fg = np.empty(paths)
+    drift = 0.0
+    driver = BrownianDriver(1, b - a, steps, seed)
+    for rows, incs in driver.chunks(paths):
         w = w_a[rows]
         acc1 = np.zeros(len(w))
         acc2 = np.zeros(len(w))
+        f_int = np.zeros(len(w))
+        g_int = np.zeros(len(w))
         for inc in incs:
             dw = inc[:, 0]
+            f, g = np.sin(w), np.cos(w)
+            drift += np.dot(f, g)
+            f_int += f * dw
+            g_int += g * dw
             acc1 += w * dw
             w = w + dw
             acc2 += w * dw
         s1[rows] = acc1
         s2[rows] = acc2
+        fg[rows] = f_int * g_int
     half = lambda x: 3.0 * float(np.std(x)) / np.sqrt(paths)
     return {
         "ES1": float(np.mean(s1)), "ES1_ci": half(s1),
         "ES2": float(np.mean(s2)), "ES2_ci": half(s2),
         "ES1_sq": float(np.mean(s1 ** 2)), "ES1_sq_ci": half(s1 ** 2),
+        "EFG": float(np.mean(fg)), "EFG_ci": half(fg),
+        "EFG_ref": float(drift * driver.dt / paths),
     }
 
 
@@ -225,31 +246,33 @@ class GaussianMix:
 
 
 def simulate(surface, driver: BrownianDriver, paths: int,
-             batch: int = 0, *, matrix: np.ndarray, on_step=None):
+             batch: int = 0, *, matrices: np.ndarray, on_step=None):
     """Run X(t) = u(T,0) + sum_i grad u(T - t_i, W_i) . dW_i on the
     driver's horizon T, whose terminal value approaches f(W_T) at strong
-    order 1/2 in the step size, and its transform by the 2x2 complex
-    `matrix`, Y(t) = sum dW . (matrix grad u); with A_STAR the increments
-    of Y are (dW_1 + i dW_2) * 2 dbar u.  Returns the terminal (X, Y),
-    each of shape (paths,).  `on_step(rows, i, grad, mg)` is called at
-    each step of each block with the gradient and its image under the
-    matrix, each (block paths, 2)."""
+    order 1/2 in the step size, and its transforms by a stack of 2x2
+    complex `matrices`, shape (k, 2, 2): Y_j(t) = sum dW . (matrices[j] grad u).
+    With A_STAR the increments of Y are (dW_1 + i dW_2) * 2 dbar u.  X and
+    the gradients are computed once per step for all k transforms.
+    Returns the terminal X, shape (paths,), and Y, shape (k, paths).
+    `on_step(rows, i, grad, mg)` is called at each step of each block with
+    the gradient, (block paths, 2), and its images, (k, block paths, 2)."""
     if driver.dimension != 2:
         raise ValueError("planar martingales need a 2-d driver")
     T, times = driver.horizon, driver.times()
     X = np.full(paths, surface.value(T, np.zeros((1, 2)))[0], dtype=complex)
-    Y = np.zeros(paths, dtype=complex)
+    Y = np.zeros((len(matrices), paths), dtype=complex)
+    m00, m01, m10, m11 = (matrices[:, r, c, None] for r, c in np.ndindex(2, 2))
     for rows, incs in driver.chunks(paths, batch):
         x = X[rows]
-        y = Y[rows]
+        y = Y[:, rows]
         W = np.zeros((rows.stop - rows.start, 2))
         for i, dW in enumerate(incs):
             grad = surface.gradient(T - times[i], W)     # (m, 2) complex
             x += grad[:, 0] * dW[:, 0] + grad[:, 1] * dW[:, 1]
-            mg = np.empty_like(grad)
-            mg[:, 0] = matrix[0, 0] * grad[:, 0] + matrix[0, 1] * grad[:, 1]
-            mg[:, 1] = matrix[1, 0] * grad[:, 0] + matrix[1, 1] * grad[:, 1]
-            y += mg[:, 0] * dW[:, 0] + mg[:, 1] * dW[:, 1]
+            mg = np.empty((len(matrices),) + grad.shape, dtype=complex)
+            mg[..., 0] = m00 * grad[:, 0] + m01 * grad[:, 1]
+            mg[..., 1] = m10 * grad[:, 0] + m11 * grad[:, 1]
+            y += mg[..., 0] * dW[:, 0] + mg[..., 1] * dW[:, 1]
             if on_step is not None:
                 on_step(rows, i, grad, mg)
             W += dW
@@ -309,6 +332,7 @@ def transform_residuals(surface: GaussianMix, driver: BrownianDriver,
     worst = np.full(3, -np.inf)
 
     def residuals(rows, i, grad, mg):
+        mg = mg[0]
         k1r, k1i, k2r, k2i = mg[:, 0].real, mg[:, 0].imag, mg[:, 1].real, mg[:, 1].imag
         h = grad.real ** 2 + grad.imag ** 2
         ksum = (k1r ** 2 + k2r ** 2) + (k1i ** 2 + k2i ** 2)
@@ -318,7 +342,8 @@ def transform_residuals(surface: GaussianMix, driver: BrownianDriver,
             np.max(ksum - 4.0 * (h[:, 0] + h[:, 1])),
         ])
 
-    simulate(surface, driver, paths, batch, matrix=A_STAR, on_step=residuals)
+    simulate(surface, driver, paths, batch, matrices=A_STAR[None],
+             on_step=residuals)
     return {
         "max_orthogonality": float(worst[0]),
         "max_norm_mismatch": float(worst[1]),
@@ -400,40 +425,41 @@ def ab_by_conditioning(surface: GaussianMix, T: float, paths: int,
 def subordination_constants_mc(p: float, trials: int, seed: int = 0,
                                T: float = 8.0):
     """Observed transform-to-martingale moment ratios against the two
-    theoretical ceilings.
+    theoretical ceilings, for p > 2.
 
     For 6 random test surfaces f, simulated in 200 steps: ratio of (E|Y(T)|^p)^(1/p) to
     (E|2 X(T)|^p)^(1/p).  Y = A-star transform is conformal and
-    differentially subordinate to 2X, so the plain ceiling is p* - 1 and,
-    for p > 2, the conformal ceiling is sqrt(p(p-1)/2).  ratio_plain is
-    additionally maximized over random real-matrix transforms B star X
-    against the subordinating martingale |B| X.  Returns a dict with the
-    max observed ratios and their ceilings.
+    differentially subordinate to 2X, so the plain ceiling is p* - 1,
+    here p - 1, and the conformal ceiling is sqrt(p(p-1)/2); below p = 2
+    there is no conformal ceiling.  ratio_plain is the ratio of a random real-matrix transform
+    B star X to the subordinating martingale |B| X, maximized over the
+    surfaces; p* - 1 holds for any transform, so B rides on the same
+    simulated X as A-star: surface j is one pass on stream 10 + j.
+    Returns a dict with the max observed ratios and their ceilings.
     """
+    if p <= 2:
+        raise ValueError(f"p={p:g}: the conformal ceiling needs p > 2")
     rng = np.random.default_rng(seed)
     driver = BrownianDriver(2, T, 200, seed=seed)
     ratio_conf = 0.0
     ratio_plain = 0.0
+    norm = lambda z: float(np.mean(np.abs(z) ** p)) ** (1.0 / p)
     for j in range(6):
         surf = GaussianMix.random(rng, bumps=3)
-        X, Y = simulate(surf, driver, trials, batch=10 + j, matrix=A_STAR)
-        num = float(np.mean(np.abs(Y) ** p)) ** (1.0 / p)
-        den = float(np.mean(np.abs(2.0 * X) ** p)) ** (1.0 / p)
-        if den > 0:
-            ratio_conf = max(ratio_conf, num / den)
         # a random real transform matrix, subordination constant = |B|_op
         B = rng.normal(size=(2, 2))
         bnorm = float(np.linalg.svd(B, compute_uv=False)[0])
-        Xr, Yr = simulate(surf, driver, trials, batch=100 + j,
-                          matrix=B.astype(complex))
-        numr = float(np.mean(np.abs(Yr) ** p)) ** (1.0 / p)
-        denr = float(np.mean(np.abs(bnorm * Xr) ** p)) ** (1.0 / p)
+        X, (Y, Yr) = simulate(surf, driver, trials, batch=10 + j,
+                              matrices=np.stack([A_STAR, B]))
+        den = norm(2.0 * X)
+        if den > 0:
+            ratio_conf = max(ratio_conf, norm(Y) / den)
+        denr = norm(bnorm * X)
         if denr > 0:
-            ratio_plain = max(ratio_plain, numr / denr)
-    ps = max(p, p / (p - 1.0))
+            ratio_plain = max(ratio_plain, norm(Yr) / denr)
     return {
         "ratio_plain": ratio_plain,
-        "plain_ceiling": ps - 1.0,
+        "plain_ceiling": p - 1.0,
         "ratio_conformal": ratio_conf,
-        "conformal_ceiling": float(np.sqrt(p * (p - 1.0) / 2.0)) if p > 2 else None,
+        "conformal_ceiling": float(np.sqrt(p * (p - 1.0) / 2.0)),
     }

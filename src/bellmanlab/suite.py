@@ -382,44 +382,34 @@ def ratio_sweep_checks(p, etas):
 # stochastic
 
 
-def riemann_checks(a, b, steps, paths, seed):
-    demo = stochastic.riemann_gap_demo(a, b, steps, paths, seed=seed)
+def _sum_checks(demo, length):
     return [
         CheckResult("stoch.riemann-gap",
-                    abs(demo["ES2"] - (b - a)) - demo["ES2_ci"], 0.0, 0.0,
-                    "bound", f"b-a={b - a:g} inside 3 sigma"),
+                    abs(demo["ES2"] - length) - demo["ES2_ci"], 0.0, 0.0,
+                    "bound", f"b-a={length:g} inside 3 sigma"),
         CheckResult("stoch.variance", abs(demo["ES1"]) - demo["ES1_ci"],
                     0.0, 0.0, "bound", "left sums are centered"),
     ]
 
 
+def riemann_checks(a, b, steps, paths, seed):
+    return _sum_checks(stochastic.riemann_gap_demo(a, b, steps, paths, seed=seed),
+                       b - a)
+
+
 def _path_checks(steps, paths, sweep_steps, seed):
-    # streams of the seed: 0 drives riemann_checks, 1 the product, 2 the
-    # isometry, 6 the step-ladder sweep, 7 the transform residuals (3 is
-    # riemann_checks' W_a, 8 the conditioning bridges; stoch-constants
-    # draws 10-15 and 100-105)
-    out = []
-    drv = stochastic.BrownianDriver(1, 1.0, steps, seed=seed)
-    vals = stochastic.ito_integral(lambda w: w, drv, paths, batch=2)
-    iso_gap = abs(np.mean(vals ** 2) - 0.5)
-    iso_ci = 3.0 * np.std(vals ** 2) / np.sqrt(paths)
-    out.append(CheckResult("stoch.isometry", iso_gap - iso_ci, 0.0, 0.0,
+    # streams of the seed: 0 drives the 1-d study (both Riemann sums, the
+    # isometry and the product in one pass), 6 the step-ladder sweep, 7 the
+    # transform residuals (3 is riemann_checks' W_a, 8 the conditioning
+    # bridges; stoch-constants draws 10-15)
+    demo = stochastic.riemann_gap_demo(0.0, 1.0, steps, paths, seed=seed)
+    out = _sum_checks(demo, 1.0)
+    out.append(CheckResult("stoch.isometry",
+                           abs(demo["ES1_sq"] - 0.5) - demo["ES1_sq_ci"], 0.0, 0.0,
                            "bound", "E(int w dw)^2 = 1/2"))
-
-    # one pass gives both integrals and the reference E sum sin(w) cos(w) dt
-    drift = []
-
-    def sin_cos(w):
-        f, g = np.sin(w), np.cos(w)
-        drift.append(np.dot(f, g))
-        return np.stack([f, g])
-    f_int, g_int = stochastic.ito_integral(sin_cos, drv, paths, batch=1)
-    prod = f_int * g_int
-    ref = sum(drift) * drv.dt / paths
-    prod_gap = abs(np.mean(prod) - ref)
-    prod_ci = 3.0 * np.std(prod) / np.sqrt(paths)
-    out.append(CheckResult("stoch.product", prod_gap - prod_ci, 0.0, 0.0,
-                           "bound"))
+    out.append(CheckResult("stoch.product",
+                           abs(demo["EFG"] - demo["EFG_ref"]) - demo["EFG_ci"],
+                           0.0, 0.0, "bound"))
 
     surf = stochastic.GaussianMix.single(sigma2=0.8)
     sweep = stochastic.terminal_gap_sweep(surf, 4.0, sweep_steps,
@@ -539,9 +529,8 @@ EXPERIMENTS = {
     "laminate": lambda params, seed: (
         measure_checks("nu", 3.0, 1e-3, seed) + _quadrature_checks(3.0)
         + ratio_sweep_checks(3.0, params["etas"])),
-    "stoch-core": lambda params, seed: (
-        riemann_checks(0.0, 1.0, params["steps"], params["paths"], seed)
-        + _path_checks(params["steps"], params["paths"], params["sweep_steps"], seed)),
+    "stoch-core": lambda params, seed: _path_checks(
+        params["steps"], params["paths"], params["sweep_steps"], seed),
     "stoch-conditioning": lambda params, seed: conditioning_checks(
         params["T"], params["paths"], params["bins"], params["steps"],
         params["disc_tol"], seed),

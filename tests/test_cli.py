@@ -113,6 +113,14 @@ def test_ab_mc_with_fewer_than_two_paths_per_bin_is_usage_error(capsys):
         assert "at least 2" in err
 
 
+def test_constants_below_p_two_is_usage_error(capsys):
+    # no conformal ceiling below p = 2: the flag is refused, not crashed on
+    code, out, err = run_cli(capsys, "stoch", "constants", "--p", "1.5",
+                             "--trials", "200")
+    assert code == 2 and out == ""
+    assert "p > 2" in err
+
+
 def test_numeric_failures_exit_3(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "laminate", "check", "--p", "2", "--eta", "0.01")
     assert code == 3 and out == ""

@@ -90,6 +90,10 @@ def test_fast_tier_studies_draw_disjoint_streams(monkeypatch):
         run_experiment(name, params[name], seed=1)
     assert len(keys) >= 3
     assert [key for key, n in Counter(keys).items() if n > 1] == [], sorted(keys)
+    # one Brownian pass per study: the isometry and the product ride on the
+    # Riemann sums' stream 0, the real transforms on the conformal ones'
+    retired = {1, 2, *range(100, 106)}
+    assert [key for key in keys if key[1] in retired] == [], sorted(keys)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +113,27 @@ def test_riemann_gap_from_a_positive_start():
     assert abs(demo["ES2"] - 1.0) <= demo["ES2_ci"]
     # E S1^2 = int_a^b t dt = (b^2 - a^2) / 2 = 1
     assert abs(demo["ES1_sq"] - 1.0) <= demo["ES1_sq_ci"]
+
+
+def test_one_d_pass_matches_ito_integrals():
+    # the isometry and product statistics of the Riemann pass are those of
+    # ito_integral with integrands w, sin w and cos w on the same stream 0
+    steps, paths, seed = 64, 3000, 5
+    demo = st.riemann_gap_demo(0.0, 1.0, steps, paths, seed=seed)
+    drv = st.BrownianDriver(1, 1.0, steps, seed=seed)
+    drift = []
+
+    def integrands(w):
+        f, g = np.sin(w), np.cos(w)
+        drift.append(np.dot(f, g))
+        return np.stack([w, f, g])
+    s1, f, g = st.ito_integral(integrands, drv, paths)
+    half = lambda x: 3.0 * np.std(x) / np.sqrt(paths)
+    expect = {"ES1_sq": np.mean(s1 ** 2), "ES1_sq_ci": half(s1 ** 2),
+              "EFG": np.mean(f * g), "EFG_ci": half(f * g),
+              "EFG_ref": sum(drift) * drv.dt / paths}
+    for key, value in expect.items():
+        assert demo[key] == pytest.approx(value, rel=0, abs=1e-12), key
 
 
 def test_riemann_gap_degenerate():
@@ -177,7 +202,7 @@ def test_ito_integral_memory_is_per_step():
 def test_linear_input_gives_exact_martingale():
     # f(z) = z has constant gradient: X(t) = W_t exactly, no time error
     drv = st.BrownianDriver(2, 2.0, 16, seed=6)
-    X, _ = st.simulate(HoloPoly(1), drv, 256, matrix=st.A_STAR)
+    X, _ = st.simulate(HoloPoly(1), drv, 256, matrices=st.A_STAR[None])
     inc = increments(drv, 256)
     w_end = inc[:, :, 0].sum(0) + 1j * inc[:, :, 1].sum(0)
     assert np.max(np.abs(X - w_end)) < 1e-12
@@ -186,7 +211,7 @@ def test_linear_input_gives_exact_martingale():
 def test_martingale_mean_is_initial_value():
     surf = st.GaussianMix.single(sigma2=0.8)
     drv = st.BrownianDriver(2, 4.0, 64, seed=7)
-    X, _ = st.simulate(surf, drv, 20000, matrix=st.A_STAR)
+    X, _ = st.simulate(surf, drv, 20000, matrices=st.A_STAR[None])
     u0 = surf.value(4.0, np.zeros((1, 2)))[0]
     gap = abs(np.mean(X) - u0)
     assert gap <= 3.0 * np.std(X.real) / np.sqrt(20000) + 1e-12
@@ -241,8 +266,24 @@ def test_semigroup_property_of_closed_form():
 
 def test_holomorphic_input_vanishes():
     drv = st.BrownianDriver(2, 2.0, 32, seed=9)
-    _, Y = st.simulate(HoloPoly(2), drv, 64, matrix=st.A_STAR)
+    _, Y = st.simulate(HoloPoly(2), drv, 64, matrices=st.A_STAR[None])
+    assert Y.shape == (1, 64)
     assert np.max(np.abs(Y)) == 0.0
+
+
+def test_stacked_transforms_match_single_matrix_runs():
+    # X is one martingale whatever the stack; each Y row is the transform
+    # that matrix alone gives, and the A_STAR row is bit for bit the same
+    surf = st.GaussianMix.random(np.random.default_rng(20), bumps=3)
+    drv = st.BrownianDriver(2, 4.0, 32, seed=21)
+    B = np.random.default_rng(22).normal(size=(2, 2))
+    X, Y = st.simulate(surf, drv, 500, batch=10, matrices=np.stack([st.A_STAR, B]))
+    assert Y.shape == (2, 500)
+    X1, Y1 = st.simulate(surf, drv, 500, batch=10, matrices=st.A_STAR[None])
+    assert np.array_equal(X, X1)
+    assert np.array_equal(Y[0], Y1[0])
+    _, YB = st.simulate(surf, drv, 500, batch=10, matrices=B[None].astype(complex))
+    assert np.allclose(Y[1], YB[0], rtol=0, atol=1e-13)
 
 
 def test_conformality_and_subordination_pathwise():
@@ -335,6 +376,12 @@ def test_subordination_constants():
     assert rep["ratio_plain"] <= rep["plain_ceiling"]
     assert rep["ratio_conformal"] <= rep["conformal_ceiling"]
     assert rep["conformal_ceiling"] == pytest.approx(np.sqrt(6.0))
+
+
+def test_constants_need_p_above_two():
+    for p in (1.5, 2.0):
+        with pytest.raises(ValueError, match="p > 2"):
+            st.subordination_constants_mc(p, trials=10, seed=0)
 
 
 def test_constants_stationary_in_horizon():
