@@ -431,11 +431,12 @@ def subordination_constants_mc(p: float, trials: int, seed: int = 0,
     (E|2 X(T)|^p)^(1/p).  Y = A-star transform is conformal and
     differentially subordinate to 2X, so the plain ceiling is p* - 1,
     here p - 1, and the conformal ceiling is sqrt(p(p-1)/2); below p = 2
-    there is no conformal ceiling.  ratio_plain is the ratio of a random real-matrix transform
-    B star X to the subordinating martingale |B| X, maximized over the
-    surfaces; p* - 1 holds for any transform, so B rides on the same
-    simulated X as A-star: surface j is one pass on stream 10 + j.
-    Returns a dict with the max observed ratios and their ceilings.
+    there is no conformal ceiling.  ratio_plain is the ratio of a random
+    real-matrix transform B star X to the subordinating martingale |B| X,
+    maximized over the surfaces; p* - 1 holds for any transform, so B
+    rides on the same simulated X as A-star: surface j is one pass on
+    stream 10 + j.  Returns a dict with the max observed ratios and their
+    ceilings.
     """
     if p <= 2:
         raise ValueError(f"p={p:g}: the conformal ceiling needs p > 2")
