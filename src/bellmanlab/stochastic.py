@@ -14,14 +14,14 @@ counter-based: stream `batch` of a driver is keyed by Philox (seed, batch)
 and block c starts at counter (0, 0, c, 0), so a block's draws depend only
 on (seed, batch, c), never on which blocks were drawn before it.
 
-The engine feeds the 1-d Riemann-sum and Ito-integral studies and one
-planar martingale simulator, `simulate`: X(t) = u(T - t, W_t) as a sum of
-gradient increments and its transforms Y by a stack of 2x2 matrices, all
-read off the same path set.  The pathwise transform residuals and the
-moment-ratio constants run on `simulate`.  The step-ladder sweep keeps
-its own loop, which carries per-level state, and the conditioning study
-turns the engine's increments into Brownian bridges pinned at each bin
-center, so it conditions on the endpoint W_T directly.
+The engine feeds the 1-d study and one planar martingale simulator,
+`simulate`: X(t) = u(T - t, W_t) as a sum of gradient increments and its
+transforms Y by a stack of 2x2 matrices, all read off the same path set.
+The pathwise transform residuals and the moment-ratio constants run on
+`simulate`.  The step-ladder sweep keeps its own loop, which carries
+per-level state, and the conditioning study turns the engine's
+increments into Brownian bridges pinned at each bin center, so it
+conditions on the endpoint W_T directly.
 
 In the suite each study of a seed draws its own streams, once: 0 the 1-d
 study (the Riemann sums, the isometry and the sin/cos product in one
@@ -42,7 +42,6 @@ __all__ = [
     "CHUNK_PATHS",
     "BrownianDriver",
     "riemann_gap_demo",
-    "ito_integral",
     "GaussianMix",
     "simulate",
     "terminal_gap_sweep",
@@ -102,9 +101,11 @@ def riemann_gap_demo(a: float, b: float, steps: int, paths: int, seed: int = 0):
     S1 is the adapted (left-point) sum with mean 0 and second moment
     (b^2 - a^2) / 2; S2 differs by the accumulated squared increments,
     mean b - a.  E FG equals E sum sin w cos w dt, which the same pass
-    returns as `EFG_ref`.  Returns a dict with point estimates and
-    half-widths.  The increments are stream 0 of the seed; W_a, for a > 0,
-    is one step of variance a on stream 3.
+    returns as `EFG_ref`: summed per path over the steps, then over the
+    paths by numpy's pairwise sum, so no BLAS thread count changes its
+    bits.  Returns a dict with point estimates and half-widths.  The
+    increments are stream 0 of the seed; W_a, for a > 0, is one step of
+    variance a on stream 3.
     """
     if b < a:
         raise ValueError("need a <= b")
@@ -126,10 +127,11 @@ def riemann_gap_demo(a: float, b: float, steps: int, paths: int, seed: int = 0):
         acc2 = np.zeros(len(w))
         f_int = np.zeros(len(w))
         g_int = np.zeros(len(w))
+        fg_dt = np.zeros(len(w))
         for inc in incs:
             dw = inc[:, 0]
             f, g = np.sin(w), np.cos(w)
-            drift += np.dot(f, g)
+            fg_dt += f * g
             f_int += f * dw
             g_int += g * dw
             acc1 += w * dw
@@ -138,6 +140,7 @@ def riemann_gap_demo(a: float, b: float, steps: int, paths: int, seed: int = 0):
         s1[rows] = acc1
         s2[rows] = acc2
         fg[rows] = f_int * g_int
+        drift += float(np.sum(fg_dt))
     half = lambda x: 3.0 * float(np.std(x)) / np.sqrt(paths)
     return {
         "ES1": float(np.mean(s1)), "ES1_ci": half(s1),
@@ -146,29 +149,6 @@ def riemann_gap_demo(a: float, b: float, steps: int, paths: int, seed: int = 0):
         "EFG": float(np.mean(fg)), "EFG_ci": half(fg),
         "EFG_ref": float(drift * driver.dt / paths),
     }
-
-
-def ito_integral(process, driver: BrownianDriver, paths: int, batch: int = 0):
-    """Samples of sum_i f(t_i) (w(t_{i+1}) - w(t_i)) for a 1-d driver.
-
-    `process(w)` is called once per step of each block with w(t_i), the
-    block's paths at the current node, shape (m,); the engine keeps no
-    other step, so the integrand is adapted.  It returns the integrand per
-    path, shape (m,), or k integrands against the same increments, shape
-    (k, m); the result then has shape (k, paths).
-    """
-    if driver.dimension != 1:
-        raise ValueError("ito_integral expects a 1-d driver")
-    parts = []
-    for rows, incs in driver.chunks(paths, batch):
-        w = np.zeros(rows.stop - rows.start)
-        total = 0.0
-        for inc in incs:
-            dw = inc[:, 0]
-            total = total + np.asarray(process(w)) * dw
-            w = w + dw      # a new array: one handed to `process` is not changed
-        parts.append(total)
-    return np.concatenate(parts, axis=-1)
 
 
 # ---------------------------------------------------------------------------

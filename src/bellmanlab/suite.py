@@ -5,8 +5,10 @@ parameters that returns its CheckResults.  The command line runs the same
 builders, so an id means the same check wherever it is reported.  Each
 experiment is a pure function (params, seed) -> [CheckResult] composed of
 builders; the suite runner assembles a RunReport from a named tier
-('fast' or 'full').  Results are merged in name order, so reports are
-deterministic for a fixed (tier, seed) regardless of the worker count.
+('fast' or 'full').  Experiments are submitted to the worker threads
+heaviest first, so the long stochastic ones never start last, and their
+results are merged in name order, so reports are deterministic for a
+fixed (tier, seed) regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -588,19 +590,31 @@ def run_experiment(name: str, params: dict, seed: int = 0):
     return EXPERIMENTS[name](params, seed)
 
 
+# Submitted first, in this order; the rest follow in name order.  The
+# longest experiments of both tiers, so that no worker starts one of them
+# while the others sit idle near the end of a run.
+_HEAVIEST_FIRST = ("stoch-core", "stoch-constants", "stoch-conditioning",
+                   "planar-ascent", "dyadic")
+
+
 def run_suite(tier: str = "fast", seed: int = 0,
               workers: int = 1, skip: tuple = ()) -> RunReport:
     """Run the whole battery on `workers` threads.  Experiments named in
-    `skip` are omitted (skipped, not failed); results are merged in name
-    order, and the report sorts its entries when it serializes them."""
+    `skip` are omitted (skipped, not failed).  Experiments are submitted
+    heaviest first (`_HEAVIEST_FIRST`, then name order) and their results
+    merged in name order, so the report does not depend on the worker
+    count or the order in which experiments finish.  The report also
+    sorts its entries when it serializes them."""
     params = tier_params(tier)
     names = [n for n in sorted(EXPERIMENTS) if n not in skip]
+    order = ([n for n in _HEAVIEST_FIRST if n in names]
+             + [n for n in names if n not in _HEAVIEST_FIRST])
     report = RunReport(config={"tier": tier, "seed": seed,
                                "skip": ",".join(sorted(skip))})
     start = time.perf_counter()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for results in pool.map(run_experiment, names, [params[n] for n in names],
-                                [seed] * len(names)):
-            report.extend(results)
+        futures = {n: pool.submit(run_experiment, n, params[n], seed) for n in order}
+        for n in names:
+            report.extend(futures[n].result())
     report.wall_time = time.perf_counter() - start
     return report

@@ -19,6 +19,7 @@ from bellmanlab import laminate as lam
 from bellmanlab import planar as pl
 from bellmanlab import qcmaps as qc
 from bellmanlab import stochastic as st
+from bellmanlab import suite
 from bellmanlab.suite import run_suite
 
 
@@ -250,10 +251,11 @@ def fast_seed1_report():
 def test_criterion_11_reproducibility(fast_seed1_report):
     # instantiated at the fast tier for wall-clock reasons: the runner
     # threads one seed through every experiment identically in both tiers,
-    # and no entry depends on clocks or global state
+    # and no entry depends on clocks, global state, the worker count or
+    # the order in which experiments run
     known_red = {"bellman.interp-sweep", "planar.ascent-ratio"}
     rep_a = fast_seed1_report
-    rep_b = run_suite("fast", seed=1)
+    rep_b = run_suite("fast", seed=1, workers=2)
     identical = rep_a.canonical_json() == rep_b.canonical_json()
     rep_c = run_suite("fast", seed=2)
     pattern_match = rep_a.pass_pattern == rep_c.pass_pattern
@@ -264,6 +266,21 @@ def test_criterion_11_reproducibility(fast_seed1_report):
                  f"same-seed reports bit-identical: {identical}; seeds 1,2 "
                  f"pass/fail patterns equal: {pattern_match}; unexpected "
                  f"failures: {sorted(unexpected) or 'none'}")
+
+
+def test_suite_submits_heaviest_first_and_merges_by_name(monkeypatch):
+    calls = []
+
+    def fake_experiment(name, params, seed=0):
+        calls.append(name)
+        return [name]
+    monkeypatch.setattr(suite, "run_experiment", fake_experiment)
+    skip = ("dyadic", "laminate", "qc")
+    report = suite.run_suite("fast", seed=1, workers=1, skip=skip)
+    kept = sorted(n for n in suite.EXPERIMENTS if n not in skip)
+    heaviest = ["stoch-core", "stoch-constants", "stoch-conditioning", "planar-ascent"]
+    assert calls == heaviest + [n for n in kept if n not in heaviest]
+    assert report.entries == kept
 
 
 def test_golden_fast_seed1_report(fast_seed1_report):

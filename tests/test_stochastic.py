@@ -1,6 +1,10 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,28 @@ class HoloPoly:
     def gradient(self, t, x):
         d = self.m * (x[..., 0] + 1j * x[..., 1]) ** (self.m - 1)
         return np.stack([d, 1j * d], axis=-1)
+
+
+def ito_integral(process, driver, paths, batch=0):
+    """Samples of sum_i f(t_i) (w(t_{i+1}) - w(t_i)) for a 1-d driver: the
+    reference the one-pass statistics of `riemann_gap_demo` are held to.
+
+    `process(w)` is called once per step of each block with w(t_i), the
+    block's paths at the current node, shape (m,); the engine keeps no
+    other step, so the integrand is adapted.  It returns the integrand per
+    path, shape (m,), or k integrands against the same increments, shape
+    (k, m); the result then has shape (k, paths).
+    """
+    parts = []
+    for rows, incs in driver.chunks(paths, batch):
+        w = np.zeros(rows.stop - rows.start)
+        total = 0.0
+        for inc in incs:
+            dw = inc[:, 0]
+            total = total + np.asarray(process(w)) * dw
+            w = w + dw      # a new array: one handed to `process` is not changed
+        parts.append(total)
+    return np.concatenate(parts, axis=-1)
 
 
 def increments(driver, paths, batch=0):
@@ -127,13 +153,29 @@ def test_one_d_pass_matches_ito_integrals():
         f, g = np.sin(w), np.cos(w)
         drift.append(np.dot(f, g))
         return np.stack([w, f, g])
-    s1, f, g = st.ito_integral(integrands, drv, paths)
+    s1, f, g = ito_integral(integrands, drv, paths)
     half = lambda x: 3.0 * np.std(x) / np.sqrt(paths)
     expect = {"ES1_sq": np.mean(s1 ** 2), "ES1_sq_ci": half(s1 ** 2),
               "EFG": np.mean(f * g), "EFG_ci": half(f * g),
               "EFG_ref": sum(drift) * drv.dt / paths}
     for key, value in expect.items():
         assert demo[key] == pytest.approx(value, rel=0, abs=1e-12), key
+
+
+def test_drift_reference_ignores_the_blas_thread_count():
+    # EFG_ref must carry the same bits whatever the core count: a BLAS dot
+    # product splits its sum by thread, so the canonical report would not
+    code = ("from bellmanlab import stochastic as st; "
+            "print(repr(st.riemann_gap_demo(0, 1, 400, 20000, seed=1)['EFG_ref']))")
+    src = str(Path(st.__file__).resolve().parents[1])
+    printed = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        printed.append(out.stdout.strip())
+    assert printed[0] == printed[1], printed
 
 
 def test_riemann_gap_degenerate():
@@ -147,7 +189,7 @@ def test_riemann_gap_degenerate():
 
 def test_integral_of_one_is_endpoint_difference():
     drv = st.BrownianDriver(1, 1.0, 128, seed=2)
-    vals = st.ito_integral(np.ones_like, drv, 30000)
+    vals = ito_integral(np.ones_like, drv, 30000)
     assert abs(np.mean(vals)) < 4.0 * np.std(vals) / np.sqrt(30000)
     assert np.var(vals) == pytest.approx(1.0, rel=0.05)
 
@@ -155,7 +197,7 @@ def test_integral_of_one_is_endpoint_difference():
 def test_isometry_for_w_dw():
     # E (int w dw)^2 = int_0^1 t dt = 1/2 within 3 sigma
     drv = st.BrownianDriver(1, 1.0, 256, seed=3)
-    vals = st.ito_integral(lambda w: w, drv, 40000)
+    vals = ito_integral(lambda w: w, drv, 40000)
     second = vals ** 2
     assert abs(np.mean(second) - 0.5) <= 3.0 * np.std(second) / np.sqrt(40000)
 
@@ -163,8 +205,8 @@ def test_isometry_for_w_dw():
 def test_product_identity():
     drv = st.BrownianDriver(1, 1.0, 256, seed=4)
     paths = 40000
-    f = st.ito_integral(np.sin, drv, paths, batch=2)
-    g = st.ito_integral(np.cos, drv, paths, batch=2)
+    f = ito_integral(np.sin, drv, paths, batch=2)
+    g = ito_integral(np.cos, drv, paths, batch=2)
     prod = f * g
     inc = increments(drv, paths, 2)[:, :, 0]
     w = np.concatenate([np.zeros((1, paths)), np.cumsum(inc, axis=0)], axis=0)[:-1]
@@ -174,11 +216,11 @@ def test_product_identity():
 
 def test_vector_integrand_matches_scalar_integrals():
     drv = st.BrownianDriver(1, 1.0, 64, seed=4)
-    both = st.ito_integral(lambda w: np.stack([np.sin(w), np.cos(w)]),
+    both = ito_integral(lambda w: np.stack([np.sin(w), np.cos(w)]),
                            drv, 1000, batch=2)
     assert both.shape == (2, 1000)
     for k, fn in enumerate((np.sin, np.cos)):
-        one = st.ito_integral(fn, drv, 1000, batch=2)
+        one = ito_integral(fn, drv, 1000, batch=2)
         assert np.array_equal(both[k], one)
 
 
@@ -188,7 +230,7 @@ def test_ito_integral_memory_is_per_step():
     drv = st.BrownianDriver(1, 1.0, steps, seed=6)
     tracemalloc.start()
     try:
-        st.ito_integral(lambda w: w, drv, paths)
+        ito_integral(lambda w: w, drv, paths)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
