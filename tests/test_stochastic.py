@@ -38,6 +38,8 @@ def ito_integral(process, driver, paths, batch=0):
     path, shape (m,), or k integrands against the same increments, shape
     (k, m); the result then has shape (k, paths).
     """
+    if driver.dimension != 1:
+        raise ValueError("ito_integral expects a 1-d driver")
     parts = []
     for rows, incs in driver.chunks(paths, batch):
         w = np.zeros(rows.stop - rows.start)
@@ -170,8 +172,7 @@ def test_drift_reference_ignores_the_blas_thread_count():
     src = str(Path(st.__file__).resolve().parents[1])
     printed = []
     for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=120)
         printed.append(out.stdout.strip())
