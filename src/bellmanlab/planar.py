@@ -17,9 +17,11 @@ their sum is the identity on mean-zero fields); with that convention the
 transform decomposes as R_1^2 - R_2^2 - 2i R_1R_2 and the quadratic-form
 representation through heat extensions carries a positive sign.
 
-A multiplier is its symbol (k1, k2) -> array, zero mode included.
-Singular symbols are 0 at the zero frequency: every such operator acts
-on the mean-zero part of its input and returns a mean-zero field.
+A multiplier is its symbol (k1, k2) -> array, zero mode included.  The
+symbol is evaluated on broadcastable frequency axes, k1 a column and k2 a
+row, and its value must broadcast to the N x N grid.  Singular symbols
+are 0 at the zero frequency: every such operator acts on the mean-zero
+part of its input and returns a mean-zero field.
 
 Band edge: symbols are evaluated at the canonical fftfreq representative,
 so the Nyquist plane (where +N/2 and -N/2 alias) picks the negative sign.
@@ -111,18 +113,20 @@ def gaussian_bump(n: int, box: float, sigma: float = 1.0, center=(0.0, 0.0),
 
 
 @lru_cache(maxsize=32)
-def _freq_grids(n: int, box: float):
+def _freq_axes(n: int, box: float):
+    """Read-only frequency axes: k1 a column (n, 1), k2 a row (1, n)."""
     k = 2.0 * np.pi / box * np.fft.fftfreq(n) * n
-    k1, k2 = np.meshgrid(k, k, indexing="ij")
-    k1.setflags(write=False)
-    k2.setflags(write=False)
-    return k1, k2
+    k.setflags(write=False)
+    return k[:, None], k[None, :]
 
 
 def _safe_ratio(num, den):
-    out = np.zeros(np.broadcast(num, den).shape, dtype=complex)
-    nz = den != 0
-    out[nz] = np.asarray(num, dtype=complex)[nz] / den[nz]
+    """num / den, 0 where den == 0, divided in num's complex temporary."""
+    out = np.asarray(num, dtype=complex)
+    if out.shape != den.shape:
+        out = np.broadcast_to(out, den.shape).copy()
+    np.divide(out, den, out=out, where=den != 0)
+    out[den == 0] = 0
     return out
 
 
@@ -153,8 +157,12 @@ def riesz_diff_multiplier() -> Callable:
 
 
 def apply_multiplier(mult: Callable, f: GridField) -> GridField:
-    out = np.fft.ifft2(mult(*_freq_grids(f.n, f.box)) * np.fft.fft2(f.values))
-    return GridField(f.box, out)
+    symbol = mult(*_freq_axes(f.n, f.box))
+    spec = np.fft.fft2(f.values)
+    np.multiply(symbol, spec, out=spec)
+    del symbol  # ifft2 makes 2 grids of its own beside spec
+    # no out= on ifft2: numpy 2.4.6 ignores it and returns a new array
+    return GridField(f.box, np.fft.ifft2(spec))
 
 
 def ab_transform(f: GridField) -> GridField:
@@ -217,7 +225,7 @@ def identity_1_13_check(phi: GridField, psi: GridField, tmax: float,
         raise ValueError("fields must share a grid")
     n, box = phi.n, phi.box
     dA = phi.cell_area
-    k1, k2 = _freq_grids(n, box)
+    k1, k2 = _freq_axes(n, box)
     P = np.fft.fft2(phi.values)
     S = np.fft.fft2(psi.values)
     lhs = float(np.real(np.sum(
@@ -328,7 +336,7 @@ def ap_class(w: PlanarWeight, sampling: DiscSampling = DiscSampling()) -> float:
 def ap_heat(w: PlanarWeight, sampling: HeatSampling = HeatSampling()) -> float:
     """sup over sampled (x, t) of w(x,t) (w^{-1/(p-1)}(x,t))^{p-1}, p = w.p,
     the extensions taken with this module's heat kernel."""
-    k1, k2 = _freq_grids(w.field.n, w.field.box)
+    k1, k2 = _freq_axes(w.field.n, w.field.box)
     times = (w.field.box ** 2 / 4.0 ** j for j in range(sampling.levels + 1))
     return _sup_characteristic(
         w, ((heat_multiplier(t)(k1, k2), 1.0) for t in times), sampling.stride)
@@ -363,7 +371,7 @@ def norm_ratio_ascent(op: Callable, p: float, n: int = 256,
     """
     if p < 2:
         raise ValueError("ascent is set up for p >= 2")
-    m = op(*_freq_grids(n, 1.0))
+    m = op(*_freq_axes(n, 1.0))
     madj = np.conj(m)
     rng = np.random.default_rng(seed)
     f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .planar import GridField, conj_ab_transform, grid_coordinates
+from .planar import GridField, conj_ab_transform
 
 __all__ = [
     "CHUNK_PATHS",
@@ -221,7 +221,9 @@ class GaussianMix:
         return out
 
     def on_grid(self, n: int, box: float) -> GridField:
-        pts = np.stack(grid_coordinates(n, box), axis=-1)
+        x = (np.arange(n) - n // 2) * box / n  # as planar.grid_coordinates
+        pts = np.empty((n, n, 2))
+        pts[..., 0], pts[..., 1] = x[:, None], x
         return GridField(box, self.value(0.0, pts))
 
 

@@ -225,37 +225,47 @@ def strip_checks(delta, grid):
 
 
 def _spectral_checks(n, seed):
+    """Each check has its own helper, which frees its fields on return."""
+    dbar = _dbar_check(n)
     rng = np.random.default_rng(seed)
-    out = []
     f = planar.GridField(1.0, rng.standard_normal((n, n))
                          + 1j * rng.standard_normal((n, n)))
+    roundtrip = _roundtrip_check(f, n)
+    f.values -= f.values.mean()  # in place, so no second field is held
+    return [roundtrip, dbar] + _isometry_checks(f, n)
+
+
+def _roundtrip_check(f, n):
     back = np.fft.ifft2(np.fft.fft2(f.values))
-    out.append(CheckResult("planar.fft-roundtrip",
-                           float(np.max(np.abs(back - f.values))), 0.0, 1e-12,
-                           "match", f"n={n}"))
+    return CheckResult("planar.fft-roundtrip",
+                       float(np.max(np.abs(back - f.values))), 0.0, 1e-12,
+                       "match", f"n={n}")
+
+
+def _dbar_check(n):
     u = planar.gaussian_bump(n, 8.0, sigma=0.5)
-    du = planar.d_z(u)
+    # du is made after the transform, so that d_zbar(u) is no longer held
     ab_dbar = planar.ab_transform(planar.d_zbar(u))
-    out.append(CheckResult(
+    du = planar.d_z(u)
+    return CheckResult(
         "planar.dbar-to-d",
         float(np.max(np.abs(ab_dbar.values - du.values))) / du.norm(2.0),
-        0.0, 1e-6, "match", f"n={n}"))
+        0.0, 1e-6, "match", f"n={n}")
 
-    # f0's transform is made last, so that it is not held while the
-    # other fields are made (it would raise the peak memory)
-    f0 = planar.GridField(1.0, f.values - f.values.mean())
+
+def _isometry_checks(f0, n):
+    """Isometry and Riesz decomposition of the transform on mean-zero f0."""
     dec = (planar.riesz_sq(1, f0).values - planar.riesz_sq(2, f0).values
            - 2j * planar.riesz_mixed(f0).values)
     ab_f0 = planar.ab_transform(f0)
-    out.append(CheckResult(
-        "planar.ab-isometry",
-        abs(ab_f0.norm(2.0) - f0.norm(2.0)) / f0.norm(2.0),
-        0.0, 1e-12, "match", f"n={n}"))
-    out.append(CheckResult(
-        "planar.ab-decomposition",
-        float(np.max(np.abs(ab_f0.values - dec))),
-        0.0, 1e-12, "match"))
-    return out
+    return [
+        CheckResult("planar.ab-isometry",
+                    abs(ab_f0.norm(2.0) - f0.norm(2.0)) / f0.norm(2.0),
+                    0.0, 1e-12, "match", f"n={n}"),
+        CheckResult("planar.ab-decomposition",
+                    float(np.max(np.abs(ab_f0.values - dec))), 0.0, 1e-12,
+                    "match"),
+    ]
 
 
 def heat_identity_checks(ladder):

@@ -1,5 +1,6 @@
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,12 +88,76 @@ def test_conj_ab_is_conjugate_on_real():
     assert np.max(np.abs(np.conj(a) - b)) < 1e-12
 
 
+def test_symbols_are_fresh_grids_on_read_only_axes():
+    n = 32
+    k1, k2 = pl._freq_axes(n, 1.0)
+    assert (k1.shape, k2.shape) == ((n, 1), (1, n))
+    assert not k1.flags.writeable and not k2.flags.writeable
+    singular = [pl.ab_multiplier(), pl.conj_ab_multiplier(),
+                pl.riesz_sq_multiplier(1), pl.riesz_sq_multiplier(2),
+                pl.riesz_mixed_multiplier(), pl.riesz_diff_multiplier()]
+    for mult in singular + [pl.heat_multiplier(0.0), pl.heat_multiplier(0.3)]:
+        s = mult(k1, k2)
+        assert s.shape == (n, n) and s.flags.writeable
+        assert not np.shares_memory(s, k1) and not np.shares_memory(s, k2)
+    for mult in singular:
+        s = mult(k1, k2)
+        assert s.dtype == complex and s[0, 0].tobytes() == bytes(16)  # +0 + 0j
+    f = random_field(n, seed=11)
+    before = f.values.copy()
+    pl.apply_multiplier(pl.ab_multiplier(), f)
+    assert np.array_equal(f.values, before)
+
+
+# ---------------------------------------------------------------------------
+# memory: tracemalloc counts numpy's allocations, so these bounds are
+# deterministic (resident memory is not)
+
+
+def traced(fn):
+    """Bytes at the peak of fn() and still held once its result is dropped,
+    both above what was held before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+        del result
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    return peak, held
+
+
+def test_apply_multiplier_holds_three_grids():
+    n = 256
+    f = random_field(n, seed=12)
+    peak, _ = traced(lambda: pl.apply_multiplier(pl.ab_multiplier(), f))
+    assert peak <= 3 * 16 * n * n + 64 * 1024
+
+
+def test_frequency_cache_holds_no_grid():
+    pl._freq_axes.cache_clear()
+    f = random_field(512, seed=13)
+    _, held = traced(lambda: pl.apply_multiplier(pl.ab_multiplier(), f))
+    assert held < 64 * 1024
+
+
+def test_spectral_experiment_memory():
+    params = suite.tier_params("full")["planar-spectral"]
+    pl._freq_axes.cache_clear()
+    peak, held = traced(lambda: suite.run_experiment("planar-spectral", params, 1))
+    assert peak <= 32 * 2 ** 20
+    assert held < 64 * 1024
+
+
 # ---------------------------------------------------------------------------
 # heat extension
 
 
 def test_heat_zero_time_and_constants():
-    assert np.all(pl.heat_multiplier(0.0)(*pl._freq_grids(64, 1.0)) == 1.0)
+    assert np.all(pl.heat_multiplier(0.0)(*pl._freq_axes(64, 1.0)) == 1.0)
     c = pl.GridField(1.0, np.full((32, 32), 2.5 + 0j))
     for t in (0.1, 1.0, 10.0):
         out = pl.apply_multiplier(pl.heat_multiplier(t), c)
