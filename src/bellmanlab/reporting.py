@@ -1,11 +1,13 @@
 """Machine-readable run reports.
 
 Every check emits a CheckResult carrying a stable identifier from the
-registry below, the measured value, the target and tolerance that decide
-pass/fail, and a kind flag ('bound', 'match', 'report').  'report' entries
-never fail a run.  A RunReport serializes deterministically: the canonical
-payload (config echo + entries) is byte-stable for a fixed (config, seed);
-wall time and version are emitted outside the canonical section.
+registry below, the measured value, and the target and tolerance that
+decide pass/fail by one rule: an entry passes iff value <= target +
+tolerance (so a NaN value fails).  An entry without a target is
+informational and always passes.  A RunReport serializes
+deterministically: the canonical payload (config echo + entries) is
+byte-stable for a fixed (config, seed); wall time and version are emitted
+outside the canonical section.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 __all__ = ["CheckResult", "RunReport", "CHECK_REGISTRY"]
 
@@ -79,29 +81,19 @@ class CheckResult:
     check_id: str
     value: float
     target: float | None = None
-    tolerance: float | None = None
-    kind: str = "bound"       # 'bound': value <= target (+tolerance);
-                              # 'match': |value - target| <= tolerance;
-                              # 'report': informational only
-    detail: str = ""
+    tolerance: float = 0.0
+    detail: str = field(default="", kw_only=True)
 
     def __post_init__(self):
         if self.check_id not in CHECK_REGISTRY:
             raise KeyError(f"unregistered check id {self.check_id!r}")
-        if self.kind not in ("bound", "match", "report"):
-            raise ValueError("kind must be bound, match or report")
         self.value = float(self.value)
         self.target = None if self.target is None else float(self.target)
-        self.tolerance = None if self.tolerance is None else float(self.tolerance)
+        self.tolerance = float(self.tolerance)
 
     @property
     def passed(self) -> bool:
-        if self.kind == "report":
-            return True
-        tol = self.tolerance or 0.0
-        if self.kind == "bound":
-            return bool(self.value <= self.target + tol)
-        return bool(abs(self.value - self.target) <= tol)
+        return self.target is None or self.value <= self.target + self.tolerance
 
 
 @dataclass
@@ -145,10 +137,12 @@ class RunReport:
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["check_id", "value", "target", "tolerance", "kind",
-                         "passed", "detail"])
+        columns = [f.name for f in fields(CheckResult)]
+        columns.insert(-1, "passed")  # before the free-text detail
+        writer.writerow(columns)
         for e in sorted(self.entries, key=lambda x: (x.check_id, x.detail)):
-            writer.writerow([e.check_id, repr(e.value), repr(e.target),
-                             repr(e.tolerance), e.kind, int(e.passed), e.detail])
+            row = {**asdict(e), "passed": int(e.passed)}
+            writer.writerow([v if isinstance(v, str) else repr(v)
+                             for v in map(row.get, columns)])
         return out.getvalue()
 

@@ -183,12 +183,22 @@ class GaussianMix:
         return cls(amp, cen, s2)
 
     def value(self, t: float, x: np.ndarray) -> np.ndarray:
-        """u^f(t, x); x has shape (..., 2)."""
-        out = 0.0
+        """u^f(t, x); x has shape (..., 2).  The bumps accumulate in place
+        in one complex array, real and imaginary parts apart, with two real
+        scratch arrays; the sum is bit-identical to adding complex terms."""
+        out = np.zeros(x.shape[:-1], dtype=complex)
+        re, im = out.real, out.imag
+        r2, tmp = np.empty(out.shape), np.empty(out.shape)
         for a, c, s2 in zip(self.amplitudes, self.centers, self.sigma2):
             s = s2 + t
-            r2 = (x[..., 0] - c[0]) ** 2 + (x[..., 1] - c[1]) ** 2
-            out = out + a * (s2 / s) * np.exp(-r2 / (2.0 * s))
+            np.square(np.subtract(x[..., 0], c[0], out=r2), out=r2)
+            r2 += np.square(np.subtract(x[..., 1], c[1], out=tmp), out=tmp)
+            np.negative(r2, out=r2)
+            r2 /= 2.0 * s
+            e = np.exp(r2, out=r2)
+            k = a * (s2 / s)
+            re += np.multiply(e, k.real, out=tmp)
+            im += np.multiply(e, k.imag, out=tmp)
         return out
 
     def gradient(self, t: float, x: np.ndarray) -> np.ndarray:

@@ -43,18 +43,17 @@ def _dyadic_checks(depth, seed):
     coeffs = dyadic.haar_coefficients(f)
     energy = sum(float(np.sum(c ** 2)) for c in coeffs) + float(f.mean) ** 2
     out.append(CheckResult("dyadic.parseval", abs(energy - f.norm(2.0) ** 2),
-                           0.0, 1e-12, "match", f"depth={depth}"))
+                           0.0, 1e-12, detail=f"depth={depth}"))
 
     tf = dyadic.martingale_transform(f, dyadic.random_signs(depth, rng))
     mean_zero = dyadic.DyadicFunction(f.values - f.mean)
     out.append(CheckResult("dyadic.transform-contraction",
-                           tf.norm(2.0) / mean_zero.norm(2.0), 1.0, 1e-12,
-                           "bound"))
+                           tf.norm(2.0) / mean_zero.norm(2.0), 1.0, 1e-12))
     out.append(CheckResult(
         "dyadic.transform-lp-bound",
         max(dyadic.martingale_transform(f, dyadic.random_signs(depth, rng)).norm(4.0)
             for _ in range(8)) / f.norm(4.0),
-        3.0, 0.0, "bound", "p=4"))
+        3.0, 0.0, detail="p=4"))
 
     w = dyadic.two_value_weight(2.0, 1.0, depth)
     gram_depth = min(depth, 7)
@@ -79,10 +78,9 @@ def _dyadic_checks(depth, seed):
         basis = np.array(basis)
         gram = (basis * weight.values) @ basis.T / basis.shape[1]
         gram_err = max(gram_err, float(np.max(np.abs(gram - np.eye(gram.shape[0])))))
-    out.append(CheckResult("dyadic.weighted-haar-bounds", worst_bound, 0.0,
-                           1e-12, "bound"))
+    out.append(CheckResult("dyadic.weighted-haar-bounds", worst_bound, 0.0, 1e-12))
     out.append(CheckResult("dyadic.weighted-haar-gram", gram_err, 0.0, 1e-10,
-                           "match", f"depth={gram_depth}"))
+                           detail=f"depth={gram_depth}"))
 
     # intensity growth across the two-parameter (u, v) weight family; the
     # asymptotic exponent is read off the top decades, where the bounded
@@ -94,21 +92,21 @@ def _dyadic_checks(depth, seed):
         qs.append(dyadic.a2_dyadic(wf))
         intens.append(dyadic.carleson_intensity(dyadic.caral_sequence(wf, alpha)))
     slope = float(np.polyfit(np.log(qs[-4:]), np.log(intens[-4:]), 1)[0])
-    out.append(CheckResult("dyadic.carleson-intensity-slope", slope, alpha,
-                           0.05, "bound",
-                           f"envelope C={max(i / q ** alpha for i, q in zip(intens, qs)):.3f}"))
+    envelope = max(i / q ** alpha for i, q in zip(intens, qs))
+    out.append(CheckResult("dyadic.carleson-intensity-slope", slope, alpha, 0.05,
+                           detail=f"envelope C={envelope:.3f}"))
 
     seq = dyadic.caral_sequence(w, alpha)
     F = dyadic.DyadicFunction(np.abs(rng.standard_normal(2 ** depth)))
     emb = dyadic.carleson_embedding_check(seq, F, w)
-    out.append(CheckResult("dyadic.embedding-1", emb.lhs1, emb.rhs1, 0.0, "bound"))
-    out.append(CheckResult("dyadic.embedding-2", emb.lhs2, emb.rhs2, 0.0, "bound"))
+    out.append(CheckResult("dyadic.embedding-1", emb.lhs1, emb.rhs1, 0.0))
+    out.append(CheckResult("dyadic.embedding-2", emb.lhs2, emb.rhs2, 0.0))
 
     worst = 0.0
     for u in (2.0, 8.0, 32.0):
         wf = dyadic.two_value_weight(u, 1.0, depth)
         worst = max(worst, dyadic.a_infinity_constant(wf) - dyadic.a2_dyadic(wf))
-    out.append(CheckResult("dyadic.a-infinity-vs-a2", worst, 0.0, 0.0, "bound"))
+    out.append(CheckResult("dyadic.a-infinity-vs-a2", worst, 0.0, 0.0))
     return out
 
 
@@ -120,15 +118,16 @@ def buckley_checks(weight, depth, label):
     sums = [dyadic.buckley_sum(weight(d)) for d in range(8, max(depth, 11) + 1)]
     inc = np.diff(sums)
     ratio_max = float(np.max(inc[1:] / inc[:-1])) if np.all(inc > 0) else 0.0
-    return [CheckResult("dyadic.buckley-bounded", ratio_max, 0.9, 0.0, "bound",
-                        f"{label}, limit~{sums[-1] + inc[-1] / (1 - max(ratio_max, 0.5)):.4f}")]
+    limit = sums[-1] + inc[-1] / (1 - max(ratio_max, 0.5))
+    return [CheckResult("dyadic.buckley-bounded", ratio_max, 0.9, 0.0,
+                        detail=f"{label}, limit~{limit:.4f}")]
 
 
 def mt_envelope_checks(w, trials, p, seed):
     ratio = dyadic.weighted_mt_ratio(w, trials, p=p, seed=seed)
     return [CheckResult("dyadic.weighted-mt-envelope", ratio,
-                        2.0 * dyadic.a2_dyadic(w), 0.0, "bound",
-                        f"trials={trials}")]
+                        2.0 * dyadic.a2_dyadic(w), 0.0,
+                        detail=f"trials={trials}")]
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +142,8 @@ def zigzag_checks(ps, variants, samples, box, seed):
                 lambda x, y, p=p, v=variant: bellman.eval_phi(x, y, p, v),
                 samples, seed=seed, box=box))
     which = "both variants" if len(variants) == 2 else f"variant {variants[0]}"
-    return [CheckResult("bellman.zigzag", -worst, 0.0, 1e-9, "bound",
-                        "p in {" + ",".join(f"{p:g}" for p in ps) + "}, " + which)]
+    return [CheckResult("bellman.zigzag", -worst, 0.0, 1e-9,
+                        detail="p in {" + ",".join(f"{p:g}" for p in ps) + "}, " + which)]
 
 
 def _hessian_checks(ps, samples, seed):
@@ -153,10 +152,10 @@ def _hessian_checks(ps, samples, seed):
         out.append(CheckResult(
             "bellman.majorant",
             -bellman.majorant_check("phi", p, samples, seed=seed, box=10.0),
-            0.0, 1e-9, "bound", f"p={p}"))
+            0.0, 1e-9, detail=f"p={p}"))
         out.append(CheckResult(
             "bellman.section-inequality", bellman.h_section_inequality(p),
-            0.0, 1e-10, "bound", f"p={p}"))
+            0.0, 1e-10, detail=f"p={p}"))
 
     rng = np.random.default_rng(seed)
     worst_id = 0.0
@@ -172,35 +171,34 @@ def _hessian_checks(ps, samples, seed):
             orders.append(np.log10(errs[0] / errs[1]))
         a, n = bellman.hessian_form_identity(x, y, dx, dy, p, h=1e-4)
         worst_id = max(worst_id, abs(a - n) / max(abs(a), 1.0))
-    out.append(CheckResult("bellman.hessian-identity", worst_id, 0.0, 1e-5,
-                           "bound"))
+    out.append(CheckResult("bellman.hessian-identity", worst_id, 0.0, 1e-5))
     out.append(CheckResult("bellman.hessian-order", -min(orders), -1.6, 0.0,
-                           "bound", "order from a 10x step drop"))
+                           detail="order from a 10x step drop"))
 
     rep = bellman.bq_hessian_check(8.0, 0.25, samples, seed=seed)
     out.append(CheckResult("bellman.power-hessian",
                            -rep.worst_margin if rep.range_ok else 1.0,
-                           0.0, 1e-12, "bound", "Q=8, alpha=1/4"))
+                           0.0, 1e-12, detail="Q=8, alpha=1/4"))
     return out
 
 
 def tau_checks(ps):
     worst = max(abs(bellman.tau(p) - bellman.tau_closed_form(p)) for p in ps)
-    return [CheckResult("bellman.tau-quadrature", worst, 0.0, 1e-10, "match",
-                        f"p in [{min(ps):g}, {max(ps):g}]")]
+    return [CheckResult("bellman.tau-quadrature", worst, 0.0, 1e-10,
+                        detail=f"p in [{min(ps):g}, {max(ps):g}]")]
 
 
 def interp_checks(qs):
     ratios = [bellman.interpolation_constant(q) / (q - 1.0) for q in qs]
     i = int(np.argmax(ratios))
     return [CheckResult("bellman.interp-sweep", float(ratios[i]), 1.7, 0.0,
-                        "bound", f"worst q={qs[i]}")]
+                        detail=f"worst q={qs[i]}")]
 
 
 def _feasibility_checks(ps):
     return [CheckResult("bellman.feasibility-transition",
                         abs(bellman.feasibility_transition(p) - (bellman.p_star(p) - 1.0)),
-                        0.0, 1e-3, "bound", f"p={p}")
+                        0.0, 1e-3, detail=f"p={p}")
             for p in ps]
 
 
@@ -211,12 +209,12 @@ def strip_checks(delta, grid):
     worst_det = max(rep.fd_max_det_rel, rep.analytic_max_det_rel,
                     max(v["max_det_rel"] for v in rep.variants))
     return [
-        CheckResult("bellman.strip-eigenvalue", worst_eig, 0.0, 1e-6, "bound",
-                    f"delta={delta}"),
-        CheckResult("bellman.strip-determinant", worst_det, 0.0, 1e-5, "bound",
-                    f"delta={delta}"),
+        CheckResult("bellman.strip-eigenvalue", worst_eig, 0.0, 1e-6,
+                    detail=f"delta={delta}"),
+        CheckResult("bellman.strip-determinant", worst_det, 0.0, 1e-5,
+                    detail=f"delta={delta}"),
         CheckResult("bellman.strip-obstacle", -rep.obstacle_min_gap, 0.0, 1e-9,
-                    "bound", f"delta={delta}"),
+                    detail=f"delta={delta}"),
     ]
 
 
@@ -239,7 +237,7 @@ def _roundtrip_check(f, n):
     back = np.fft.ifft2(np.fft.fft2(f.values))
     return CheckResult("planar.fft-roundtrip",
                        float(np.max(np.abs(back - f.values))), 0.0, 1e-12,
-                       "match", f"n={n}")
+                       detail=f"n={n}")
 
 
 def _dbar_check(n):
@@ -250,7 +248,7 @@ def _dbar_check(n):
     return CheckResult(
         "planar.dbar-to-d",
         float(np.max(np.abs(ab_dbar.values - du.values))) / du.norm(2.0),
-        0.0, 1e-6, "match", f"n={n}")
+        0.0, 1e-6, detail=f"n={n}")
 
 
 def _isometry_checks(f0, n):
@@ -261,10 +259,9 @@ def _isometry_checks(f0, n):
     return [
         CheckResult("planar.ab-isometry",
                     abs(ab_f0.norm(2.0) - f0.norm(2.0)) / f0.norm(2.0),
-                    0.0, 1e-12, "match", f"n={n}"),
+                    0.0, 1e-12, detail=f"n={n}"),
         CheckResult("planar.ab-decomposition",
-                    float(np.max(np.abs(ab_f0.values - dec))), 0.0, 1e-12,
-                    "match"),
+                    float(np.max(np.abs(ab_f0.values - dec))), 0.0, 1e-12),
     ]
 
 
@@ -280,30 +277,27 @@ def heat_identity_checks(ladder):
         rep = planar.identity_1_13_check(phi, psi, tmax=tmax, nt=nt)
         gaps.append(rep.gap_rel)
         # the stated tolerance applies at the finest rung; coarser rungs
-        # feed the monotone-refinement record
-        final = i == len(ladder) - 1
-        out.append(CheckResult("planar.heat-identity", rep.gap_rel,
-                               0.0 if final else None, 1e-3 if final else None,
-                               "bound" if final else "report",
-                               f"n={n},nt={nt},tmax={tmax}"))
+        # feed the monotone-refinement record and carry no target
+        gate = (0.0, 1e-3) if i == len(ladder) - 1 else ()
+        out.append(CheckResult("planar.heat-identity", rep.gap_rel, *gate,
+                               detail=f"n={n},nt={nt},tmax={tmax}"))
     if len(gaps) > 1:
         out.append(CheckResult("planar.heat-identity-monotone",
-                               float(np.max(np.diff(gaps))), 0.0, 0.0, "bound",
-                               "gap ladder decreases"))
+                               float(np.max(np.diff(gaps))), 0.0, 0.0,
+                               detail="gap ladder decreases"))
     return out
 
 
 def ap_checks(n):
+    r = np.maximum(np.hypot(*planar.grid_coordinates(n, 2.0)), 2.0 / n / 4.0)
     lo, hi = np.inf, 0.0
     for a in (0.3, 0.6, 0.9):
-        X, Y = planar.grid_coordinates(n, 2.0)
-        r = np.maximum(np.hypot(X, Y), 2.0 / n / 4.0)
         w = planar.PlanarWeight(planar.GridField(2.0, (r ** a).astype(complex)), p=2.0)
         c = planar.ap_class(w, sampling=planar.DiscSampling(stride=max(2, n // 32)))
         h = planar.ap_heat(w, sampling=planar.HeatSampling(stride=max(2, n // 32)))
         lo, hi = min(lo, h / c), max(hi, h / c)
-    return [CheckResult("planar.ap-two-sided", hi / lo, 8.0, 0.0, "bound",
-                        f"observed envelope [{lo:.3f}, {hi:.3f}]")]
+    return [CheckResult("planar.ap-two-sided", hi / lo, 8.0, 0.0,
+                        detail=f"observed envelope [{lo:.3f}, {hi:.3f}]")]
 
 
 def ascent_checks(op, p, n, iters, seed, witness=None, curve=None):
@@ -321,10 +315,10 @@ def ascent_checks(op, p, n, iters, seed, witness=None, curve=None):
     return [
         CheckResult("planar.ascent-monotone",
                     float(np.max(-np.diff(res.curve))) if res.curve.size > 1 else 0.0,
-                    0.0, 0.0, "bound"),
+                    0.0, 0.0),
         CheckResult("planar.ascent-ratio", -res.ratio,
-                    -0.85 * (bellman.p_star(p) - 1.0), 0.0, "bound",
-                    f"achieved {res.ratio:.4f} at n={n}"),
+                    -0.85 * (bellman.p_star(p) - 1.0), 0.0,
+                    detail=f"achieved {res.ratio:.4f} at n={n}"),
     ]
 
 
@@ -350,9 +344,8 @@ def measure_checks(which, p, eta, seed):
     worst = laminate.laminate_inequality_check(lam, a=(0.5, -0.25), seed=seed)
     return [
         CheckResult("laminate.mass-baricenter",
-                    max(abs(bx - cx), abs(by - cy), abs(m - 1)), 0.0, 1e-10,
-                    "match"),
-        CheckResult("laminate.jensen", -worst, 0.0, 1e-10, "bound"),
+                    max(abs(bx - cx), abs(by - cy), abs(m - 1)), 0.0, 1e-10),
+        CheckResult("laminate.jensen", -worst, 0.0, 1e-10),
     ]
 
 
@@ -364,11 +357,11 @@ def _quadrature_checks(p):
     closed = laminate.integrate(mu, laminate.phi_plus(p))
     quad = laminate.integrate(mu, laminate.phi_plus(p), method="quad")
     return [
-        CheckResult("laminate.closed-vs-quad", abs(closed - quad) / closed,
-                    0.0, 1e-10, "match"),
+        CheckResult("laminate.closed-vs-quad", abs(closed - quad) / abs(closed),
+                    0.0, 1e-10),
         CheckResult("laminate.reflection",
                     abs(laminate.sigma_ratio(p, 1e-2) - laminate.ratio(p, 1e-2).direct),
-                    0.0, 1e-10, "match"),
+                    0.0, 1e-10),
     ]
 
 
@@ -379,14 +372,13 @@ def ratio_sweep_checks(p, etas):
     two etas or more."""
     etas = sorted(etas, reverse=True)
     roots = [laminate.ratio(p, eta).direct ** (1.0 / p) for eta in etas]
-    gated = etas[-1] <= 2e-4
-    out = [CheckResult("laminate.ratio-limit", abs(roots[-1] - (p - 1.0)),
-                       0.0 if gated else None, 5e-3 if gated else None,
-                       "bound" if gated else "report", f"eta={etas[-1]}")]
+    gate = (0.0, 5e-3) if etas[-1] <= 2e-4 else ()
+    out = [CheckResult("laminate.ratio-limit", abs(roots[-1] - (p - 1.0)), *gate,
+                       detail=f"eta={etas[-1]}")]
     if len(etas) > 1:
         out.append(CheckResult("laminate.ratio-monotone",
-                               float(np.max(-np.diff(roots))), 0.0, 0.0, "bound",
-                               "sweep " + ",".join(str(e) for e in etas)))
+                               float(np.max(-np.diff(roots))), 0.0, 0.0,
+                               detail="sweep " + ",".join(str(e) for e in etas)))
     return out
 
 
@@ -398,9 +390,9 @@ def _sum_checks(demo, length):
     return [
         CheckResult("stoch.riemann-gap",
                     abs(demo["ES2"] - length) - demo["ES2_ci"], 0.0, 0.0,
-                    "bound", f"b-a={length:g} inside 3 sigma"),
+                    detail=f"b-a={length:g} inside 3 sigma"),
         CheckResult("stoch.variance", abs(demo["ES1"]) - demo["ES1_ci"],
-                    0.0, 0.0, "bound", "left sums are centered"),
+                    0.0, 0.0, detail="left sums are centered"),
     ]
 
 
@@ -418,10 +410,10 @@ def _path_checks(steps, paths, sweep_steps, seed):
     out = _sum_checks(demo, 1.0)
     out.append(CheckResult("stoch.isometry",
                            abs(demo["ES1_sq"] - 0.5) - demo["ES1_sq_ci"], 0.0, 0.0,
-                           "bound", "E(int w dw)^2 = 1/2"))
+                           detail="E(int w dw)^2 = 1/2"))
     out.append(CheckResult("stoch.product",
                            abs(demo["EFG"] - demo["EFG_ref"]) - demo["EFG_ci"],
-                           0.0, 0.0, "bound"))
+                           0.0, 0.0))
 
     surf = stochastic.GaussianMix.single(sigma2=0.8)
     sweep = stochastic.terminal_gap_sweep(surf, 4.0, sweep_steps,
@@ -430,8 +422,8 @@ def _path_checks(steps, paths, sweep_steps, seed):
     dts = np.log([d for d, _ in sweep])
     rms = np.log([r for _, r in sweep])
     order = float(np.polyfit(dts, rms, 1)[0])
-    out.append(CheckResult("stoch.terminal-order", -order, -0.45, 0.0, "bound",
-                           f"observed order {order:.3f}"))
+    out.append(CheckResult("stoch.terminal-order", -order, -0.45, 0.0,
+                           detail=f"observed order {order:.3f}"))
 
     drv_pl = stochastic.BrownianDriver(2, 4.0, 64, seed=seed)
     res = stochastic.transform_residuals(
@@ -439,9 +431,9 @@ def _path_checks(steps, paths, sweep_steps, seed):
         min(256, paths), batch=7)
     out.append(CheckResult("stoch.conformality",
                            max(res["max_orthogonality"], res["max_norm_mismatch"]),
-                           0.0, 1e-10, "bound"))
+                           0.0, 1e-10))
     out.append(CheckResult("stoch.subordination", res["max_subordination_excess"],
-                           0.0, 1e-10, "bound"))
+                           0.0, 1e-10))
     return out
 
 
@@ -450,18 +442,18 @@ def conditioning_checks(T, paths, bins, steps, disc_tol, seed):
     res = stochastic.ab_by_conditioning(surf, T=T, paths=paths, bins=bins,
                                         steps=steps, seed=seed)
     frac = res.agreement_fraction(disc_tol)
-    return [CheckResult("stoch.conditioning", -frac, -0.95, 0.0, "bound",
-                        f"paths={paths}")]
+    return [CheckResult("stoch.conditioning", -frac, -0.95, 0.0,
+                        detail=f"paths={paths}")]
 
 
 def constant_checks(p, trials, seed):
     rep = stochastic.subordination_constants_mc(p, trials, seed=seed)
+    observed = f"observed {rep['ratio_conformal']:.3f} vs sqrt({p * (p - 1) / 2:g})"
     return [
         CheckResult("stoch.plain-constant", rep["ratio_plain"],
-                    rep["plain_ceiling"], 0.0, "bound"),
+                    rep["plain_ceiling"], 0.0),
         CheckResult("stoch.conformal-constant", rep["ratio_conformal"],
-                    rep["conformal_ceiling"], 0.0, "bound",
-                    f"observed {rep['ratio_conformal']:.3f} vs sqrt({p * (p - 1) / 2:g})"),
+                    rep["conformal_ceiling"], 0.0, detail=observed),
     ]
 
 
@@ -472,20 +464,20 @@ def constant_checks(p, trials, seed):
 def _beltrami_checks(K, seed):
     ratio = max(qcmaps.beltrami_ratio(qcmaps.RadialMap(K, "regular"), seed=seed),
                 qcmaps.beltrami_ratio(qcmaps.RadialMap(K, "singular"), seed=seed))
-    return [CheckResult("qc.beltrami", ratio, 0.0, 1e-8, "bound", f"K={K}")]
+    return [CheckResult("qc.beltrami", ratio, 0.0, 1e-8, detail=f"K={K}")]
 
 
 def distortion_checks(K):
     slope, spread = qcmaps.distortion_exponent(qcmaps.RadialMap(K, "regular"))
     return [CheckResult("qc.distortion-slope", abs(slope - 1.0 / K) + spread,
-                        0.0, 1e-10, "bound", f"K={K}")]
+                        0.0, 1e-10, detail=f"K={K}")]
 
 
 def sobolev_checks(K):
     sing = qcmaps.RadialMap(K, "singular")
     return [CheckResult("qc.sobolev-boundary",
                         abs(qcmaps.sobolev_boundary(sing) - (1.0 + sing.k)),
-                        0.0, 1e-3, "bound", f"K={K}")]
+                        0.0, 1e-3, detail=f"K={K}")]
 
 
 def weight_checks(K, p, n):
@@ -495,7 +487,7 @@ def weight_checks(K, p, n):
                              sampling=planar.DiscSampling(stride=max(2, n // 32)))
              for q in np.linspace(2.0, p, 5)]
     return [CheckResult("qc.weight-monotone", float(np.max(-np.diff(chars))),
-                        0.0, 1e-9, "bound", f"K={K:g}, p sweep to {p:g}")]
+                        0.0, 1e-9, detail=f"K={K:g}, p sweep to {p:g}")]
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ def test_tau_value(capsys):
     code, out, _ = run_cli(capsys, "bellman", "tau", "--p", "2", "--format", "json")
     entry = entries_of(out)["bellman.tau-quadrature"]
     # quadrature matches the closed form, which is 2^(-1/2) at p = 2
-    assert entry["kind"] == "match" and entry["detail"] == "p in [2, 2]"
+    assert entry["target"] is not None and entry["detail"] == "p in [2, 2]"
     assert entry["value"] <= 1e-10 and entry["passed"]
     assert bm.tau_closed_form(2.0) == pytest.approx(2 ** -0.5, abs=1e-15)
     assert code == 0
@@ -43,12 +43,12 @@ def test_csv_output_shape(capsys):
                            "--etas", "1e-1,1e-2,1e-3")
     reader = csv.DictReader(io.StringIO(out))
     assert reader.fieldnames == ["check_id", "value", "target", "tolerance",
-                                 "kind", "passed", "detail"]
+                                 "passed", "detail"]
     rows = list(reader)
-    # smallest eta above 2e-4: the limit is reported, not gated
-    assert [(r["check_id"], r["kind"], r["detail"]) for r in rows] == [
-        ("laminate.ratio-limit", "report", "eta=0.001"),
-        ("laminate.ratio-monotone", "bound", "sweep 0.1,0.01,0.001"),
+    # smallest eta above 2e-4: the limit is reported without a target
+    assert [(r["check_id"], r["target"], r["detail"]) for r in rows] == [
+        ("laminate.ratio-limit", "None", "eta=0.001"),
+        ("laminate.ratio-monotone", "0.0", "sweep 0.1,0.01,0.001"),
     ]
     assert all(r["passed"] == "1" for r in rows)
     assert code == 0
@@ -62,14 +62,14 @@ def sweep_limit(capsys, etas):
 
 def test_sweep_limit_checked_at_small_eta(capsys):
     code, limit = sweep_limit(capsys, "1e-2,1e-4")
-    assert (limit["kind"], limit["detail"]) == ("bound", "eta=0.0001")
+    assert limit["target"] is not None and limit["detail"] == "eta=0.0001"
     assert limit["value"] <= 5e-3 and limit["passed"]
     assert code == 0
 
 
 def test_sweep_limit_ignores_eta_order(capsys):
     code, limit = sweep_limit(capsys, "1e-4,1e-2")
-    assert (limit["kind"], limit["detail"], limit["passed"]) == ("bound", "eta=0.0001", True)
+    assert (limit["target"], limit["detail"], limit["passed"]) == (0.0, "eta=0.0001", True)
     assert code == 0
 
 
@@ -236,19 +236,23 @@ def test_ascent_witness_roundtrip(tmp_path, capsys):
 
 def test_report_canonical_json_excludes_timing():
     rep = RunReport(config={"b": 1, "a": 2})
-    rep.extend([CheckResult("bellman.tau-quadrature", 0.0, 0.0, 1e-10, "match")])
+    rep.extend([CheckResult("bellman.tau-quadrature", 0.0, 0.0, 1e-10)])
     rep.wall_time = 123.0
     other = RunReport(config={"a": 2, "b": 1})
-    other.extend([CheckResult("bellman.tau-quadrature", 0.0, 0.0, 1e-10, "match")])
+    other.extend([CheckResult("bellman.tau-quadrature", 0.0, 0.0, 1e-10)])
     other.wall_time = 4.0
     assert rep.canonical_json() == other.canonical_json()
 
 
 def test_report_pass_fail_logic():
-    good = CheckResult("bellman.tau-quadrature", 1e-12, 0.0, 1e-10, "match")
-    bad = CheckResult("bellman.tau-quadrature", 1e-2, 0.0, 1e-10, "match")
-    info = CheckResult("laminate.ratio-limit", 99.0, None, None, "report")
-    assert good.passed and not bad.passed and info.passed
+    # one rule: value <= target + tolerance, and no target always passes
+    assert CheckResult("bellman.tau-quadrature", 3.0, 1.0, 2.0).passed
+    assert not CheckResult("bellman.tau-quadrature", 3.5, 1.0, 2.0).passed
+    assert not CheckResult("bellman.tau-quadrature", float("nan"), 0.0, 1e-10).passed
+    assert CheckResult("laminate.ratio-limit", 99.0).passed
+    # the detail is keyword-only, so a stray fifth argument cannot land in it
+    with pytest.raises(TypeError):
+        CheckResult("bellman.tau-quadrature", 0.0, 0.0, 1e-10, "match")
 
 
 def test_unregistered_check_id_rejected():

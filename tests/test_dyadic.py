@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bellmanlab import dyadic as dy
+from bellmanlab import suite
 
 
 def rand_fn(depth, seed=0):
@@ -37,6 +38,14 @@ def test_synthesis_inverts_analysis():
     f = rand_fn(9, seed=2)
     g = dy.haar_synthesis(dy.haar_coefficients(f), mean=f.mean)
     assert np.allclose(g.values, f.values, atol=1e-13)
+
+
+def test_parseval_check_fails_without_the_finest_level(monkeypatch):
+    analysis = dy.haar_coefficients
+    monkeypatch.setattr(dy, "haar_coefficients", lambda f: analysis(f)[:-1])
+    [parseval] = [c for c in suite._dyadic_checks(6, 1)
+                  if c.check_id == "dyadic.parseval"]
+    assert parseval.value > 0.1 and not parseval.passed
 
 
 # ---------------------------------------------------------------------------

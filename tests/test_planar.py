@@ -88,6 +88,18 @@ def test_conj_ab_is_conjugate_on_real():
     assert np.max(np.abs(np.conj(a) - b)) < 1e-12
 
 
+def test_spectral_checks_fail_on_the_wrong_chirality(monkeypatch):
+    # with the conjugate symbol standing in for the transform, dbar-data no
+    # longer maps to d-data and the three-term Riesz form no longer holds;
+    # the round trip and the isometry do not see a chirality swap, so they
+    # still need another known-bad input
+    monkeypatch.setattr(pl, "ab_transform", pl.conj_ab_transform)
+    checks = {c.check_id: c for c in suite._spectral_checks(64, 1)}
+    for check_id in ("planar.dbar-to-d", "planar.ab-decomposition"):
+        assert checks[check_id].value > 0.1 and not checks[check_id].passed
+    assert checks["planar.fft-roundtrip"].passed and checks["planar.ab-isometry"].passed
+
+
 def test_symbols_are_fresh_grids_on_read_only_axes():
     n = 32
     k1, k2 = pl._freq_axes(n, 1.0)

@@ -303,6 +303,37 @@ def test_semigroup_property_of_closed_form():
     assert np.allclose(stage.value(0.8, x), direct, atol=1e-13)
 
 
+def test_value_is_the_sum_of_complex_bump_terms():
+    # the in-place accumulation gives the bits of the plain complex sum,
+    # also where the far bumps underflow to zero
+    surf = st.GaussianMix.random(np.random.default_rng(3), 3)
+    x = np.random.default_rng(4).uniform(-40.0, 40.0, size=(64, 64, 2))
+    for t in (0.0, 0.7):
+        plain = 0.0
+        for a, c, s2 in zip(surf.amplitudes, surf.centers, surf.sigma2):
+            r2 = (x[..., 0] - c[0]) ** 2 + (x[..., 1] - c[1]) ** 2
+            plain = plain + a * (s2 / (s2 + t)) * np.exp(-r2 / (2.0 * (s2 + t)))
+        assert surf.value(t, x).tobytes() == plain.tobytes()
+
+
+def test_value_holds_one_complex_and_two_real_grids():
+    # on the conditioning oracle's 512^2 grid: the complex result and two
+    # real scratch arrays, whatever the number of bumps
+    n = 512
+    surf = st.GaussianMix.random(np.random.default_rng(3), 3)
+    axis = np.linspace(-12.0, 12.0, n)
+    x = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        surf.value(0.0, x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= (16 + 2 * 8) * n * n + 64 * 1024
+
+
 # ---------------------------------------------------------------------------
 # the matrix transform
 
