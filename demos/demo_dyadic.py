@@ -8,6 +8,7 @@ inside the sharp L^p envelope.
 
 import numpy as np
 
+from bellmanlab import ascent
 from bellmanlab import dyadic as dy
 
 rng = np.random.default_rng(0)
@@ -25,6 +26,8 @@ worst = max(
     dy.martingale_transform(f, dy.random_signs(depth, rng)).norm(4.0)
     for _ in range(50)) / f.norm(4.0)
 print(f"worst transform ratio over 50 random sign patterns: {worst:.4f}")
+lp = ascent.power_ascent(f.values, 4.0, 300, **dy.transform_ascent_ops(depth))
+print(f"power ascent over (f, signs) from the same f: {lp.ratio:.4f}")
 
 print("\n== a weight vanishing at 1/2: w(x) = |x - 1/2|^(1/2) ==")
 w = dy.power_weight(0.5, depth)
@@ -49,8 +52,10 @@ for u in (4.0, 64.0, 1024.0):
     print(f"  jump 1:{int(u):5d}  characteristic {q:9.2f}  intensity {intensity:8.3f}"
           f"  intensity/char^0.25 = {intensity / q ** alpha:.3f}")
 
-print("\n== weighted transform ratio against the working envelope 2 Q ==")
+print("\n== the power ascent finds the weighted transform's extremizer ==")
 w3 = dy.two_value_weight(2.0, 1.0, 8)
-ratio = dy.weighted_mt_ratio(w3, trials=2000, seed=1)
-print(f"max over 2000 random (f, signs): {ratio:.4f} <= "
-      f"{2 * dy.a2_dyadic(w3):.4f}")
+q = dy.a2_dyadic(w3)
+f3 = rng.standard_normal(2 ** 8)
+res = ascent.power_ascent(f3, 2.0, 300, **dy.transform_ascent_ops(8, w3))
+print(f"ascent over (f, signs): {res.ratio:.9f}; exact sqrt([w]_A2) = "
+      f"{np.sqrt(q):.9f}; envelope 2[w]_A2 = {2 * q:.4f}")

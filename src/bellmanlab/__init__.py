@@ -3,6 +3,7 @@ singular-integral inequalities.
 
 Subpackages:
 
+- ascent: one power-ascent engine for lower bounds on operator norms.
 - dyadic: Haar analysis, martingale transforms, weight characteristics,
   weighted Haar bases, Carleson sequences on [0, 1].
 - bellman: explicit concave-majorant candidates, their Hessian identities,
@@ -23,10 +24,11 @@ Subpackages:
 
 __version__ = "0.1.0"
 
-from . import bellman, dyadic, laminate, planar, qcmaps, reporting, stochastic, suite
+from . import ascent, bellman, dyadic, laminate, planar, qcmaps, reporting, stochastic, suite
 
 __all__ = [
     "__version__",
+    "ascent",
     "bellman",
     "dyadic",
     "laminate",

@@ -66,7 +66,8 @@ OPERATIONS = {
     ("dyadic", "buckley"): (suite.buckley_checks, lambda a: dict(
         weight=_weight_family(a.weight), depth=a.depth, label=f"weight={a.weight}")),
     ("dyadic", "mt-ratio"): (suite.mt_envelope_checks, lambda a: dict(
-        w=_parse_weight(a.weight, a.depth), trials=a.trials, p=a.p, seed=a.seed)),
+        w=_parse_weight(a.weight, a.depth), iters=_FULL["dyadic"]["iters"], p=a.p,
+        seed=a.seed)),
     ("bellman", "zigzag"): (suite.zigzag_checks, lambda a: dict(
         ps=[a.p], variants=[a.variant], samples=int(a.samples), box=a.box,
         seed=a.seed)),
@@ -168,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     d = _module_parser(sub, "dyadic")
     d.add_argument("--weight", default="twovalue:2,1")
     d.add_argument("--depth", type=int, default=10)
-    d.add_argument("--trials", type=int, default=1000)
     d.add_argument("--p", type=float, default=2.0)
     _add_common(d)
 

@@ -34,7 +34,7 @@ __all__ = [
     "carleson_embedding_check",
     "buckley_sum",
     "a_infinity_constant",
-    "weighted_mt_ratio",
+    "transform_ascent_ops",
     "power_weight",
     "two_value_weight",
 ]
@@ -81,15 +81,14 @@ class DyadicFunction:
     def norm(self, p: float = 2.0, weight: "DyadicWeight | None" = None) -> float:
         """L^p([0,1]) norm; integrals are plain sample means since the grid
         is uniform.  With a weight, the L^p(w dx) norm."""
-        return float(_lp_means(self.values, p, weight) ** (1.0 / p))
+        return _lp_norm(self.values, p, weight)
 
 
-def _lp_means(values: np.ndarray, p: float, weight=None) -> np.ndarray:
-    """Means of |values|^p (times the weight) along the last axis."""
+def _lp_norm(values: np.ndarray, p: float, weight=None) -> float:
     a = np.abs(values) ** p
     if weight is not None:
         a = a * weight.values
-    return np.mean(a, axis=-1)
+    return float(np.mean(a) ** (1.0 / p))
 
 
 class DyadicWeight(DyadicFunction):
@@ -173,16 +172,6 @@ def haar_synthesis(coeffs: list[np.ndarray], mean=0.0) -> DyadicFunction:
 _SIGN_VALUES = np.array([-1.0, 1.0])
 
 
-def _flat_signs(depth: int, rng) -> np.ndarray:
-    """All 2**depth - 1 signs of one tree, level by level, in one draw."""
-    return _SIGN_VALUES[rng.integers(0, 2, 2 ** depth - 1)]
-
-
-def _levels(flat: np.ndarray, depth: int) -> list[np.ndarray]:
-    """Split the last axis of flat signs into one array per level."""
-    return [flat[..., 2 ** lev - 1: 2 ** (lev + 1) - 1] for lev in range(depth)]
-
-
 def random_signs(depth: int, rng) -> list[np.ndarray]:
     """Independent +-1 signs, one array per level 0 .. depth-1.
 
@@ -190,7 +179,8 @@ def random_signs(depth: int, rng) -> list[np.ndarray]:
     and the generator state after it equal one rng.choice([-1.0, 1.0])
     call per level.
     """
-    return _levels(_flat_signs(depth, rng), depth)
+    flat = _SIGN_VALUES[rng.integers(0, 2, 2 ** depth - 1)]
+    return [flat[2 ** lev - 1: 2 ** (lev + 1) - 1] for lev in range(depth)]
 
 
 def martingale_transform(f: DyadicFunction, signs) -> DyadicFunction:
@@ -378,37 +368,28 @@ def carleson_embedding_check(
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo transform ratio
+# The transform family as power-ascent callables
 
 
-def weighted_mt_ratio(
-    w: DyadicWeight, trials: int, p: float = 2.0, seed: int = 0
-) -> float:
-    """Max over random (f, sigma) of ||T_sigma f||_Lp(w) / ||f||_Lp(w).
-
-    Trials draw independent Gaussian step functions and sign patterns from
-    per-trial child seeds, so the result is reproducible and the trial
-    space can be partitioned across workers.  A block's signs are one flat
-    draw per row, sliced per level as in random_signs.
+def transform_ascent_ops(depth: int, weight: DyadicWeight | None = None) -> dict:
+    """The martingale transforms T_eps on L^p(w) as the callables of
+    `ascent.power_ascent`, from all-plus signs.  An operator is its sign
+    arrays, one per level.  The adjoint in the pairing of L^2(w) is
+    u -> T(w u) / w, the mean step is the w-mean (T kills constants), and
+    the sign step eps_I = sign((w u, h_I)(f, h_I)) maximizes <u, T f>_w.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if w.depth < 1:
+    if depth < 1:
         raise ValueError("need depth >= 1")
-    n, e = 2 ** w.depth, 1.0 / p
-    rows = max(1, 2 ** 16 >> w.depth)  # a block of trials is ~0.5 MB per array
-    best = 0.0
-    seeds = np.random.SeedSequence(seed).spawn(trials)
-    for start in range(0, trials, rows):
-        block = seeds[start:start + rows]
-        f = np.empty((len(block), n))
-        signs = np.empty((len(block), n - 1))
-        for row, s in enumerate(block):
-            rng = np.random.default_rng(s)
-            rng.standard_normal(out=f[row])
-            signs[row] = _flat_signs(w.depth, rng)
-        tf = _transform_rows(f, _levels(signs, w.depth))
-        # DyadicFunction.norm per row; the root stays a scalar power
-        for a, b in zip(_lp_means(tf, p, w), _lp_means(f, p, w)):
-            best = max(best, float(a ** e) / float(b ** e))
-    return best
+    wv = 1.0 if weight is None else weight.values
+
+    def signs(u, f):
+        cf = _haar_analysis(f)
+        eps = [np.where(a * b >= 0, 1.0, -1.0) for a, b in zip(_haar_analysis(wv * u), cf)]
+        return eps, _haar_synthesis([s * c for s, c in zip(eps, cf)], 0.0)
+
+    return dict(
+        apply=lambda eps, v: _transform_rows(v, eps),
+        adjoint=lambda eps, u: _transform_rows(wv * u, eps) / wv,
+        pnorm=lambda v, p: _lp_norm(v, p, weight),
+        mean=lambda v: np.mean(wv * v) / np.mean(wv),
+        signs=signs, op=[np.ones(2 ** lev) for lev in range(depth)])

@@ -42,6 +42,8 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import simpson
 
+from .ascent import AscentResult, power_ascent
+
 __all__ = [
     "GridField",
     "ab_multiplier",
@@ -346,87 +348,20 @@ def ap_heat(w: PlanarWeight, sampling: HeatSampling = HeatSampling()) -> float:
 # Lower bounds on multiplier norms by ascent
 
 
-@dataclass
-class AscentResult:
-    ratio: float
-    witness: GridField
-    curve: np.ndarray  # ratio of the accepted iterate after each iteration
-
-
-def _pnorm(v: np.ndarray, p: float) -> float:
-    return float(np.mean(np.abs(v) ** p) ** (1.0 / p))
-
-
 def norm_ratio_ascent(op: Callable, p: float, n: int = 256,
                       iters: int = 500, seed: int = 0) -> AscentResult:
-    """Maximize ||op f||_p / ||f||_p over mean-zero fields on the unit box.
-
-    Nonlinear power iterations with a mixing line search; a step is kept
-    only if the ratio increases, so the recorded curve rises and its last
-    value is an achieved ratio, hence a certified lower bound for the
-    discretized operator norm.  For p > 2.25 the iteration budget is split
-    over a continuation ladder in p starting at 2.25, which escapes the
-    weakest fixed points.  The image op f of the accepted iterate is kept
-    beside it, so every field is transformed once.
-    """
-    if p < 2:
-        raise ValueError("ascent is set up for p >= 2")
+    """Maximize ||op f||_p / ||f||_p over mean-zero fields on the unit box
+    by `ascent.power_ascent` from a complex Gaussian field; the ratio is a
+    certified lower bound for the discretized operator norm."""
     m = op(*_freq_axes(n, 1.0))
     madj = np.conj(m)
     rng = np.random.default_rng(seed)
     f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    f -= f.mean()
-    f /= _pnorm(f, p)
-
-    def apply_(mm, v):
-        return np.fft.ifft2(mm * np.fft.fft2(v))
-
-    def ratio_of(v, pp):
-        mv = apply_(m, v)
-        return _pnorm(mv, pp) / _pnorm(v, pp), mv
-
-    ladder = [p]
-    if p > 2.25:
-        ladder = list(np.linspace(2.25, p, max(2, int(2 * (p - 2)) + 2)))
-    per_stage = max(10, iters // len(ladder))
-
-    g = apply_(m, f)
-    curve = []
-    for stage_p in ladder:
-        q = stage_p / (stage_p - 1.0)
-        r = _pnorm(g, stage_p) / _pnorm(f, stage_p)
-        for _ in range(per_stage):
-            u = np.abs(g) ** (stage_p - 2.0) * g
-            v = apply_(madj, u)
-            cand = np.abs(v) ** (q - 2.0) * v
-            cand -= cand.mean()
-            nc = _pnorm(cand, stage_p)
-            if nc == 0:
-                break
-            cand /= nc
-            rc, gc = ratio_of(cand, stage_p)
-            if rc > r:
-                f, g, r = cand, gc, rc
-            else:
-                accepted = False
-                for tmix in (0.5, 0.2, 0.05, 0.01):
-                    trial = (1 - tmix) * f + tmix * cand
-                    trial -= trial.mean()
-                    tn = _pnorm(trial, stage_p)
-                    if tn == 0:
-                        continue
-                    trial /= tn
-                    rt, gt = ratio_of(trial, stage_p)
-                    if rt > r:
-                        f, g, r, accepted = trial, gt, rt, True
-                        break
-                if not accepted:
-                    break
-            if stage_p == ladder[-1]:
-                curve.append(r)
-    final = _pnorm(g, p) / _pnorm(f, p)
-    curve.append(final)
-    return AscentResult(ratio=final, witness=GridField(1.0, f), curve=np.array(curve))
+    res = power_ascent(
+        f, p, iters, apply=lambda _, v: np.fft.ifft2(m * np.fft.fft2(v)),
+        adjoint=lambda _, u: np.fft.ifft2(madj * np.fft.fft2(u)),
+        pnorm=lambda v, p: float(np.mean(np.abs(v) ** p) ** (1.0 / p)), mean=np.mean)
+    return res._replace(witness=GridField(1.0, res.witness))
 
 
 # ---------------------------------------------------------------------------

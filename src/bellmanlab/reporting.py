@@ -23,7 +23,7 @@ __all__ = ["CheckResult", "RunReport", "CHECK_REGISTRY"]
 CHECK_REGISTRY = {
     "dyadic.parseval": "Haar coefficients satisfy the energy identity",
     "dyadic.transform-contraction": "sign flips never increase the mean-zero L2 norm",
-    "dyadic.transform-lp-bound": "transform Lp ratio stays under p*-1",
+    "dyadic.transform-lp-bound": "ascended L4 transform ratio stays under p*-1 = 3",
     "dyadic.weighted-haar-bounds": "weighted Haar coefficients obey the two bounds",
     "dyadic.weighted-haar-gram": "weighted Haar system is orthonormal in L2(w)",
     "dyadic.carleson-intensity-slope": "intensity grows no faster than char^alpha",
@@ -31,7 +31,7 @@ CHECK_REGISTRY = {
     "dyadic.embedding-2": "weighted embedding holds with the working constant",
     "dyadic.buckley-bounded": "flat-weight square sums stay bounded in depth",
     "dyadic.a-infinity-vs-a2": "exponential characteristic below the product one",
-    "dyadic.weighted-mt-envelope": "weighted transform ratio under the envelope",
+    "dyadic.weighted-mt-envelope": "weighted transform ascent hits sqrt([w]_A2) or stays under 2[w]_A2",
     "bellman.zigzag": "diagonal midpoint concavity of the majorant",
     "bellman.majorant": "the majorant dominates the power difference",
     "bellman.hessian-identity": "analytic vs finite-difference quadratic form",

@@ -145,8 +145,7 @@ def test_stoch_paths_default_to_the_full_tier():
 
 def test_dyadic_mt_ratio(capsys):
     code, out, _ = run_cli(capsys, "dyadic", "mt-ratio", "--weight",
-                           "twovalue:2,1", "--depth", "6", "--trials", "25",
-                           "--seed", "3")
+                           "twovalue:2,1", "--depth", "6", "--seed", "3")
     assert code == 0
     assert "dyadic.weighted-mt-envelope" in out
 

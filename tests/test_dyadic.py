@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bellmanlab import ascent
 from bellmanlab import dyadic as dy
 from bellmanlab import suite
 
@@ -264,7 +265,7 @@ def test_a_infinity_values_and_domination():
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo transform ratio
+# Random signs and the transform ascent
 
 
 def choice_signs(depth, rng):
@@ -282,55 +283,101 @@ def test_random_signs_match_per_level_choice():
         assert rng.standard_normal() == ref.standard_normal()
 
 
-def per_trial_mt_ratios(w, trials, p, seed):
-    """One trial at a time: f, then the signs, from each trial's child."""
-    ratios = []
-    for child in np.random.SeedSequence(seed).spawn(trials):
-        rng = np.random.default_rng(child)
-        f = dy.DyadicFunction(rng.standard_normal(2 ** w.depth))
-        tf = dy.martingale_transform(f, choice_signs(w.depth, rng))
-        ratios.append(tf.norm(p, w) / f.norm(p, w))
-    return ratios
+def ascent_of(w, p, iters, seed):
+    f = np.random.default_rng(seed).standard_normal(2 ** w.depth)
+    return ascent.power_ascent(f, p, iters, **dy.transform_ascent_ops(w.depth, w))
 
 
 @pytest.mark.parametrize("depth", [1, 6, 12])
 @pytest.mark.parametrize("p", [2.0, 4.0])
-def test_mt_ratio_blocks_equal_per_trial_loop(depth, p):
-    # 37 trials end in a partial block at every depth; each trial count
-    # that sets a new running maximum is checked too, so a dropped trial
-    # or one drawn from the wrong child shows
+def test_mt_ascent_ratio_is_attained(depth, p):
+    # the certified ratio is the public transform of the witness under the
+    # returned signs, and the curve never falls
     w = dy.DyadicWeight(np.exp(rand_fn(depth, seed=depth).values))
     for seed in (0, 1, 5):
-        ratios = per_trial_mt_ratios(w, 37, p, seed)
-        records = [k for k in range(1, 38) if ratios[k - 1] == max(ratios[:k])]
-        for trials in {1, 37, *records}:
-            assert (dy.weighted_mt_ratio(w, trials, p=p, seed=seed)
-                    == max(ratios[:trials]))
+        res = ascent_of(w, p, 60, seed)
+        f = dy.DyadicFunction(res.witness)
+        tf = dy.martingale_transform(f, res.op)
+        assert res.ratio == tf.norm(p, w) / f.norm(p, w) == res.curve[-1]
+        assert np.all(np.diff(res.curve) >= 0)
+        assert all(set(np.unique(s)) <= {-1.0, 1.0} for s in res.op)
 
 
 def test_mt_ratio_unweighted_below_one():
+    # T is a contraction of L2, and all-plus signs attain 1 on mean-zero f
     w = dy.DyadicWeight(np.ones(2 ** 7))
-    assert dy.weighted_mt_ratio(w, trials=50, seed=0) <= 1.0 + 1e-12
+    assert 1.0 - 1e-9 <= ascent_of(w, 2.0, 200, 0).ratio <= 1.0 + 1e-12
 
 
 def test_mt_ratio_two_value_envelope():
     w = dy.two_value_weight(2.0, 1.0, 8)
-    ratio = dy.weighted_mt_ratio(w, trials=300, seed=1)
+    ratio = ascent_of(w, 2.0, 200, 1).ratio
+    assert ratio == pytest.approx(np.sqrt(9 / 8), abs=1e-9)
     assert ratio <= 2.0 * dy.a2_dyadic(w)
 
 
 def test_mt_ratio_scale_invariance():
     w = dy.two_value_weight(3.0, 1.0, 6)
     w2 = dy.DyadicWeight(7.5 * w.values)
-    r1 = dy.weighted_mt_ratio(w, trials=40, seed=2)
-    r2 = dy.weighted_mt_ratio(w2, trials=40, seed=2)
-    assert r1 == pytest.approx(r2, rel=1e-12)
+    for p in (2.0, 4.0):
+        r1, r2 = ascent_of(w, p, 100, 2).ratio, ascent_of(w2, p, 100, 2).ratio
+        assert r1 == pytest.approx(r2, rel=1e-12)
+
+
+# known-bad transforms: a level drift of 5% per level, or a 5% larger top
+# coefficient, is no martingale transform, and the plain mean step cannot
+# reach the weighted extremizer (h_root + 1/3 has plain mean 1/3)
+
+
+def drifted(monkeypatch, scale):
+    # every transform image the ascent reads is a synthesis of its coefficients
+    synthesis = dy._haar_synthesis
+    monkeypatch.setattr(dy, "_haar_synthesis", lambda coeffs, mean: synthesis(
+        [c * scale(lev) for lev, c in enumerate(coeffs)], mean))
+
+
+def test_lp_bound_fails_on_level_drift(monkeypatch):
+    # at depth 10 the drift only reaches 2.7-2.98, so this runs at depth 12
+    iters = suite.tier_params("full")["dyadic"]["iters"]
+    assert suite._lp_bound_checks(12, iters, 1)[0].passed
+    drifted(monkeypatch, lambda lev: 1.05 ** lev)
+    for seed in (1, 2):
+        [check] = suite._lp_bound_checks(12, iters, seed)
+        assert check.value > 3.2 and not check.passed
+
+
+def test_mt_envelope_fails_high_on_scaled_top_coefficient(monkeypatch):
+    w = dy.two_value_weight(2.0, 1.0, 10)
+    drifted(monkeypatch, lambda lev: 1.05 if lev == 0 else 1.0)
+    [check] = suite.mt_envelope_checks(w, 200, 2.0, 1)
+    assert check.value > 0.05 and not check.passed
+    assert check.detail.startswith("ascent 1.11")
+
+
+def test_mt_envelope_fails_low_with_the_plain_mean(monkeypatch):
+    w = dy.two_value_weight(2.0, 1.0, 10)
+    ops = dy.transform_ascent_ops
+    monkeypatch.setattr(dy, "transform_ascent_ops",
+                        lambda depth, w=None: {**ops(depth, w), "mean": np.mean})
+    [check] = suite.mt_envelope_checks(w, 200, 2.0, 1)
+    assert check.value > 0.06 and not check.passed
+    assert check.detail.startswith("ascent 1.000000000")
+
+
+def test_dyadic_ascent_gates_pass_over_30_seeds():
+    # the ascents are deterministic; the seed only moves the start
+    params = suite.tier_params("fast")["dyadic"]
+    depth, iters = params["depth"], params["iters"]
+    w = dy.two_value_weight(2.0, 1.0, depth)
+    for seed in range(1, 31):
+        assert suite._lp_bound_checks(depth, iters, seed)[0].passed, seed
+        assert suite.mt_envelope_checks(w, iters, 2.0, seed)[0].passed, seed
 
 
 def gram_error(w, depth):
     basis = np.array([dy.weighted_haar(w, dy.DyadicInterval(lev, idx))[2].values
                       for lev in range(depth) for idx in range(2 ** lev)])
-    gram = (basis * w.values) @ basis.T / basis.shape[1]
+    gram = np.einsum("ik,jk->ij", basis * w.values, basis) / basis.shape[1]
     return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
 
 
@@ -338,7 +385,7 @@ def test_suite_gram_check_reports_both_weights():
     from bellmanlab.suite import run_experiment
 
     seed = 1
-    entries = run_experiment("dyadic", {"depth": 7, "trials": 10}, seed=seed)
+    entries = run_experiment("dyadic", {"depth": 7, "iters": 10}, seed=seed)
     reported, = [e.value for e in entries if e.check_id == "dyadic.weighted-haar-gram"]
     two_value = gram_error(dy.two_value_weight(2.0, 1.0, 7), 7)
     rng = np.random.default_rng(seed + 1)
