@@ -39,7 +39,7 @@ print(f"row orthogonality {res['max_orthogonality']:.1e}, norm mismatch "
 print("\n== conditioning on the endpoint rebuilds the singular integral ==")
 cond = st.ab_by_conditioning(st.GaussianMix.single(sigma2=1.0), T=40.0,
                              paths=208, bins=16, steps=200, seed=5)
-frac = cond.agreement_fraction(0.05)
+frac = cond.agreement_fraction()
 print(f"bins agreeing with the spectral oracle within 3 sigma: {frac:.1%}")
 
 print("\n== moment-ratio ceilings ==")

@@ -93,8 +93,7 @@ OPERATIONS = {
         seed=a.seed)),
     ("stoch", "ab-mc"): (suite.conditioning_checks, lambda a: dict(
         T=a.T, paths=_paths(a, "stoch-conditioning"), bins=a.bins,
-        steps=_FULL["stoch-conditioning"]["steps"],
-        disc_tol=_FULL["stoch-conditioning"]["disc_tol"], seed=a.seed)),
+        steps=_FULL["stoch-conditioning"]["steps"], seed=a.seed)),
     ("stoch", "constants"): (suite.constant_checks, lambda a: dict(
         p=a.p, trials=int(a.trials), seed=a.seed)),
     ("qc", "distortion"): (suite.distortion_checks, lambda a: dict(K=a.K)),

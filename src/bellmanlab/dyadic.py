@@ -1,9 +1,10 @@
 """Dyadic lattice machinery on [0, 1].
 
-Functions and weights are exact step functions: 2**depth samples, each
-constant on a finest-level interval.  All interval averages are then exact
-(up to floating point), and every operation below works level by level on
-arrays of per-interval averages.
+Functions and weights are exact step functions: 2**depth real samples,
+each constant on a finest-level interval.  All interval averages are then
+exact (up to floating point).  `_pyramid` builds them once as the dyadic
+martingale E[f | F_lev], lev = 0 .. depth; the Haar coefficients are its
+scaled differences, and every operation below works level by level on it.
 
 Interval convention: the interval at (level, index) is
 [index * 2**-level, (index + 1) * 2**-level); its left half is the child
@@ -61,18 +62,14 @@ class DyadicFunction:
         depth = int(round(np.log2(n)))
         if 2 ** depth != n:
             raise ValueError("sample count must be a power of two")
-        self.values = values.astype(complex if np.iscomplexobj(values) else float)
+        if values.dtype.kind == "c":
+            raise ValueError("dyadic samples must be real")
+        self.values = values.astype(float)
         self.depth = depth
 
     def all_averages(self) -> list[np.ndarray]:
         """Averages at every level, index 0 (root) .. depth (samples)."""
-        out = [self.values]
-        v = self.values
-        for _ in range(self.depth):
-            v = 0.5 * (v[0::2] + v[1::2])
-            out.append(v)
-        out.reverse()
-        return out
+        return _pyramid(self.values)
 
     @property
     def mean(self):
@@ -96,8 +93,8 @@ class DyadicWeight(DyadicFunction):
 
     def __init__(self, values):
         super().__init__(values)
-        if np.iscomplexobj(self.values) or np.any(self.values <= 0):
-            raise ValueError("weight samples must be real and strictly positive")
+        if np.any(self.values <= 0):
+            raise ValueError("weight samples must be strictly positive")
 
     def inverse(self) -> "DyadicWeight":
         return DyadicWeight(1.0 / self.values)
@@ -118,37 +115,47 @@ def two_value_weight(u: float, v: float, depth: int) -> DyadicWeight:
 
 
 # ---------------------------------------------------------------------------
-# Haar analysis / synthesis
+# The dyadic pyramid and Haar analysis / synthesis
+
+
+def _pyramid(values: np.ndarray, pair=lambda a, b: 0.5 * (a + b)) -> list[np.ndarray]:
+    """Levels 0 (root) .. depth (the samples), each `pair` of the two
+    children one level down: the averages E[f | F_lev] by default, the
+    infima with np.minimum."""
+    levels = [values]
+    while levels[-1].size > 1:
+        levels.append(pair(levels[-1][0::2], levels[-1][1::2]))
+    levels.reverse()
+    return levels
+
+
+def _deltas(levels: list[np.ndarray]) -> list[np.ndarray]:
+    """Delta_I = <f>_right - <f>_left, one array per level 0 .. depth-1."""
+    return [c[1::2] - c[0::2] for c in levels[1:]]
 
 
 def _haar_analysis(values: np.ndarray) -> list[np.ndarray]:
-    """Haar coefficients along the last axis, one array per level 0 ..
-    depth-1; each row of `values` is one step function."""
-    coeffs = []
-    v = values
-    for lev in range(v.shape[-1].bit_length() - 2, -1, -1):
-        coeffs.append(2.0 ** (-lev / 2.0) / 2.0 * (v[..., 1::2] - v[..., 0::2]))
-        v = 0.5 * (v[..., 0::2] + v[..., 1::2])
-    coeffs.reverse()
-    return coeffs
+    """Haar coefficients (f, h_I) = sqrt(|I|)/2 Delta_I of the samples, one
+    array per level 0 .. depth-1."""
+    return [2.0 ** (-lev / 2.0) / 2.0 * d
+            for lev, d in enumerate(_deltas(_pyramid(values)))]
 
 
 def _haar_synthesis(coeffs: list[np.ndarray], mean) -> np.ndarray:
-    """Inverse of _haar_analysis, with `mean` added to every row."""
-    dtype = complex if any(np.iscomplexobj(c) for c in coeffs) else float
-    cur = np.array([mean], dtype=dtype)
+    """Inverse of _haar_analysis, with `mean` added."""
+    cur = np.array([mean], dtype=float)
     for lev, c in enumerate(coeffs):
         step = np.asarray(c) * 2.0 ** (lev / 2.0)  # coefficient times h value
-        nxt = np.empty(step.shape[:-1] + (2 * step.shape[-1],), dtype=dtype)
-        nxt[..., 0::2] = cur - step
-        nxt[..., 1::2] = cur + step
+        nxt = np.empty(2 * step.size)
+        np.subtract(cur, step, out=nxt[0::2])
+        np.add(cur, step, out=nxt[1::2])
         cur = nxt
     return cur
 
 
-def _transform_rows(values: np.ndarray, signs) -> np.ndarray:
-    """T_sigma along the last axis; signs[lev] broadcasts against the
-    level-lev coefficients."""
+def _transform(values: np.ndarray, signs) -> np.ndarray:
+    """T_sigma of the samples; signs[lev] multiplies the level-lev
+    coefficients."""
     return _haar_synthesis(
         [s * c for s, c in zip(signs, _haar_analysis(values))], 0.0)
 
@@ -192,7 +199,7 @@ def martingale_transform(f: DyadicFunction, signs) -> DyadicFunction:
     sgn = [np.asarray(s, dtype=float) for s in signs]
     if len(sgn) != f.depth or any(a.size != 2 ** lev for lev, a in enumerate(sgn)):
         raise ValueError("sign arrays must match the coefficient tree shape")
-    return DyadicFunction(_transform_rows(f.values, sgn))
+    return DyadicFunction(_transform(f.values, sgn))
 
 
 # ---------------------------------------------------------------------------
@@ -201,22 +208,14 @@ def martingale_transform(f: DyadicFunction, signs) -> DyadicFunction:
 
 def a2_dyadic(w: DyadicWeight) -> float:
     """sup_I <w>_I <1/w>_I over the finite tree (all levels 0..depth)."""
-    wi = w.inverse()
-    best = 1.0
-    aw, ai = w.all_averages(), wi.all_averages()
-    for lev in range(w.depth + 1):
-        best = max(best, float(np.max(aw[lev] * ai[lev])))
-    return best
+    pairs = zip(w.all_averages(), w.inverse().all_averages())
+    return max(1.0, *(float(np.max(aw * ai)) for aw, ai in pairs))
 
 
 def a_infinity_constant(w: DyadicWeight) -> float:
     """sup_J <w>_J exp(-<log w>_J); >= 1 by Jensen."""
-    lw = DyadicFunction(np.log(w.values))
-    aw, al = w.all_averages(), lw.all_averages()
-    best = 1.0
-    for lev in range(w.depth + 1):
-        best = max(best, float(np.max(aw[lev] * np.exp(-al[lev]))))
-    return best
+    pairs = zip(w.all_averages(), _pyramid(np.log(w.values)))
+    return max(1.0, *(float(np.max(aw * np.exp(-al))) for aw, al in pairs))
 
 
 def buckley_sum(w: DyadicWeight) -> float:
@@ -224,9 +223,8 @@ def buckley_sum(w: DyadicWeight) -> float:
     Delta_l w = <w>_{l_right} - <w>_{l_left}."""
     aw = w.all_averages()
     total = 0.0
-    for lev in range(w.depth):
-        delta = aw[lev + 1][1::2] - aw[lev + 1][0::2]
-        total += float(np.sum((delta / aw[lev]) ** 2)) * 2.0 ** (-lev)
+    for lev, (avg, delta) in enumerate(zip(aw, _deltas(aw))):
+        total += float(np.sum((delta / avg) ** 2)) * 2.0 ** (-lev)
     return total
 
 
@@ -294,15 +292,10 @@ def caral_sequence(w: DyadicWeight, alpha: float) -> CarlesonSequence:
     """
     if not 0 < alpha < 0.5:
         raise ValueError("alpha must lie in (0, 1/2)")
-    s = w.inverse()
-    aw, asg = w.all_averages(), s.all_averages()
-    levels = []
-    for lev in range(w.depth):
-        pw, ps = aw[lev], asg[lev]
-        dw = aw[lev + 1][1::2] - aw[lev + 1][0::2]
-        ds = asg[lev + 1][1::2] - asg[lev + 1][0::2]
-        mu = (pw * ps) ** alpha * ((dw / pw) ** 2 + (ds / ps) ** 2) * 2.0 ** (-lev)
-        levels.append(mu)
+    aw, asg = w.all_averages(), w.inverse().all_averages()
+    levels = [(pw * ps) ** alpha * ((dw / pw) ** 2 + (ds / ps) ** 2) * 2.0 ** (-lev)
+              for lev, (pw, ps, dw, ds)
+              in enumerate(zip(aw, asg, _deltas(aw), _deltas(asg)))]
     levels.append(np.zeros(2 ** w.depth))
     return CarlesonSequence(levels)
 
@@ -336,27 +329,19 @@ def carleson_embedding_check(
 
     The actual observed ratios can be read off the returned sides.
     """
-    if np.any(np.real(f.values) < 0) or np.iscomplexobj(f.values):
-        raise ValueError("F must be real and nonnegative")
-    depth = min(seq.depth, f.depth)
+    if np.any(f.values < 0):
+        raise ValueError("F must be nonnegative")
     if w.depth != f.depth:
         raise ValueError("weight and function depths must match")
     intensity = carleson_intensity(seq)
 
-    mins = [f.values]
-    cur = f.values
-    for _ in range(f.depth):
-        cur = np.minimum(cur[0::2], cur[1::2])
-        mins.append(cur)
-    mins.reverse()  # mins[lev]
-
-    aw = w.all_averages()
     lhs1 = 0.0
     lhs2 = 0.0
-    for lev in range(depth + 1):
-        a = seq.levels[lev]
-        lhs1 += float(np.sum(mins[lev] * a))
-        lhs2 += float(np.sum(mins[lev] / aw[lev] * a))
+    # zip stops at the shallower of seq and F
+    for a, inf_f, avg_w in zip(seq.levels, _pyramid(f.values, np.minimum),
+                               w.all_averages()):
+        lhs1 += float(np.sum(inf_f * a))
+        lhs2 += float(np.sum(inf_f / avg_w * a))
     int_f = float(np.mean(f.values))
     int_f_over_w = float(np.mean(f.values / w.values))
     return EmbeddingCheck(
@@ -388,8 +373,8 @@ def transform_ascent_ops(depth: int, weight: DyadicWeight | None = None) -> dict
         return eps, _haar_synthesis([s * c for s, c in zip(eps, cf)], 0.0)
 
     return dict(
-        apply=lambda eps, v: _transform_rows(v, eps),
-        adjoint=lambda eps, u: _transform_rows(wv * u, eps) / wv,
+        apply=lambda eps, v: _transform(v, eps),
+        adjoint=lambda eps, u: _transform(wv * u, eps) / wv,
         pnorm=lambda v, p: _lp_norm(v, p, weight),
         mean=lambda v: np.mean(wv * v) / np.mean(wv),
         signs=signs, op=[np.ones(2 ** lev) for lev in range(depth)])

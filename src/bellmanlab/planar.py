@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -101,8 +100,13 @@ class GridField:
         return float((np.sum(np.abs(self.values) ** p) * self.cell_area) ** (1 / p))
 
 
+def grid_axis(n: int, box: float) -> np.ndarray:
+    """The n torus-grid points of a side of the box, centered on 0."""
+    return (np.arange(n) - n // 2) * box / n
+
+
 def grid_coordinates(n: int, box: float):
-    x = (np.arange(n) - n // 2) * box / n
+    x = grid_axis(n, box)
     return np.meshgrid(x, x, indexing="ij")
 
 
@@ -114,11 +118,9 @@ def gaussian_bump(n: int, box: float, sigma: float = 1.0, center=(0.0, 0.0),
         box, amplitude * np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2 * sigma ** 2)))
 
 
-@lru_cache(maxsize=32)
 def _freq_axes(n: int, box: float):
-    """Read-only frequency axes: k1 a column (n, 1), k2 a row (1, n)."""
+    """Frequency axes: k1 a column (n, 1), k2 a row (1, n)."""
     k = 2.0 * np.pi / box * np.fft.fftfreq(n) * n
-    k.setflags(write=False)
     return k[:, None], k[None, :]
 
 

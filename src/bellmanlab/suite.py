@@ -454,11 +454,11 @@ def _path_checks(steps, paths, sweep_steps, seed):
     return out
 
 
-def conditioning_checks(T, paths, bins, steps, disc_tol, seed):
+def conditioning_checks(T, paths, bins, steps, seed):
     surf = stochastic.GaussianMix.single(sigma2=1.0)
     res = stochastic.ab_by_conditioning(surf, T=T, paths=paths, bins=bins,
                                         steps=steps, seed=seed)
-    frac = res.agreement_fraction(disc_tol)
+    frac = res.agreement_fraction()
     return [CheckResult("stoch.conditioning", -frac, -0.95, 0.0,
                         detail=f"paths={paths}")]
 
@@ -554,8 +554,7 @@ EXPERIMENTS = {
     "stoch-core": lambda params, seed: _path_checks(
         params["steps"], params["paths"], params["sweep_steps"], seed),
     "stoch-conditioning": lambda params, seed: conditioning_checks(
-        params["T"], params["paths"], params["bins"], params["steps"],
-        params["disc_tol"], seed),
+        params["T"], params["paths"], params["bins"], params["steps"], seed),
     "stoch-constants": lambda params, seed: constant_checks(4.0, params["trials"], seed),
     "qc": _exp_qc,
 }
@@ -578,7 +577,7 @@ def tier_params(tier: str) -> dict:
             "stoch-core": {"paths": 20_000, "steps": 400,
                            "sweep_steps": [16, 32, 64, 128, 256]},
             "stoch-conditioning": {"paths": 78, "bins": 16, "T": 40.0,
-                                   "steps": 200, "disc_tol": 0.05},
+                                   "steps": 200},
             "stoch-constants": {"trials": 2000},
             "qc": {"K_list": [2.0], "n": 128},
         }
@@ -599,7 +598,7 @@ def tier_params(tier: str) -> dict:
             "stoch-core": {"paths": 100_000, "steps": 1000,
                            "sweep_steps": [16, 32, 64, 128, 256]},
             "stoch-conditioning": {"paths": 231, "bins": 24, "T": 40.0,
-                                   "steps": 320, "disc_tol": 0.05},
+                                   "steps": 320},
             "stoch-constants": {"trials": 10_000},
             "qc": {"K_list": [1.5, 2.0, 3.0], "n": 256},
         }

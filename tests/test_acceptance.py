@@ -193,7 +193,7 @@ def test_criterion_08_stochastic_suite():
 
     cond = st.ab_by_conditioning(st.GaussianMix.single(sigma2=1.0), T=40.0,
                                  paths=231, bins=24, steps=320, seed=8)
-    frac = cond.agreement_fraction(0.05)
+    frac = cond.agreement_fraction()
     cond_ok = frac >= 0.95
 
     rep = st.subordination_constants_mc(4.0, trials=10_000, seed=9)

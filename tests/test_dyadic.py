@@ -41,6 +41,40 @@ def test_synthesis_inverts_analysis():
     assert np.allclose(g.values, f.values, atol=1e-13)
 
 
+def reference_levels(values):
+    """Interval averages (levels 0 .. depth) and Haar coefficients (f, h_I)
+    (levels 0 .. depth-1), one interval at a time by direct summation."""
+    n = len(values)
+    depth = n.bit_length() - 1
+    averages, coeffs = [], []
+    for lev in range(depth + 1):
+        block = n >> lev
+        pieces = [values[i * block: (i + 1) * block] for i in range(2 ** lev)]
+        averages.append(np.array([piece.sum() / block for piece in pieces]))
+        if lev < depth:
+            h = np.repeat([-1.0, 1.0], block // 2) * 2.0 ** (lev / 2.0)
+            coeffs.append(np.array([np.dot(piece, h) / n for piece in pieces]))
+    return averages, coeffs
+
+
+@pytest.mark.parametrize("depth", [1, 6, 12])
+def test_pyramid_matches_reference_loop(depth):
+    f = rand_fn(depth, seed=20 + depth)
+    averages, coeffs = reference_levels(f.values)
+    got = f.all_averages()
+    assert len(got) == depth + 1 and got[-1] is f.values
+    assert all(np.allclose(g, a, rtol=0, atol=1e-13) for g, a in zip(got, averages))
+    got = dy.haar_coefficients(f)
+    assert len(got) == depth
+    assert all(np.allclose(g, c, rtol=0, atol=1e-13) for g, c in zip(got, coeffs))
+
+
+@pytest.mark.parametrize("cls", [dy.DyadicFunction, dy.DyadicWeight])
+def test_complex_samples_are_rejected(cls):
+    with pytest.raises(ValueError, match="samples must be real"):
+        cls(np.ones(8) + 0j)
+
+
 def test_parseval_check_fails_without_the_finest_level(monkeypatch):
     analysis = dy.haar_coefficients
     monkeypatch.setattr(dy, "haar_coefficients", lambda f: analysis(f)[:-1])

@@ -100,11 +100,15 @@ def test_spectral_checks_fail_on_the_wrong_chirality(monkeypatch):
     assert checks["planar.fft-roundtrip"].passed and checks["planar.ab-isometry"].passed
 
 
-def test_symbols_are_fresh_grids_on_read_only_axes():
+def test_symbols_are_fresh_grids_on_fresh_axes():
     n = 32
     k1, k2 = pl._freq_axes(n, 1.0)
     assert (k1.shape, k2.shape) == ((n, 1), (1, n))
-    assert not k1.flags.writeable and not k2.flags.writeable
+    # no call shares its axes with another, so a write cannot reach the next
+    kept = k1.copy()
+    scratch, _ = pl._freq_axes(n, 1.0)
+    scratch[:] = 0.0
+    assert np.array_equal(pl._freq_axes(n, 1.0)[0], kept)
     singular = [pl.ab_multiplier(), pl.conj_ab_multiplier(),
                 pl.riesz_sq_multiplier(1), pl.riesz_sq_multiplier(2),
                 pl.riesz_mixed_multiplier(), pl.riesz_diff_multiplier()]
@@ -150,7 +154,7 @@ def test_apply_multiplier_holds_three_grids():
 
 
 def test_frequency_cache_holds_no_grid():
-    pl._freq_axes.cache_clear()
+    # nothing of a multiplier application outlives it: no cached axes or grid
     f = random_field(512, seed=13)
     _, held = traced(lambda: pl.apply_multiplier(pl.ab_multiplier(), f))
     assert held < 64 * 1024
@@ -158,7 +162,6 @@ def test_frequency_cache_holds_no_grid():
 
 def test_spectral_experiment_memory():
     params = suite.tier_params("full")["planar-spectral"]
-    pl._freq_axes.cache_clear()
     peak, held = traced(lambda: suite.run_experiment("planar-spectral", params, 1))
     assert peak <= 32 * 2 ** 20
     assert held < 64 * 1024

@@ -402,7 +402,7 @@ def test_conditioning_matches_oracle_small():
     surf = st.GaussianMix.single(sigma2=1.0)
     res = st.ab_by_conditioning(surf, T=40.0, paths=78, bins=16,
                                 steps=200, seed=13)
-    frac = res.agreement_fraction(0.05)
+    frac = res.agreement_fraction()
     assert frac >= 0.9
 
 
@@ -412,7 +412,7 @@ def fast_conditioning(seed):
     res = st.ab_by_conditioning(st.GaussianMix.single(sigma2=1.0), T=prm["T"],
                                 paths=prm["paths"], bins=prm["bins"],
                                 steps=prm["steps"], seed=seed)
-    return res, res.agreement_fraction(prm["disc_tol"])
+    return res, res.agreement_fraction()
 
 
 def test_conditioning_fails_against_the_wrong_chirality():
@@ -420,14 +420,26 @@ def test_conditioning_fails_against_the_wrong_chirality():
     # against the other chirality, most bins disagree
     res, _ = fast_conditioning(1)
     wrong = replace(res, oracle=np.conj(res.oracle))
-    assert wrong.agreement_fraction(0.05) < 0.95
+    assert wrong.agreement_fraction() < 0.95
 
 
 def test_conditioning_false_failure_rate():
     # the fast tier's gate at 0.95 fails at 0 of seeds 1-40 (lowest
-    # fraction 0.977, seed 9); one false failure in seeds 1-20 fails this
+    # fraction 0.996, seeds 27 and 35); one false failure in seeds 1-20
+    # fails this
     fracs = {seed: fast_conditioning(seed)[1] for seed in range(1, 21)}
     assert min(fracs.values()) >= 0.95, fracs
+
+
+def test_conditioning_holds_with_more_paths():
+    # more paths shrink the standard error, so a bias in the bridges would
+    # show here: with uniform steps, seeds 5 and 6 read 0.895 and 0.934
+    prm = tier_params("fast")["stoch-conditioning"]
+    for seed in (5, 6):
+        res = st.ab_by_conditioning(st.GaussianMix.single(sigma2=1.0), T=prm["T"],
+                                    paths=208, bins=prm["bins"], steps=prm["steps"],
+                                    seed=seed)
+        assert res.agreement_fraction() >= 0.95, seed
 
 
 def test_conditioning_linear_in_f():
