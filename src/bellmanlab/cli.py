@@ -127,7 +127,7 @@ def _emit(report: RunReport, args) -> int:
 def _cmd_check(args) -> int:
     builder, params = OPERATIONS[args.module, args.operation]
     report = RunReport(config={"module": args.module, "operation": args.operation,
-                               "seed": args.seed}, version=__version__)
+                               "seed": args.seed})
     report.extend(builder(**params(args)))
     return _emit(report, args)
 
@@ -136,7 +136,6 @@ def _cmd_suite(args) -> int:
     skip = tuple(t for t in (args.skip or "").split(",") if t)
     report = run_suite(args.tier, seed=args.seed, workers=args.workers,
                        skip=skip)
-    report.version = __version__
     return _emit(report, args)
 
 

@@ -51,7 +51,6 @@ __all__ = [
     "riesz_mixed_multiplier",
     "apply_multiplier",
     "ab_transform",
-    "conj_ab_transform",
     "riesz_sq",
     "riesz_mixed",
     "d_z",
@@ -171,10 +170,6 @@ def apply_multiplier(mult: Callable, f: GridField) -> GridField:
 
 def ab_transform(f: GridField) -> GridField:
     return apply_multiplier(ab_multiplier(), f)
-
-
-def conj_ab_transform(f: GridField) -> GridField:
-    return apply_multiplier(conj_ab_multiplier(), f)
 
 
 def riesz_sq(i: int, f: GridField) -> GridField:

@@ -17,6 +17,8 @@ import io
 import json
 from dataclasses import dataclass, field, fields, asdict
 
+from . import __version__
+
 __all__ = ["CheckResult", "RunReport", "CHECK_REGISTRY"]
 
 # stable identifiers for every quantity the laboratory certifies or reports
@@ -101,7 +103,7 @@ class RunReport:
     config: dict
     entries: list = field(default_factory=list)
     wall_time: float = 0.0
-    version: str = "0.1.0"
+    version: str = __version__
 
     def extend(self, results):
         self.entries.extend(results)

@@ -3,8 +3,9 @@
 Heat extensions here solve d/dt u = (1/2) Laplacian u, so u(t, .) is the
 law-of-W_t smoothing and u(T - t, W_t) is a martingale.  The planar module
 uses the kernel with variance t/2 per axis instead; the two conventions
-match under t_planar = 2 t_here.  No conversion is needed: the oracle
-transforms u(0, .), the surface itself.
+match under t_planar = 2 t_here.  No conversion is needed: the
+conditioning oracle transforms u(0, .), the surface itself, in closed
+form, so this module imports nothing from `planar`.
 
 Every simulation runs on one engine, `BrownianDriver.chunks`.  It streams
 increments time-major: for each block of at most CHUNK_PATHS paths it
@@ -35,8 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .planar import GridField, conj_ab_transform, grid_axis
 
 __all__ = [
     "CHUNK_PATHS",
@@ -183,22 +182,12 @@ class GaussianMix:
         return cls(amp, cen, s2)
 
     def value(self, t: float, x: np.ndarray) -> np.ndarray:
-        """u^f(t, x); x has shape (..., 2).  The bumps accumulate in place
-        in one complex array, real and imaginary parts apart, with two real
-        scratch arrays; the sum is bit-identical to adding complex terms."""
-        out = np.zeros(x.shape[:-1], dtype=complex)
-        re, im = out.real, out.imag
-        r2, tmp = np.empty(out.shape), np.empty(out.shape)
+        """u^f(t, x); x has shape (..., 2)."""
+        out = 0.0
         for a, c, s2 in zip(self.amplitudes, self.centers, self.sigma2):
             s = s2 + t
-            np.square(np.subtract(x[..., 0], c[0], out=r2), out=r2)
-            r2 += np.square(np.subtract(x[..., 1], c[1], out=tmp), out=tmp)
-            np.negative(r2, out=r2)
-            r2 /= 2.0 * s
-            e = np.exp(r2, out=r2)
-            k = a * (s2 / s)
-            re += np.multiply(e, k.real, out=tmp)
-            im += np.multiply(e, k.imag, out=tmp)
+            r2 = (x[..., 0] - c[0]) ** 2 + (x[..., 1] - c[1]) ** 2
+            out = out + a * (s2 / s) * np.exp(-r2 / (2.0 * s))
         return out
 
     def gradient(self, t: float, x: np.ndarray) -> np.ndarray:
@@ -230,11 +219,24 @@ class GaussianMix:
             out = term if out is None else out + term
         return out
 
-    def on_grid(self, n: int, box: float) -> GridField:
-        x = grid_axis(n, box)
-        pts = np.empty((n, n, 2))
-        pts[..., 0], pts[..., 1] = x[:, None], x
-        return GridField(box, self.value(0.0, pts))
+    def conj_ab(self, x: np.ndarray) -> np.ndarray:
+        """The conjugate-chirality transform, symbol (k1 + i k2)^2/|k|^2,
+        of u(0, .) at x of shape (..., 2), exact on the plane.
+
+        The transform is 4 dbar^2 of the Newton potential, so a bump
+        a exp(-rho), rho = |z|^2 / (2 sigma^2) with z = (x1 - c1) + i (x2 - c2),
+        maps to a (z/|z|)^2 (e^-rho - (1 - e^-rho)/rho), whose limit at
+        z = 0 is 0."""
+        out = 0.0
+        for a, c, s2 in zip(self.amplitudes, self.centers, self.sigma2):
+            z = (x[..., 0] - c[0]) + 1j * (x[..., 1] - c[1])
+            r2 = z.real ** 2 + z.imag ** 2
+            rho = r2 / (2.0 * s2)
+            # at z = 0 the factor z^2 is 0: any nonzero denominator gives the limit
+            safe = r2 > 0
+            radial = np.exp(-rho) + np.expm1(-rho) / np.where(safe, rho, 1.0)
+            out = out + a * z ** 2 / np.where(safe, r2, 1.0) * radial
+        return out
 
 
 def simulate(surface, driver: BrownianDriver, paths: int,
@@ -351,7 +353,7 @@ def transform_residuals(surface: GaussianMix, driver: BrownianDriver,
 class ConditioningResult:
     estimate: np.ndarray       # (bins, bins) complex conditional means
     stderr: np.ndarray         # (bins, bins) per-bin standard errors
-    oracle: np.ndarray         # (bins, bins) complex FFT values
+    oracle: np.ndarray         # (bins, bins) complex transform at the centers
 
     def agreement_fraction(self) -> float:
         """Fraction of bins whose estimate is within 3 standard errors
@@ -375,17 +377,16 @@ def ab_by_conditioning(surface: GaussianMix, T: float, paths: int,
     last step, so each bin mean estimates E[Y(T) | W_T = x] for the
     discretized integral with no self-normalization.  The bridges are
     stream 8 of the seed, bin-major.  The matrix-A martingale
-    represents the conjugate-chirality multiplier
-    (k1 + i k2)^2/|k|^2, so the oracle column is conj_ab_transform of the
-    surface sampled on a 512 x 512 periodic grid of side 24.
+    represents the conjugate-chirality multiplier (k1 + i k2)^2/|k|^2, so
+    the oracle is `GaussianMix.conj_ab`, that transform in closed form,
+    at the bin centers.
     """
     if paths < 2:
         raise ValueError(f"paths={paths} per bin; a standard error needs at least 2")
-    box, oracle_n, oracle_box = 6.0, 512, 24.0
-    width = box / bins
-    centers = -box / 2.0 + (np.arange(bins) + 0.5) * width
-    ends = np.repeat(np.stack(np.meshgrid(centers, centers, indexing="ij"),
-                              axis=-1).reshape(-1, 2), paths, axis=0)
+    box = 6.0
+    centers = -box / 2.0 + (np.arange(bins) + 0.5) * (box / bins)
+    mesh = np.stack(np.meshgrid(centers, centers, indexing="ij"), axis=-1)
+    ends = np.repeat(mesh.reshape(-1, 2), paths, axis=0)
     left = T * (1.0 - np.arange(steps + 1) / steps) ** 2   # T - t_i
     dts = left[:-1] - left[1:]
     noise = np.sqrt(dts / (T / steps) * left[1:] / left[:-1])
@@ -403,13 +404,10 @@ def ab_by_conditioning(surface: GaussianMix, T: float, paths: int,
             y += db
             W += dW
     Y = Y.reshape(bins, bins, paths)
-
-    oracle_field = conj_ab_transform(surface.on_grid(oracle_n, oracle_box))
-    gi = np.searchsorted(grid_axis(oracle_n, oracle_box), centers)
     return ConditioningResult(
         estimate=Y.mean(axis=2),
         stderr=Y.std(axis=2) / np.sqrt(paths),
-        oracle=oracle_field.values[np.ix_(gi, gi)],
+        oracle=surface.conj_ab(mesh),
     )
 
 

@@ -83,6 +83,41 @@ def test_parseval_check_fails_without_the_finest_level(monkeypatch):
     assert parseval.value > 0.1 and not parseval.passed
 
 
+def fast_dyadic_check(check_id):
+    """The fast tier's `check_id` entry of the dyadic checks, seed 1."""
+    depth = suite.tier_params("fast")["dyadic"]["depth"]
+    [check] = [c for c in suite._dyadic_checks(depth, 1) if c.check_id == check_id]
+    return check
+
+
+def test_contraction_check_fails_on_scaled_signs(monkeypatch):
+    # signs of modulus 1.05 on level 3 stretch those Haar terms
+    signs = dy.random_signs
+    monkeypatch.setattr(dy, "random_signs", lambda depth, rng: [
+        s * 1.05 if lev == 3 else s for lev, s in enumerate(signs(depth, rng))])
+    check = fast_dyadic_check("dyadic.transform-contraction")
+    assert check.value > 1.0005 and not check.passed
+
+
+def test_gram_check_fails_without_the_beta_correction(monkeypatch):
+    # h^w = +-2^(lev/2)/alpha on the two halves: unit-scaled, but no longer
+    # w-mean zero, so it is not orthogonal to the coarser levels
+    haar = dy.weighted_haar
+
+    def uncorrected(w, interval):
+        alpha, beta, hw = haar(w, interval)
+        block = hw.values.size >> interval.level
+        lo = interval.index * block
+        v = np.zeros(hw.values.size)
+        v[lo: lo + block] = 2.0 ** (interval.level / 2.0) / alpha
+        v[lo: lo + block // 2] *= -1.0
+        return alpha, beta, dy.DyadicFunction(v)
+
+    monkeypatch.setattr(dy, "weighted_haar", uncorrected)
+    check = fast_dyadic_check("dyadic.weighted-haar-gram")
+    assert check.value > 1.0 and not check.passed
+
+
 # ---------------------------------------------------------------------------
 # Martingale transform
 

@@ -84,20 +84,32 @@ def test_conj_ab_is_conjugate_on_real():
     f = pl.GridField(1.0, strip_nyquist(raw).real.astype(complex))
     f = pl.GridField(1.0, f.values - f.values.mean())
     a = pl.ab_transform(f).values
-    b = pl.conj_ab_transform(f).values
+    b = pl.apply_multiplier(pl.conj_ab_multiplier(), f).values
     assert np.max(np.abs(np.conj(a) - b)) < 1e-12
 
 
 def test_spectral_checks_fail_on_the_wrong_chirality(monkeypatch):
     # with the conjugate symbol standing in for the transform, dbar-data no
     # longer maps to d-data and the three-term Riesz form no longer holds;
-    # the round trip and the isometry do not see a chirality swap, so they
-    # still need another known-bad input
-    monkeypatch.setattr(pl, "ab_transform", pl.conj_ab_transform)
+    # the round trip and the isometry do not see a chirality swap (the
+    # isometry fails on a scaled symbol instead, below)
+    monkeypatch.setattr(pl, "ab_transform",
+                        lambda f: pl.apply_multiplier(pl.conj_ab_multiplier(), f))
     checks = {c.check_id: c for c in suite._spectral_checks(64, 1)}
     for check_id in ("planar.dbar-to-d", "planar.ab-decomposition"):
         assert checks[check_id].value > 0.1 and not checks[check_id].passed
     assert checks["planar.fft-roundtrip"].passed and checks["planar.ab-isometry"].passed
+
+
+def test_isometry_check_fails_on_a_scaled_symbol(monkeypatch):
+    # 1.01 times the symbol stretches every mean-zero field by 1%
+    symbol = pl.ab_multiplier()
+    monkeypatch.setattr(pl, "ab_multiplier",
+                        lambda: lambda k1, k2: 1.01 * symbol(k1, k2))
+    n = suite.tier_params("fast")["planar-spectral"]["n"]
+    checks = {c.check_id: c for c in suite._spectral_checks(n, 1)}
+    assert checks["planar.ab-isometry"].value > 0.009
+    assert not checks["planar.ab-isometry"].passed
 
 
 def test_symbols_are_fresh_grids_on_fresh_axes():

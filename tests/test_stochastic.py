@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bellmanlab import planar as pl
 from bellmanlab import stochastic as st
 from bellmanlab.suite import _path_checks, run_experiment, tier_params
 
@@ -304,8 +305,8 @@ def test_semigroup_property_of_closed_form():
 
 
 def test_value_is_the_sum_of_complex_bump_terms():
-    # the in-place accumulation gives the bits of the plain complex sum,
-    # also where the far bumps underflow to zero
+    # value carries the bits of the plain complex sum, also where the far
+    # bumps underflow to zero
     surf = st.GaussianMix.random(np.random.default_rng(3), 3)
     x = np.random.default_rng(4).uniform(-40.0, 40.0, size=(64, 64, 2))
     for t in (0.0, 0.7):
@@ -314,24 +315,6 @@ def test_value_is_the_sum_of_complex_bump_terms():
             r2 = (x[..., 0] - c[0]) ** 2 + (x[..., 1] - c[1]) ** 2
             plain = plain + a * (s2 / (s2 + t)) * np.exp(-r2 / (2.0 * (s2 + t)))
         assert surf.value(t, x).tobytes() == plain.tobytes()
-
-
-def test_value_holds_one_complex_and_two_real_grids():
-    # on the conditioning oracle's 512^2 grid: the complex result and two
-    # real scratch arrays, whatever the number of bumps
-    n = 512
-    surf = st.GaussianMix.random(np.random.default_rng(3), 3)
-    axis = np.linspace(-12.0, 12.0, n)
-    x = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        surf.value(0.0, x)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= (16 + 2 * 8) * n * n + 64 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +423,47 @@ def test_conditioning_holds_with_more_paths():
                                     paths=208, bins=prm["bins"], steps=prm["steps"],
                                     seed=seed)
         assert res.agreement_fraction() >= 0.95, seed
+
+
+@pytest.mark.parametrize("surface, bound", [
+    (st.GaussianMix.single(sigma2=1.0), 5e-4),
+    (st.GaussianMix.random(np.random.default_rng(1), 3), 1e-3),
+])
+def test_conditioning_oracle_matches_the_spectral_transform(surface, bound):
+    # the closed-form oracle against the FFT multiplier on a 1024^2 torus of
+    # side 32, whose nodes hold every 16- and 24-bin center; the gap left is
+    # the torus's periodization of the transform's 1/|x|^2 tail
+    n, box = 1024, 32.0
+    axis = pl.grid_axis(n, box)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
+    spectral = pl.apply_multiplier(pl.conj_ab_multiplier(),
+                                   pl.GridField(box, surface.value(0.0, grid))).values
+    for bins in (16, 24):
+        res = st.ab_by_conditioning(surface, T=4.0, paths=2, bins=bins, steps=4, seed=0)
+        centers = -3.0 + (np.arange(bins) + 0.5) * (6.0 / bins)
+        gi = np.searchsorted(axis, centers)
+        assert np.array_equal(axis[gi], centers)
+        gap = np.max(np.abs(res.oracle - spectral[np.ix_(gi, gi)]))
+        assert gap <= bound, (bins, gap)
+
+
+def test_conditioning_study_runs_no_fft(monkeypatch):
+    # the oracle is the closed form: no grid, no FFT, nothing from planar
+    def banned(*args, **kwargs):
+        raise AssertionError("the conditioning study ran an FFT")
+
+    for name in ("fft2", "ifft2"):
+        monkeypatch.setattr(np.fft, name, banned)
+    run_experiment("stoch-conditioning", tier_params("fast")["stoch-conditioning"], seed=1)
+    assert not any(v is pl or getattr(v, "__module__", None) == pl.__name__
+                   for v in vars(st).values())
+
+
+def test_conj_ab_vanishes_at_a_bump_center():
+    surf = st.GaussianMix.random(np.random.default_rng(2), 1)
+    # finite and 0 at the center (a NaN would fail both comparisons)
+    assert np.array_equal(surf.conj_ab(surf.centers), [0.0])
+    assert np.abs(surf.conj_ab(surf.centers + 1e-6)[0]) < 1e-6
 
 
 def test_conditioning_linear_in_f():
