@@ -39,9 +39,10 @@ for d in (8, 10, 12, 14):
 
 print("\n== the weighted Haar system ==")
 w2 = dy.two_value_weight(1.0, 4.0, 6)
-alpha, beta, hw = dy.weighted_haar(w2, dy.DyadicInterval(0, 0))
-print(f"h_I = alpha h_I^w + beta chi_I/sqrt|I| with alpha = {alpha:.4f}, "
-      f"beta = {beta:.4f} (= 3/5 for the 1:4 jump)")
+alphas, betas, basis = dy.weighted_haar_system(w2)
+print(f"{basis.shape[0]} weighted Haar functions h_I^w from one pyramid; at the root")
+print(f"h_I = alpha h_I^w + beta chi_I/sqrt|I| with alpha = {alphas[0][0]:.4f}, "
+      f"beta = {betas[0][0]:.4f} (= 3/5 for the 1:4 jump)")
 
 print("\n== jump sequences are Carleson, with intensity ~ characteristic^alpha ==")
 alpha = 0.25

@@ -5,6 +5,9 @@ each constant on a finest-level interval.  All interval averages are then
 exact (up to floating point).  `_pyramid` builds them once as the dyadic
 martingale E[f | F_lev], lev = 0 .. depth; the Haar coefficients are its
 scaled differences, and every operation below works level by level on it.
+The weighted Haar system is read off the same pyramid; its basis has one
+row per interval, level by level and left to right: (level, index) is row
+2**level - 1 + index, the flat order in which `random_signs` draws.
 
 Interval convention: the interval at (level, index) is
 [index * 2**-level, (index + 1) * 2**-level); its left half is the child
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "DyadicInterval",
     "DyadicFunction",
     "DyadicWeight",
     "CarlesonSequence",
@@ -29,7 +31,7 @@ __all__ = [
     "martingale_transform",
     "random_signs",
     "a2_dyadic",
-    "weighted_haar",
+    "weighted_haar_system",
     "caral_sequence",
     "carleson_intensity",
     "carleson_embedding_check",
@@ -41,26 +43,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DyadicInterval:
-    """Dyadic subinterval of [0,1]: [index/2^level, (index+1)/2^level)."""
-
-    level: int
-    index: int
-
-    def __post_init__(self):
-        if self.level < 0 or not 0 <= self.index < 2 ** self.level:
-            raise ValueError(f"bad dyadic interval ({self.level}, {self.index})")
-
-
 class DyadicFunction:
     """Step function on [0,1] with 2**depth equal-width pieces."""
 
     def __init__(self, values):
         values = np.asarray(values)
         n = values.size
-        depth = int(round(np.log2(n)))
-        if 2 ** depth != n:
+        depth = n.bit_length() - 1
+        if 2 ** depth != n:  # also n = 0, where 2 ** -1 = 0.5
             raise ValueError("sample count must be a power of two")
         if values.dtype.kind == "c":
             raise ValueError("dyadic samples must be real")
@@ -232,35 +222,35 @@ def buckley_sum(w: DyadicWeight) -> float:
 # Weighted Haar system
 
 
-def weighted_haar(w: DyadicWeight, interval: DyadicInterval):
-    """Decompose h_I = alpha_I h_I^w + beta_I chi_I / sqrt(|I|).
+def weighted_haar_system(w: DyadicWeight):
+    """Decompose h_I = alpha_I h_I^w + beta_I chi_I / sqrt(|I|) for every I.
 
     h_I^w is two-valued on the halves of I, has zero w-mean and unit
     L2(w) norm.  Solving the 2x2 system gives
     beta = Delta_I w / (2 <w>_I) and alpha = sqrt(<w>_I (1 - beta^2)),
     hence |alpha| <= sqrt(<w>_I) and |beta| <= |Delta_I w| / <w>_I.
 
-    Returns (alpha, beta, h_I^w) with h_I^w a DyadicFunction at w's depth.
+    Returns (alpha, beta, basis): alpha and beta one array per level
+    0 .. depth-1, basis the samples of every h_I^w in the row order above.
     """
-    if interval.level >= w.depth:
-        raise ValueError("interval has no children at this resolution")
-    child = w.all_averages()[interval.level + 1]
-    w_left = child[2 * interval.index]
-    w_right = child[2 * interval.index + 1]
-    if w_left <= 0 or w_right <= 0:
-        raise ValueError("degenerate weight: a half of I has no mass")
-    w_avg = 0.5 * (w_left + w_right)
-    beta = (w_right - w_left) / (2.0 * w_avg)
-    alpha = np.sqrt(w_avg * (1.0 - beta ** 2))
-
+    if w.depth < 1:
+        raise ValueError("need depth >= 1")
+    aw = w.all_averages()
     n = 2 ** w.depth
-    block = n // 2 ** interval.level
-    sq = 2.0 ** (interval.level / 2.0)  # 1/sqrt(|I|)
-    hw = np.zeros(n)
-    lo = interval.index * block
-    hw[lo: lo + block // 2] = (-sq - beta * sq) / alpha
-    hw[lo + block // 2: lo + block] = (sq - beta * sq) / alpha
-    return float(alpha), float(beta), DyadicFunction(hw)
+    alpha, beta, basis = [], [], np.zeros((n - 1, n))
+    for lev, (w_avg, delta) in enumerate(zip(aw, _deltas(aw))):
+        b = delta / (2.0 * w_avg)
+        a = np.sqrt(w_avg * (1.0 - b ** 2))
+        sq = 2.0 ** (lev / 2.0)  # 1/sqrt(|I|)
+        k = 2 ** lev
+        # rows of this level as (interval, block, half, sample): h_I^w lives
+        # on the diagonal block only
+        rows = basis[k - 1: 2 * k - 1].reshape(k, k, 2, -1)
+        rows[np.arange(k), np.arange(k)] = np.stack(
+            [(-sq - b * sq) / a, (sq - b * sq) / a], axis=1)[..., None]
+        alpha.append(a)
+        beta.append(b)
+    return alpha, beta, basis
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +262,8 @@ class CarlesonSequence:
 
     def __init__(self, levels: list[np.ndarray]):
         self.levels = [np.asarray(a, dtype=float) for a in levels]
+        if not self.levels:
+            raise ValueError("a Carleson sequence needs at least the root level")
         for lev, a in enumerate(self.levels):
             if a.size != 2 ** lev:
                 raise ValueError("level arrays must have sizes 1, 2, 4, ...")
@@ -304,7 +296,7 @@ def carleson_intensity(seq: CarlesonSequence) -> float:
     """sup_J (sum over I inside J of seq(I)) / |J|."""
     depth = seq.depth
     subtree = seq.levels[depth].copy()
-    best = float(np.max(subtree)) * 2.0 ** depth if depth >= 0 else 0.0
+    best = float(np.max(subtree)) * 2.0 ** depth
     for lev in range(depth - 1, -1, -1):
         subtree = seq.levels[lev] + subtree[0::2] + subtree[1::2]
         best = max(best, float(np.max(subtree)) * 2.0 ** lev)

@@ -318,20 +318,18 @@ def default_battery(seed: int = 0) -> list[TestFunction2D]:
 def laminate_inequality_check(lam: Laminate, a=(0.0, 0.0),
                               battery: list | None = None, seed: int = 0) -> float:
     """min over the battery of f(a) - int f(a + z) dlam~(z), where lam~ is
-    lam recentered at its baricenter (so displacements average to zero).
-    For a valid laminate and bi-concave battery this is >= -tol; battery
-    members failing the sampled concavity certificate are rejected."""
+    lam over its mass, recentered at its baricenter (displacements average
+    to zero).  For a valid laminate and bi-concave battery this is >= -tol;
+    battery members failing the sampled concavity certificate are rejected."""
     if battery is None:
         battery = default_battery(seed)
     bx, by, m = baricenter(lam)
-    if abs(m - 1.0) > 1e-9:
-        raise ValueError("inequality check expects a probability laminate")
     worst = np.inf
     for f in battery:
         ok, witness = check_biconcave(f.fn, seed=seed)
         if not ok:
             raise ValueError(f"battery member {f.tag} fails bi-concavity at {witness}")
         lhs = float(f(a[0], a[1]))
-        rhs = integrate(lam, f, shift=(a[0] - bx, a[1] - by))
+        rhs = integrate(lam, f, shift=(a[0] - bx, a[1] - by)) / m
         worst = min(worst, lhs - rhs)
     return worst

@@ -57,20 +57,12 @@ def _dyadic_checks(depth, seed):
     wr = dyadic.DyadicWeight(np.exp(0.7 * rng_w.standard_normal(2 ** gram_depth)))
     worst_bound = gram_err = 0.0
     for weight in (wg, wr):
-        basis = []
+        alpha, beta, basis = dyadic.weighted_haar_system(weight)
         aw = weight.all_averages()
-        for lev in range(gram_depth):
-            for idx in range(2 ** lev):
-                a, b, hw = dyadic.weighted_haar(weight, dyadic.DyadicInterval(lev, idx))
-                basis.append(hw.values)
-                davg = aw[lev + 1]
-                delta = davg[2 * idx + 1] - davg[2 * idx]
-                worst_bound = max(
-                    worst_bound,
-                    abs(a) - np.sqrt(aw[lev][idx]),
-                    abs(b) - abs(delta) / aw[lev][idx] if delta != 0 else 0.0,
-                )
-        basis = np.array(basis)
+        for a, b, avg, child in zip(alpha, beta, aw, aw[1:]):
+            delta = child[1::2] - child[0::2]
+            worst_bound = max(worst_bound, float(np.max(np.abs(a) - np.sqrt(avg))),
+                              float(np.max(np.abs(b) - np.abs(delta) / avg)))
         # einsum, not @: a matrix product this small wakes a BLAS thread
         gram = np.einsum("ik,jk->ij", basis * weight.values, basis) / basis.shape[1]
         gram_err = max(gram_err, float(np.max(np.abs(gram - np.eye(gram.shape[0])))))

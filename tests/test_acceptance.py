@@ -144,16 +144,12 @@ def test_criterion_07_dyadic_suite():
 
     w = dy.DyadicWeight(np.exp(0.7 * rng.standard_normal(2 ** 7)))
     aw = w.all_averages()
+    alpha, beta, basis = dy.weighted_haar_system(w)
     bound_slack = 0.0
-    basis = []
-    for lev in range(7):
-        for idx in range(2 ** lev):
-            a, b, hw = dy.weighted_haar(w, dy.DyadicInterval(lev, idx))
-            delta = aw[lev + 1][2 * idx + 1] - aw[lev + 1][2 * idx]
-            bound_slack = max(bound_slack, abs(a) - np.sqrt(aw[lev][idx]),
-                              abs(b) - abs(delta) / aw[lev][idx])
-            basis.append(hw.values)
-    basis = np.array(basis)
+    for a, b, avg, child in zip(alpha, beta, aw, aw[1:]):
+        delta = child[1::2] - child[0::2]
+        bound_slack = max(bound_slack, float(np.max(np.abs(a) - np.sqrt(avg))),
+                          float(np.max(np.abs(b) - np.abs(delta) / avg)))
     gram_err = float(np.max(np.abs(
         (basis * w.values) @ basis.T / basis.shape[1] - np.eye(len(basis)))))
 

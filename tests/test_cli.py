@@ -92,6 +92,15 @@ def test_buckley_rejects_file_weight(tmp_path, capsys):
     assert "one depth" in err
 
 
+def test_empty_weight_file_usage_error(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("")
+    with pytest.warns(UserWarning, match="no data"):
+        code, out, err = run_cli(capsys, "dyadic", "mt-ratio", "--weight", f"file:{path}")
+    assert code == 2 and out == ""
+    assert "power of two" in err
+
+
 def flag_choices(module, flag):
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))

@@ -69,6 +69,11 @@ def test_pyramid_matches_reference_loop(depth):
     assert all(np.allclose(g, c, rtol=0, atol=1e-13) for g, c in zip(got, coeffs))
 
 
+def test_empty_samples_are_rejected():
+    with pytest.raises(ValueError, match="power of two"):
+        dy.DyadicFunction(np.array([]))
+
+
 @pytest.mark.parametrize("cls", [dy.DyadicFunction, dy.DyadicWeight])
 def test_complex_samples_are_rejected(cls):
     with pytest.raises(ValueError, match="samples must be real"):
@@ -102,20 +107,29 @@ def test_contraction_check_fails_on_scaled_signs(monkeypatch):
 def test_gram_check_fails_without_the_beta_correction(monkeypatch):
     # h^w = +-2^(lev/2)/alpha on the two halves: unit-scaled, but no longer
     # w-mean zero, so it is not orthogonal to the coarser levels
-    haar = dy.weighted_haar
+    system = dy.weighted_haar_system
 
-    def uncorrected(w, interval):
-        alpha, beta, hw = haar(w, interval)
-        block = hw.values.size >> interval.level
-        lo = interval.index * block
-        v = np.zeros(hw.values.size)
-        v[lo: lo + block] = 2.0 ** (interval.level / 2.0) / alpha
-        v[lo: lo + block // 2] *= -1.0
-        return alpha, beta, dy.DyadicFunction(v)
+    def uncorrected(w):
+        alpha, beta, basis = system(w)
+        scale = np.concatenate([2.0 ** (lev / 2.0) / a for lev, a in enumerate(alpha)])
+        return alpha, beta, np.sign(basis) * scale[:, None]
 
-    monkeypatch.setattr(dy, "weighted_haar", uncorrected)
+    monkeypatch.setattr(dy, "weighted_haar_system", uncorrected)
     check = fast_dyadic_check("dyadic.weighted-haar-gram")
     assert check.value > 1.0 and not check.passed
+
+
+def test_haar_bounds_check_fails_on_a_scaled_alpha(monkeypatch):
+    # |alpha_I| <= sqrt(<w>_I) holds with equality where Delta_I w = 0
+    system = dy.weighted_haar_system
+
+    def scaled(w):
+        alpha, beta, basis = system(w)
+        return [1.05 * a for a in alpha], beta, basis
+
+    monkeypatch.setattr(dy, "weighted_haar_system", scaled)
+    check = fast_dyadic_check("dyadic.weighted-haar-bounds")
+    assert check.value > 0.05 and not check.passed
 
 
 # ---------------------------------------------------------------------------
@@ -188,49 +202,54 @@ def test_weight_validation():
 # Weighted Haar system
 
 
+def test_weighted_haar_system_reconstructs_every_haar_function():
+    # h_I = alpha_I h_I^w + beta_I chi_I/sqrt(|I|) on every row; the oracle
+    # h_I and chi_I/sqrt(|I|) come from bit tests on the sample index
+    w = dy.DyadicWeight(np.exp(np.random.default_rng(8).standard_normal(2 ** 6)))
+    alpha, beta, basis = dy.weighted_haar_system(w)
+    assert basis.shape == (63, 64)
+    lev = np.repeat(np.arange(6), 2 ** np.arange(6))[:, None]
+    idx = np.arange(63)[:, None] - (2 ** lev - 1)
+    x = np.arange(64)
+    chi = ((x >> (6 - lev)) == idx) * 2.0 ** (lev / 2.0)
+    h = chi * np.where((x >> (5 - lev)) & 1, 1.0, -1.0)
+    recon = np.concatenate(alpha)[:, None] * basis + np.concatenate(beta)[:, None] * chi
+    assert np.max(np.abs(recon - h)) < 1e-12
+
+
 def test_weighted_haar_unweighted_case():
-    w = dy.DyadicWeight(np.ones(16))
-    a, b, hw = dy.weighted_haar(w, dy.DyadicInterval(1, 1))
-    assert a == pytest.approx(1.0) and b == pytest.approx(0.0)
-    # h_I^w equals h_I: value +-1/sqrt(|I|) = +-sqrt(2) on the halves
-    block = hw.values[8:]
-    assert np.allclose(block[:4], -np.sqrt(2.0)) and np.allclose(block[4:], np.sqrt(2.0))
+    alpha, beta, basis = dy.weighted_haar_system(dy.DyadicWeight(np.ones(16)))
+    assert np.allclose(np.concatenate(alpha), 1.0)
+    assert np.allclose(np.concatenate(beta), 0.0)
+    # h_I^w equals h_I: on row (1, 1), value +-1/sqrt(|I|) = +-sqrt(2) on the halves
+    assert np.allclose(basis[2], np.repeat([0.0, -np.sqrt(2.0), np.sqrt(2.0)], [8, 4, 4]))
 
 
 def test_weighted_haar_two_value_reconstruction():
     # oracle: solve the 2x2 system by hand; w = 1 left, 4 right gives
     # beta = (4-1)/(2*2.5) = 3/5 and h_I = alpha h^w + beta chi/sqrt(|I|)
-    w = dy.two_value_weight(1.0, 4.0, 5)
-    I = dy.DyadicInterval(0, 0)
-    a, b, hw = dy.weighted_haar(w, I)
-    assert b == pytest.approx(3.0 / 5.0, abs=1e-15)
-    n = 2 ** 5
-    h = np.where(np.arange(n) < n // 2, -1.0, 1.0)
-    recon = a * hw.values + b * np.ones(n)
-    assert np.max(np.abs(recon - h)) < 1e-14
+    alpha, beta, basis = dy.weighted_haar_system(dy.two_value_weight(1.0, 4.0, 5))
+    assert beta[0][0] == pytest.approx(3.0 / 5.0, abs=1e-15)
+    h = np.where(np.arange(32) < 16, -1.0, 1.0)
+    assert np.max(np.abs(alpha[0][0] * basis[0] + beta[0][0] - h)) < 1e-14
 
 
 def test_weighted_haar_bounds_and_gram():
     rng = np.random.default_rng(8)
     w = dy.DyadicWeight(np.exp(rng.standard_normal(2 ** 6)))
+    alpha, beta, basis = dy.weighted_haar_system(w)
     aw = w.all_averages()
-    basis = []
-    for lev in range(6):
-        for idx in range(2 ** lev):
-            a, b, hw = dy.weighted_haar(w, dy.DyadicInterval(lev, idx))
-            delta = aw[lev + 1][2 * idx + 1] - aw[lev + 1][2 * idx]
-            assert abs(a) <= np.sqrt(aw[lev][idx]) + 1e-12
-            assert abs(b) <= abs(delta) / aw[lev][idx] + 1e-12
-            basis.append(hw.values)
-    basis = np.array(basis)
+    avg = np.concatenate(aw[:-1])
+    delta = np.concatenate([c[1::2] - c[0::2] for c in aw[1:]])
+    assert np.all(np.abs(np.concatenate(alpha)) <= np.sqrt(avg) + 1e-12)
+    assert np.all(np.abs(np.concatenate(beta)) <= np.abs(delta) / avg + 1e-12)
     gram = (basis * w.values) @ basis.T / basis.shape[1]
     assert np.max(np.abs(gram - np.eye(len(basis)))) < 1e-10
 
 
-def test_weighted_haar_needs_children():
-    w = dy.two_value_weight(2.0, 1.0, 3)
-    with pytest.raises(ValueError):
-        dy.weighted_haar(w, dy.DyadicInterval(3, 0))
+def test_weighted_haar_system_needs_depth():
+    with pytest.raises(ValueError, match="need depth >= 1"):
+        dy.weighted_haar_system(dy.DyadicWeight(np.ones(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +260,11 @@ def test_intensity_telescoping_count():
     D = 6
     seq = dy.CarlesonSequence([np.full(2 ** lev, 2.0 ** -lev) for lev in range(D + 1)])
     assert dy.carleson_intensity(seq) == pytest.approx(D + 1.0, abs=1e-12)
+
+
+def test_carleson_sequence_needs_the_root_level():
+    with pytest.raises(ValueError, match="root level"):
+        dy.CarlesonSequence([])
 
 
 def test_caral_sequence_constant_weight_vanishes():
@@ -443,9 +467,8 @@ def test_dyadic_ascent_gates_pass_over_30_seeds():
         assert suite.mt_envelope_checks(w, iters, 2.0, seed)[0].passed, seed
 
 
-def gram_error(w, depth):
-    basis = np.array([dy.weighted_haar(w, dy.DyadicInterval(lev, idx))[2].values
-                      for lev in range(depth) for idx in range(2 ** lev)])
+def gram_error(w):
+    basis = dy.weighted_haar_system(w)[2]
     gram = np.einsum("ik,jk->ij", basis * w.values, basis) / basis.shape[1]
     return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
 
@@ -456,7 +479,7 @@ def test_suite_gram_check_reports_both_weights():
     seed = 1
     entries = run_experiment("dyadic", {"depth": 7, "iters": 10}, seed=seed)
     reported, = [e.value for e in entries if e.check_id == "dyadic.weighted-haar-gram"]
-    two_value = gram_error(dy.two_value_weight(2.0, 1.0, 7), 7)
+    two_value = gram_error(dy.two_value_weight(2.0, 1.0, 7))
     rng = np.random.default_rng(seed + 1)
     random_weight = dy.DyadicWeight(np.exp(0.7 * rng.standard_normal(2 ** 7)))
-    assert reported == max(two_value, gram_error(random_weight, 7))
+    assert reported == max(two_value, gram_error(random_weight))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bellmanlab import laminate as lam
+from bellmanlab import suite
 
 
 def nu_sum(p, eta):
@@ -181,3 +182,33 @@ def test_battery_certification_rejects_convex():
 def test_check_biconcave_flags_phi_plus():
     ok, witness = lam.check_biconcave(lam.phi_plus(3.0).fn, seed=1)
     assert not ok and witness is not None
+
+
+# ---------------------------------------------------------------------------
+# known-bad inputs for the suite's laminate checks
+
+
+def test_mass_check_fails_on_heavier_rays(monkeypatch):
+    # ray weights x1.01 give nu mass 1.01 at an unchanged baricenter; the
+    # Jensen side integrates the normalized measure and still holds
+    pair = lam.nu_pair
+    monkeypatch.setattr(lam, "nu_pair", lambda p, eta: tuple(
+        lam.Laminate(atoms=half.atoms,
+                     rays=[lam.Ray(r.ax, r.ay, 1.01 * r.weight, r.q) for r in half.rays])
+        for half in pair(p, eta)))
+    params = suite.tier_params("fast")["laminate"]
+    checks = {e.check_id: e for e in suite.run_experiment("laminate", params, seed=1)}
+    mass = checks["laminate.mass-baricenter"]
+    assert mass.value == pytest.approx(0.01, rel=1e-6) and not mass.passed
+    assert checks["laminate.jensen"].passed
+
+
+def test_reflection_check_fails_when_the_rays_are_not_reflected(monkeypatch):
+    def atoms_only(p, eta):
+        mu = lam.mu_laminate(p, eta)
+        return lam.Laminate(atoms=[(x, -y, m) for (x, y, m) in mu.atoms], rays=mu.rays)
+
+    monkeypatch.setattr(lam, "sigma_laminate", atoms_only)
+    [check] = [c for c in suite._quadrature_checks(3.0)
+               if c.check_id == "laminate.reflection"]
+    assert check.value > 1.0 and not check.passed
