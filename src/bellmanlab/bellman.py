@@ -17,12 +17,10 @@ only measure float cancellation noise (~1e-4 for p = 8 on a [-10, 10] box).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.optimize import minimize_scalar
-from scipy.special import gammaln
 
 __all__ = [
     "p_star",
@@ -314,27 +312,61 @@ def tau_closed_form(p: float) -> float:
     """(Gamma((p+1)/2) / (sqrt(pi) Gamma(p/2+1)))^(1/p)."""
     if p <= 0:
         raise ValueError("p must be positive")
-    return float(np.exp((gammaln((p + 1.0) / 2.0) - gammaln(p / 2.0 + 1.0)
+    return float(np.exp((math.lgamma((p + 1.0) / 2.0) - math.lgamma(p / 2.0 + 1.0)
                          - 0.5 * np.log(np.pi)) / p))
 
 
+# tanh-sinh rule for int_0^{pi/2} f(t) dt, with t = (pi/2)/(1 + e^(-pi sinh u))
+# on u in [-4, 4] at step h = 1/32.  The nodes are kept as the gap pi/2 - t,
+# so cos t = sin(gap) keeps full relative precision next to the zero at
+# pi/2; the weights h dt/du = h (pi^2/4) cosh u / (1 + cosh(pi sinh u)) are
+# below 1e-36 at the ends.
+_TS_U = np.arange(-128, 129) / 32.0
+_TS_GAP = (np.pi / 2.0) / (1.0 + np.exp(np.pi * np.sinh(_TS_U)))
+_TS_WEIGHT = np.pi ** 2 / 128.0 * np.cosh(_TS_U) / (1.0 + np.cosh(np.pi * np.sinh(_TS_U)))
+
+
+def _cos_power_integral(p: float) -> float:
+    """int_0^{pi/2} cos(t)^p dt by the tanh-sinh rule above."""
+    return float(np.sum(_TS_WEIGHT * np.sin(_TS_GAP) ** p))
+
+
 def tau(p: float) -> float:
-    """((1/2pi) int_0^{2pi} |cos|^p)^(1/p) by adaptive quadrature.
+    """((1/2pi) int_0^{2pi} |cos|^p)^(1/p) by tanh-sinh quadrature.
 
     The check bellman.tau-quadrature compares it with the closed Gamma
     form, so a quadrature failure shows there as a failed check.
     """
     if p <= 0:
         raise ValueError("p must be positive")
-    avg, _ = integrate.quad(lambda t: np.cos(t) ** p, 0.0, np.pi / 2.0,
-                            epsabs=1e-14, epsrel=1e-13)
-    return (2.0 / np.pi * avg) ** (1.0 / p)
+    return (2.0 / np.pi * _cos_power_integral(p)) ** (1.0 / p)
+
+
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_min(f, a: float, b: float, xatol: float) -> float:
+    """Smallest value of f met by golden-section search on [a, b], run until
+    the bracket is narrower than xatol; f should be unimodal there."""
+    c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xatol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_GOLDEN * (b - a)
+            fd = f(d)
+    return min(fc, fd)
 
 
 def interpolation_constant(q: float) -> float:
     """min over p in [q, 1e3] of [sqrt(2)(p-1)/tau(p)]^theta, where
     theta = (1/2 - 1/q)/(1/2 - 1/p) interpolates between exponent 2
-    (norm 1) and exponent p.
+    (norm 1) and exponent p.  The minimum is found by golden-section search
+    to a bracket of 1e-10, plus the endpoint p = q.
 
     Requires q >= 2 (use duality q <-> q/(q-1) upstream for q < 2).
     """
@@ -347,9 +379,7 @@ def interpolation_constant(q: float) -> float:
         theta = (0.5 - 1.0 / q) / (0.5 - 1.0 / p)
         return theta * np.log(np.sqrt(2.0) * (p - 1.0) / tau_closed_form(p))
 
-    res = minimize_scalar(log_value, bounds=(q, 1e3), method="bounded",
-                          options={"xatol": 1e-10})
-    return float(np.exp(min(res.fun, log_value(q))))
+    return float(np.exp(min(_golden_min(log_value, q, 1e3, 1e-10), log_value(q))))
 
 
 # ---------------------------------------------------------------------------

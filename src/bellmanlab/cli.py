@@ -41,7 +41,12 @@ def _parse_weight(spec: str, depth: int) -> dyadic.DyadicWeight:
         u, v = (float(t) for t in arg.split(","))
         return dyadic.two_value_weight(u, v, depth)
     if kind == "file":
-        return dyadic.DyadicWeight(np.loadtxt(arg))
+        with open(arg) as fh:
+            lines = fh.read().splitlines()
+        # checked here, since np.loadtxt only warns on a file without data
+        if not any(line.strip() for line in lines):
+            raise ValueError(f"weight file {arg!r} holds no samples")
+        return dyadic.DyadicWeight(np.loadtxt(lines))
     raise ValueError(f"unknown weight spec {spec!r}")
 
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import fixed_quad
 
 __all__ = [
     "Ray",
@@ -139,6 +138,14 @@ def sigma_laminate(p: float, eta: float) -> Laminate:
 # Integration
 
 
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+
+
+def _gauss_legendre(f, a: float, b: float) -> float:
+    """int_a^b f by the order-24 Gauss-Legendre rule; f takes an array."""
+    return float((b - a) / 2.0 * np.sum(_GL_WEIGHTS * f((b - a) * (_GL_NODES + 1) / 2.0 + a)))
+
+
 def _ray_quadrature(ray: Ray, phi, shift) -> float:
     """integral_1^inf phi(ax t + sx, ay t + sy) t^(-q) dt.
 
@@ -158,8 +165,7 @@ def _ray_quadrature(ray: Ray, phi, shift) -> float:
         total = 0.0
         edges = np.linspace(0.0, S, panels + 1)
         for a, b in zip(edges[:-1], edges[1:]):
-            val, _ = fixed_quad(integrand, a, b, n=24)
-            total += float(val)
+            total += _gauss_legendre(integrand, a, b)
         t_end = np.exp(S)
         f_end = float(phi(ray.ax * t_end + sx, ray.ay * t_end + sy))
         f_mid = float(phi(ray.ax * t_end / 2 + sx, ray.ay * t_end / 2 + sy))

@@ -62,7 +62,7 @@ def _dyadic_checks(depth, seed):
         for a, b, avg, child in zip(alpha, beta, aw, aw[1:]):
             delta = child[1::2] - child[0::2]
             worst_bound = max(worst_bound, float(np.max(np.abs(a) - np.sqrt(avg))),
-                              float(np.max(np.abs(b) - np.abs(delta) / avg)))
+                              float(np.max(np.abs(b) - np.abs(delta) / (2.0 * avg))))
         # einsum, not @: a matrix product this small wakes a BLAS thread
         gram = np.einsum("ik,jk->ij", basis * weight.values, basis) / basis.shape[1]
         gram_err = max(gram_err, float(np.max(np.abs(gram - np.eye(gram.shape[0])))))

@@ -3,7 +3,10 @@
 import dataclasses
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import bellmanlab
@@ -29,6 +32,17 @@ def unused_exports(module):
         if uses == 0:
             unused.append(f"{module.__name__}.{name}")
     return unused
+
+
+def test_import_loads_no_scipy():
+    # scipy takes most of a bare import's time and memory; it is a test
+    # oracle only, so neither the package nor the CLI may pull it in
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, bellmanlab, bellmanlab.cli; print('scipy' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"
 
 
 def test_every_export_is_used():

@@ -228,18 +228,24 @@ def test_tau_values():
 
 
 def test_tau_matches_closed_form_range():
-    for p in np.linspace(1.0, 50.0, 30):
-        assert abs(bm.tau(p) - bm.tau_closed_form(p)) < 1e-10
+    # the tanh-sinh nodes resolve both the (pi/2 - t)^p zero at small p and
+    # the width-1/sqrt(p) peak at t = 0 for large p
+    for p in np.geomspace(0.05, 1000.0, 40):
+        assert abs(bm.tau(p) - bm.tau_closed_form(p)) < 2e-14
 
 
 def test_tau_check_fails_on_a_perturbed_quadrature(monkeypatch):
     # an error above the gate is reported as a failed check, not raised
-    quad = bm.integrate.quad
-    monkeypatch.setattr(bm.integrate, "quad",
-                        lambda *args, **kw: (quad(*args, **kw)[0] * (1 + 1e-6), 0.0))
+    quad = bm._cos_power_integral
+    monkeypatch.setattr(bm, "_cos_power_integral", lambda p: quad(p) * (1 + 1e-6))
     [entry] = suite.tau_checks([2.0, 4.0])
     assert entry.check_id == "bellman.tau-quadrature"
     assert entry.value > 1e-8 and not entry.passed
+
+
+def test_golden_min_finds_an_interior_and_an_end_minimum():
+    assert bm._golden_min(lambda x: (x - 0.3) ** 2, 0.0, 1.0, 1e-10) < 1e-19
+    assert bm._golden_min(lambda x: x, 2.0, 5.0, 1e-10) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_tau_asymptotic_prefactor():

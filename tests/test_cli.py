@@ -95,10 +95,9 @@ def test_buckley_rejects_file_weight(tmp_path, capsys):
 def test_empty_weight_file_usage_error(tmp_path, capsys):
     path = tmp_path / "empty.txt"
     path.write_text("")
-    with pytest.warns(UserWarning, match="no data"):
-        code, out, err = run_cli(capsys, "dyadic", "mt-ratio", "--weight", f"file:{path}")
+    code, out, err = run_cli(capsys, "dyadic", "mt-ratio", "--weight", f"file:{path}")
     assert code == 2 and out == ""
-    assert "power of two" in err
+    assert err == f"error: weight file {str(path)!r} holds no samples\n"
 
 
 def flag_choices(module, flag):

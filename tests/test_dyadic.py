@@ -132,6 +132,20 @@ def test_haar_bounds_check_fails_on_a_scaled_alpha(monkeypatch):
     assert check.value > 0.05 and not check.passed
 
 
+def test_haar_bounds_check_fails_on_a_scaled_beta(monkeypatch):
+    # |beta_I| = |Delta_I w| / (2 <w>_I) exactly, so beta x1.05 reads 5% of
+    # the largest |beta_I| (0.86 at the fast tier)
+    system = dy.weighted_haar_system
+
+    def scaled(w):
+        alpha, beta, basis = system(w)
+        return alpha, [1.05 * b for b in beta], basis
+
+    monkeypatch.setattr(dy, "weighted_haar_system", scaled)
+    check = fast_dyadic_check("dyadic.weighted-haar-bounds")
+    assert check.value > 0.04 and not check.passed
+
+
 # ---------------------------------------------------------------------------
 # Martingale transform
 
@@ -242,7 +256,7 @@ def test_weighted_haar_bounds_and_gram():
     avg = np.concatenate(aw[:-1])
     delta = np.concatenate([c[1::2] - c[0::2] for c in aw[1:]])
     assert np.all(np.abs(np.concatenate(alpha)) <= np.sqrt(avg) + 1e-12)
-    assert np.all(np.abs(np.concatenate(beta)) <= np.abs(delta) / avg + 1e-12)
+    assert np.all(np.abs(np.concatenate(beta)) <= np.abs(delta) / (2.0 * avg) + 1e-15)
     gram = (basis * w.values) @ basis.T / basis.shape[1]
     assert np.max(np.abs(gram - np.eye(len(basis)))) < 1e-10
 
