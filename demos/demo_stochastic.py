@@ -11,15 +11,20 @@ reconstructs the planar singular integral.
 import numpy as np
 
 from bellmanlab import stochastic as st
+from bellmanlab import suite
 
 print("== left vs right Riemann sums on [0, 1] ==")
-demo = st.riemann_gap_demo(0.0, 1.0, 1000, 100_000, seed=0)
-print(f"E sum w(t_i-1) dw = {demo['ES1']:+.4f} +- {demo['ES1_ci']:.4f}")
-print(f"E sum w(t_i)   dw = {demo['ES2']:+.4f} +- {demo['ES2_ci']:.4f}  (gap = b - a = 1)")
+paths = 100_000
+demo = st.riemann_gap_demo(0.0, 1.0, 1000, paths, seed=0)
+# the half-widths are the suite's gates: Z standard errors
+half = {key: suite.Z * demo[key + "_sd"] / np.sqrt(paths)
+        for key in ("ES1", "ES2", "ES1_sq", "EFG")}
+print(f"E sum w(t_i-1) dw = {demo['ES1']:+.4f} +- {half['ES1']:.4f}")
+print(f"E sum w(t_i)   dw = {demo['ES2']:+.4f} +- {half['ES2']:.4f}  (gap = b - a = 1)")
 
 print("\n== isometry and product rule, read off the same paths ==")
-print(f"E (int w dw)^2 = {demo['ES1_sq']:.4f} +- {demo['ES1_sq_ci']:.4f}  (exact value 1/2)")
-print(f"E int sin w dw int cos w dw = {demo['EFG']:+.4f} +- {demo['EFG_ci']:.4f}  "
+print(f"E (int w dw)^2 = {demo['ES1_sq']:.4f} +- {half['ES1_sq']:.4f}  (exact value 1/2)")
+print(f"E int sin w dw int cos w dw = {demo['EFG']:+.4f} +- {half['EFG']:.4f}  "
       f"(E int sin w cos w dt = {demo['EFG_ref']:+.4f})")
 
 print("\n== heat martingales reach their boundary data ==")
@@ -36,14 +41,12 @@ print(f"row orthogonality {res['max_orthogonality']:.1e}, norm mismatch "
       f"{res['max_subordination_excess']:+.1e}")
 
 print("\n== conditioning on the endpoint rebuilds the singular integral ==")
-cond = st.ab_by_conditioning(st.GaussianMix.single(sigma2=1.0), T=40.0,
-                             paths=208, bins=16, steps=200, seed=5)
-frac = cond.agreement_fraction()
+[cond] = suite.conditioning_checks(T=40.0, paths=208, bins=16, steps=200, seed=5)
 print(f"bins agreeing with the exact transform at their centers "
-      f"(3 sigma + 5%): {frac:.1%}")
+      f"({suite.Z:g} sigma + 5%): {-cond.value:.1%}")
 
 print("\n== moment-ratio ceilings ==")
-rep = st.subordination_constants_mc(4.0, trials=5000, seed=6)
-print(f"plain ratio {rep['ratio_plain']:.3f} <= p* - 1 = {rep['plain_ceiling']}")
-print(f"conformal ratio {rep['ratio_conformal']:.3f} <= sqrt(p(p-1)/2) = "
-      f"{rep['conformal_ceiling']:.3f}")
+plain, conformal = suite.constant_checks(4.0, trials=5000, seed=6)
+print(f"plain ratio {plain.value:.3f} <= p* - 1 = {plain.target}")
+print(f"conformal ratio {conformal.value:.3f} <= sqrt(p(p-1)/2) = "
+      f"{conformal.target:.3f}")

@@ -238,6 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
+    # a file that cannot be opened is a usage error: the --config file
+    # before the handler runs, a path flag (weight, witness, output) after
+    stage = "config error"
     try:
         args = parser.parse_args(argv)
         if args.config:
@@ -250,14 +253,14 @@ def main(argv=None) -> int:
             # them; the explicit flags follow and therefore win
             flags = [f"--{key}={val}" for key, val in defaults.items()]
             args = parser.parse_args(argv[:1] + flags + argv[1:])
+        stage = "error"
+        return args.handler(args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code) if exc.code else 0
     except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"{stage}: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    try:
-        return args.handler(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

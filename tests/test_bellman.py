@@ -268,7 +268,17 @@ def test_interpolation_endpoints():
 def test_bq_margin_nonnegative():
     rep = bm.bq_hessian_check(8.0, 0.25, 50000, seed=6)
     assert rep.worst_margin >= -1e-12
-    assert rep.range_ok
+    # x^a y^a stays in (0, Q^a] on 1 < xy <= Q, and comes near Q^a
+    assert 0.99 < rep.range_ratio <= 1.0
+
+
+def test_power_hessian_check_fails_off_its_range(monkeypatch):
+    # a candidate above Q^a somewhere fails, whatever its Hessian margin
+    monkeypatch.setattr(bm, "bq_hessian_check", lambda Q, alpha, samples, seed=0:
+                        bm.BqReport(worst_margin=1.0, range_ratio=1.01))
+    [check] = [c for c in suite._hessian_checks((3.0,), 200, 1)
+               if c.check_id == "bellman.power-hessian"]
+    assert (check.value, check.passed) == (1.0, False)
 
 
 def test_bq_diagonal_direction_strict():

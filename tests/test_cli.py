@@ -100,6 +100,31 @@ def test_empty_weight_file_usage_error(tmp_path, capsys):
     assert err == f"error: weight file {str(path)!r} holds no samples\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("dyadic", "mt-ratio", "--weight", "file:{missing}"),
+    ("planar", "norm-ascent", "--n", "8", "--iters", "3", "--witness", "{missing}"),
+])
+def test_path_in_a_missing_directory_is_usage_error(tmp_path, capsys, argv):
+    missing = str(tmp_path / "missing" / "field.txt")
+    code, out, err = run_cli(capsys, *(a.format(missing=missing) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and missing in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("stoch", "constants", "--trials", "0"), "trials=0"),
+    (("stoch", "constants", "--trials", "0.5"), "trials=0"),
+    (("stoch", "riemann-gap", "--paths", "0"), "paths=0"),
+    (("stoch", "riemann-gap", "--steps", "0"), "steps=0"),
+    (("stoch", "ab-mc", "--bins", "0"), "bins=0"),
+])
+def test_monte_carlo_on_no_samples_is_usage_error(capsys, argv, message):
+    # no check may pass on an empty sample, nor crash on one
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def flag_choices(module, flag):
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))

@@ -11,7 +11,9 @@ import pytest
 
 from bellmanlab import planar as pl
 from bellmanlab import stochastic as st
-from bellmanlab.suite import _path_checks, run_experiment, tier_params
+from bellmanlab.suite import (_half_width, _path_checks, _sum_checks,
+                             conditioning_checks, constant_checks, run_experiment,
+                             tier_params)
 
 
 @dataclass
@@ -131,17 +133,17 @@ def test_fast_tier_studies_draw_disjoint_streams(monkeypatch):
 
 def test_riemann_gap_contains_b_minus_a():
     demo = st.riemann_gap_demo(0.0, 1.0, 400, 40000, seed=1)
-    assert abs(demo["ES1"]) <= demo["ES1_ci"]
-    assert abs(demo["ES2"] - 1.0) <= demo["ES2_ci"]
+    assert all(c.passed for c in _sum_checks(demo, 1.0, 40000))
     # E S1^2 <= b(b - a); the true value here is 1/2
-    assert demo["ES1_sq"] <= 1.0 + demo["ES1_sq_ci"]
+    assert demo["ES1_sq"] <= 1.0 + _half_width(demo, "ES1_sq", 40000)
 
 
 def test_riemann_gap_from_a_positive_start():
     demo = st.riemann_gap_demo(0.5, 1.5, 100, 20000, seed=2)
-    assert abs(demo["ES2"] - 1.0) <= demo["ES2_ci"]
+    gap, _ = _sum_checks(demo, 1.0, 20000)
+    assert gap.passed
     # E S1^2 = int_a^b t dt = (b^2 - a^2) / 2 = 1
-    assert abs(demo["ES1_sq"] - 1.0) <= demo["ES1_sq_ci"]
+    assert abs(demo["ES1_sq"] - 1.0) <= _half_width(demo, "ES1_sq", 20000)
 
 
 def test_one_d_pass_matches_ito_integrals():
@@ -157,9 +159,8 @@ def test_one_d_pass_matches_ito_integrals():
         drift.append(np.dot(f, g))
         return np.stack([w, f, g])
     s1, f, g = ito_integral(integrands, drv, paths)
-    half = lambda x: 3.0 * np.std(x) / np.sqrt(paths)
-    expect = {"ES1_sq": np.mean(s1 ** 2), "ES1_sq_ci": half(s1 ** 2),
-              "EFG": np.mean(f * g), "EFG_ci": half(f * g),
+    expect = {"ES1_sq": np.mean(s1 ** 2), "ES1_sq_sd": np.std(s1 ** 2),
+              "EFG": np.mean(f * g), "EFG_sd": np.std(f * g),
               "EFG_ref": sum(drift) * drv.dt / paths}
     for key, value in expect.items():
         assert demo[key] == pytest.approx(value, rel=0, abs=1e-12), key
@@ -183,6 +184,11 @@ def test_drift_reference_ignores_the_blas_thread_count():
 def test_riemann_gap_degenerate():
     demo = st.riemann_gap_demo(0.5, 0.5, 10, 10, seed=0)
     assert demo["ES1"] == 0.0 and demo["ES2"] == 0.0
+    # too few paths or steps are refused, on an empty interval too
+    for a, b, steps, paths in ((0.0, 1.0, 10, 1), (0.5, 0.5, 10, 1),
+                               (0.0, 1.0, 0, 10), (0.5, 0.5, 0, 10)):
+        with pytest.raises(ValueError, match="at least"):
+            st.riemann_gap_demo(a, b, steps, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +283,7 @@ def test_terminal_order_holds_across_seeds():
     orders = []
     for seed in range(1, 31):
         sweep = st.terminal_gap_sweep(surf, 4.0, [16, 32, 64, 128, 256], 4096,
-                                      seed=seed, batch=6)
+                                      seed=seed)
         orders.append(np.polyfit(np.log([d for d, _ in sweep]),
                                  np.log([r for _, r in sweep]), 1)[0])
     assert min(orders) >= 0.45, orders
@@ -369,6 +375,27 @@ def test_conformality_fails_for_a_non_conformal_matrix(monkeypatch):
     assert checks["stoch.subordination"][1] is True
 
 
+@pytest.mark.parametrize("k, passed", [(5.0, False), (-5.0, False),
+                                        (2.0, True), (-2.0, True)])
+def test_one_d_checks_gate_at_three_standard_errors(monkeypatch, k, passed):
+    # every mean of the 1-d study set k standard errors off its reference
+    study = st.riemann_gap_demo
+
+    def moved(a, b, steps, paths, seed=0):
+        demo = study(a, b, steps, paths, seed=seed)
+        for key, ref in (("ES1", 0.0), ("ES2", b - a), ("ES1_sq", (b * b - a * a) / 2),
+                         ("EFG", demo["EFG_ref"])):
+            demo[key] = ref + k * demo[key + "_sd"] / np.sqrt(paths)
+        return demo
+
+    monkeypatch.setattr(st, "riemann_gap_demo", moved)
+    checks = {c.check_id: c.passed
+              for c in _path_checks(steps=32, paths=256, sweep_steps=[16, 32], seed=1)}
+    for check_id in ("stoch.riemann-gap", "stoch.variance", "stoch.isometry",
+                     "stoch.product"):
+        assert checks[check_id] is passed, check_id
+
+
 def test_subordination_fails_for_a_scaled_matrix(monkeypatch):
     # 3 A_STAR is still conformal, but |K|^2 = 9 * 4 |H|^2 exceeds 4 |H|^2
     checks = path_check_values(monkeypatch, 3.0 * st.A_STAR)
@@ -381,48 +408,47 @@ def test_subordination_fails_for_a_scaled_matrix(monkeypatch):
 # conditioning and constants
 
 
+def fast_conditioning(seed, paths=None):
+    """The suite's conditioning check at the fast tier's sizes, with
+    `paths` per bin in place of the tier's."""
+    prm = dict(tier_params("fast")["stoch-conditioning"], seed=seed)
+    if paths is not None:
+        prm["paths"] = paths
+    [check] = conditioning_checks(**prm)
+    return check
+
+
 def test_conditioning_matches_oracle_small():
-    surf = st.GaussianMix.single(sigma2=1.0)
-    res = st.ab_by_conditioning(surf, T=40.0, paths=78, bins=16,
-                                steps=200, seed=13)
-    frac = res.agreement_fraction()
-    assert frac >= 0.9
+    # the agreement fraction is the negated check value
+    assert -fast_conditioning(13).value >= 0.9
 
 
-def fast_conditioning(seed):
-    """The fast tier's conditioning study and its agreement fraction."""
-    prm = tier_params("fast")["stoch-conditioning"]
-    res = st.ab_by_conditioning(st.GaussianMix.single(sigma2=1.0), T=prm["T"],
-                                paths=prm["paths"], bins=prm["bins"],
-                                steps=prm["steps"], seed=seed)
-    return res, res.agreement_fraction()
-
-
-def test_conditioning_fails_against_the_wrong_chirality():
+def test_conditioning_fails_against_the_wrong_chirality(monkeypatch):
     # the matrix-A martingale represents the conjugate multiplier: scored
     # against the other chirality, most bins disagree
-    res, _ = fast_conditioning(1)
-    wrong = replace(res, oracle=np.conj(res.oracle))
-    assert wrong.agreement_fraction() < 0.95
+    study = st.ab_by_conditioning
+
+    def wrong(*args, **kwargs):
+        res = study(*args, **kwargs)
+        return replace(res, oracle=np.conj(res.oracle))
+
+    monkeypatch.setattr(st, "ab_by_conditioning", wrong)
+    assert not fast_conditioning(1).passed
 
 
 def test_conditioning_false_failure_rate():
     # the fast tier's gate at 0.95 fails at 0 of seeds 1-40 (lowest
     # fraction 0.996, seeds 27 and 35); one false failure in seeds 1-20
     # fails this
-    fracs = {seed: fast_conditioning(seed)[1] for seed in range(1, 21)}
+    fracs = {seed: -fast_conditioning(seed).value for seed in range(1, 21)}
     assert min(fracs.values()) >= 0.95, fracs
 
 
 def test_conditioning_holds_with_more_paths():
     # more paths shrink the standard error, so a bias in the bridges would
     # show here: with uniform steps, seeds 5 and 6 read 0.895 and 0.934
-    prm = tier_params("fast")["stoch-conditioning"]
     for seed in (5, 6):
-        res = st.ab_by_conditioning(st.GaussianMix.single(sigma2=1.0), T=prm["T"],
-                                    paths=208, bins=prm["bins"], steps=prm["steps"],
-                                    seed=seed)
-        assert res.agreement_fraction() >= 0.95, seed
+        assert fast_conditioning(seed, paths=208).passed, seed
 
 
 @pytest.mark.parametrize("surface, bound", [
@@ -482,16 +508,26 @@ def test_zero_input_gives_zero():
 
 
 def test_subordination_constants():
-    rep = st.subordination_constants_mc(4.0, trials=2000, seed=16)
-    assert rep["ratio_plain"] <= rep["plain_ceiling"]
-    assert rep["ratio_conformal"] <= rep["conformal_ceiling"]
-    assert rep["conformal_ceiling"] == pytest.approx(np.sqrt(6.0))
+    plain, conformal = constant_checks(4.0, trials=2000, seed=16)
+    assert plain.passed and plain.target == 3.0
+    assert conformal.passed and conformal.target == pytest.approx(np.sqrt(6.0))
 
 
 def test_constants_need_p_above_two():
     for p in (1.5, 2.0):
         with pytest.raises(ValueError, match="p > 2"):
             st.subordination_constants_mc(p, trials=10, seed=0)
+
+
+@pytest.mark.parametrize("scale, passed", [(1.01, False), (0.99, True)])
+def test_constant_checks_gate_at_both_ceilings(monkeypatch, scale, passed):
+    # ratios 1% above p - 1 and sqrt(p(p-1)/2) fail, 1% below pass
+    monkeypatch.setattr(st, "subordination_constants_mc", lambda p, trials, seed=0: {
+        "ratio_plain": scale * (p - 1.0),
+        "ratio_conformal": scale * np.sqrt(p * (p - 1.0) / 2.0)})
+    checks = constant_checks(4.0, trials=10, seed=0)
+    assert [(c.check_id, c.passed) for c in checks] == [
+        ("stoch.plain-constant", passed), ("stoch.conformal-constant", passed)]
 
 
 def test_constants_stationary_in_horizon():
