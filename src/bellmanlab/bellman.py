@@ -67,9 +67,14 @@ def eval_phi(x, y, p: float, variant: str = "phi"):
     if variant == "phi":
         return phi
     if variant == "phi0":
-        h = ay ** p - (ps - 1.0) ** p * ax ** p
+        h = _obstacle(x, y, p, ps - 1.0)
         return np.where(h <= 0, h, phi)
     raise ValueError(f"unknown variant {variant!r}")
+
+
+def _obstacle(x, y, p, c):
+    """V_c(x, y) = |y|^p - c^p |x|^p, the function a candidate majorizes."""
+    return abs(y) ** p - c ** p * abs(x) ** p
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +113,7 @@ def majorant_check(variant: str, p: float, samples: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     x = rng.uniform(-box, box, samples)
     y = rng.uniform(-box, box, samples)
-    ps = p_star(p)
-    h = np.abs(y) ** p - (ps - 1.0) ** p * np.abs(x) ** p
+    h = _obstacle(x, y, p, p_star(p) - 1.0)
     val = eval_phi(x, y, p, variant)
     gap = val - h
     scale = np.maximum(1.0, np.maximum(np.abs(val), np.abs(h)))
@@ -120,36 +124,9 @@ def majorant_check(variant: str, p: float, samples: int, seed: int = 0,
 # Hessian quadratic-form identities
 
 
-def _profile_d2(p: float):
-    """Scalar profile whose radial lift the quadratic-form display describes.
-
-    p >= 2:   U(X,Y) = (Y - (p-1)X)(X+Y)^(p-1)
-    1 < p < 2: U(X,Y) = ((p-1)Y - X)(X+Y)^(p-1)
-    (gamma_p dropped, matching the displayed right-hand sides).
-    """
-    if p >= 2:
-        return lambda X, Y: (Y - (p - 1.0) * X) * (X + Y) ** (p - 1.0)
-    return lambda X, Y: ((p - 1.0) * Y - X) * (X + Y) ** (p - 1.0)
-
-
-def hessian_form_identity(x, y, dx, dy, p: float, h: float = 1e-4):
-    """Analytic vs finite-difference Hessian form of phi(x,y)=U(|x|,|y|).
-
-    x, y, dx, dy are 2-vectors.  Returns (analytic, numeric); the contract
-    is |analytic - numeric| = O(h^2).  For p >= 2 the analytic expression is
-
-      -p(p-2)(X+Y)^(p-1)/Y * |dy_perp|^2 - p(p-1)(X+Y)^(p-2)(|dx|^2-|dy|^2)
-      -p(p-1)(p-2) X (X+Y)^(p-3) (h' + k')^2
-
-    with X=|x|, Y=|y|, h'=(dx, x/X), k'=(dy, y/Y).  For 1 < p < 2 the
-    analogous identity (for the profile scaled by (p-1)) reads
-
-      -p(2-p)(X+Y)^(p-1)/X * |dx_perp|^2 + p(p-1)(X+Y)^(p-2)(|dy|^2-|dx|^2)
-      -p(p-1)(2-p) Y (X+Y)^(p-3) (h' + k')^2 ;
-
-    the sign of the middle term and the factor Y in the last term follow
-    from redoing the p >= 2 computation, where the X <-> Y roles swap.
-    """
+def _hessian_form(x, y, dx, dy, p: float, h: float):
+    """(analytic, numeric) Hessian form of U(|x|, |y|) along (dx, dy) for
+    the profile U(X, Y) = (Y - (p-1)X)(X+Y)^(p-1), at any p > 1."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     dx = np.asarray(dx, dtype=float)
@@ -162,27 +139,42 @@ def hessian_form_identity(x, y, dx, dy, p: float, h: float = 1e-4):
     kp = float(dy @ y) / Y
     dx2 = float(dx @ dx)
     dy2 = float(dy @ dy)
-    if p >= 2:
-        analytic = (
-            -p * (p - 2.0) * (X + Y) ** (p - 1.0) / Y * (dy2 - kp ** 2)
-            - p * (p - 1.0) * (X + Y) ** (p - 2.0) * (dx2 - dy2)
-            - p * (p - 1.0) * (p - 2.0) * X * (X + Y) ** (p - 3.0) * (hp + kp) ** 2
-        )
-    else:
-        analytic = (
-            -p * (2.0 - p) * (X + Y) ** (p - 1.0) / X * (dx2 - hp ** 2)
-            + p * (p - 1.0) * (X + Y) ** (p - 2.0) * (dy2 - dx2)
-            - p * (p - 1.0) * (2.0 - p) * Y * (X + Y) ** (p - 3.0) * (hp + kp) ** 2
-        )
-    U = _profile_d2(p)
+    analytic = (
+        -p * (p - 2.0) * (X + Y) ** (p - 1.0) / Y * (dy2 - kp ** 2)
+        - p * (p - 1.0) * (X + Y) ** (p - 2.0) * (dx2 - dy2)
+        - p * (p - 1.0) * (p - 2.0) * X * (X + Y) ** (p - 3.0) * (hp + kp) ** 2
+    )
     scale = max(X, Y, 1.0)
     hh = h * scale
 
     def phi(t):
-        return U(np.linalg.norm(x + t * dx), np.linalg.norm(y + t * dy))
+        X_t, Y_t = np.linalg.norm(x + t * dx), np.linalg.norm(y + t * dy)
+        return (Y_t - (p - 1.0) * X_t) * (X_t + Y_t) ** (p - 1.0)
 
     numeric = (phi(hh) - 2.0 * phi(0.0) + phi(-hh)) / hh ** 2
     return float(analytic), float(numeric)
+
+
+def hessian_form_identity(x, y, dx, dy, p: float, h: float = 1e-4):
+    """Analytic vs finite-difference Hessian form of phi(x,y)=U(|x|,|y|).
+
+    x, y, dx, dy are 2-vectors.  Returns (analytic, numeric); the contract
+    is |analytic - numeric| = O(h^2).  For p >= 2, with
+    U(X,Y) = (Y - (p-1)X)(X+Y)^(p-1) (gamma_p dropped), the analytic
+    expression is
+
+      -p(p-2)(X+Y)^(p-1)/Y * |dy_perp|^2 - p(p-1)(X+Y)^(p-2)(|dx|^2-|dy|^2)
+      -p(p-1)(p-2) X (X+Y)^(p-3) (h' + k')^2
+
+    with X=|x|, Y=|y|, h'=(dx, x/X), k'=(dy, y/Y).  For 1 < p < 2 the
+    profile scaled by (p-1) is ((p-1)Y - X)(X+Y)^(p-1) = -U(Y, X), so its
+    form is minus the display above with the roles of (x, dx) and (y, dy)
+    swapped; negation is exact, so both values are computed that way.
+    """
+    if p >= 2:
+        return _hessian_form(x, y, dx, dy, p, h)
+    analytic, numeric = _hessian_form(y, x, dy, dx, p, h)
+    return -analytic, -numeric
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +182,8 @@ def hessian_form_identity(x, y, dx, dy, p: float, h: float = 1e-4):
 
 
 def _H(s, p, c):
-    """H_c(s) = ((1+s)/2)^p - c^p ((1-s)/2)^p."""
-    return ((1.0 + s) / 2.0) ** p - c ** p * ((1.0 - s) / 2.0) ** p
+    """H_c(s) = ((1+s)/2)^p - c^p ((1-s)/2)^p, the obstacle on x + y = 1."""
+    return _obstacle((1.0 - s) / 2.0, (1.0 + s) / 2.0, p, c)
 
 
 def _Hp(s, p):
@@ -458,14 +450,15 @@ def _strip_candidate(eps: float, q: float):
 
 
 def _matrix_stats(m11, m12, m22):
-    """Largest eigenvalue and relative determinant of [[m11,m12],[m12,m22]],
-    vectorized; 'relative' means det / (squared Frobenius scale)."""
+    """Largest eigenvalue and largest |relative determinant| of
+    [[m11,m12],[m12,m22]] over a grid; 'relative' means det / (squared
+    Frobenius scale)."""
     tr = m11 + m22
     det = m11 * m22 - m12 ** 2
     disc = np.sqrt(np.maximum((m11 - m22) ** 2 + 4.0 * m12 ** 2, 0.0))
-    lam_max = 0.5 * (tr + disc)
     scale = m11 ** 2 + 2.0 * m12 ** 2 + m22 ** 2
-    return lam_max, det / np.maximum(scale, 1e-300)
+    return (float(np.max(0.5 * (tr + disc))),
+            float(np.max(np.abs(det / np.maximum(scale, 1e-300)))))
 
 
 def _fd_matrix(value, x1, x2, h):
@@ -500,31 +493,22 @@ def jn_bellman_check(delta: float, grid: tuple[int, int] = (200, 200)) -> JNRepo
     X1, X2 = np.meshgrid(x1, x2_full, indexing="ij")
 
     value, matrix = _strip_candidate(delta, 1.0)
-    m11, m12, m22 = matrix(X1, X2)
-    lam, detrel = _matrix_stats(m11, m12, m22)
-    analytic_max_eig = float(np.max(lam))
-    analytic_max_det = float(np.max(np.abs(detrel)))
+    analytic_max_eig, analytic_max_det = _matrix_stats(*matrix(X1, X2))
     obstacle = float(np.min(value(X1, X2) - np.exp(X1)))
 
     x2_fd = x2_full[x2_full <= delta - fd_clearance]
-    fd_eig = -np.inf
-    fd_det = 0.0
+    fd_eig, fd_det = -np.inf, 0.0
     if x2_fd.size:
         X1f, X2f = np.meshgrid(x1, x2_fd, indexing="ij")
-        f11, f12, f22 = _fd_matrix(value, X1f, X2f, 1e-4)
-        lam_f, det_f = _matrix_stats(f11, f12, f22)
-        fd_eig = float(np.max(lam_f))
-        fd_det = float(np.max(np.abs(det_f)))
+        fd_eig, fd_det = _matrix_stats(*_fd_matrix(value, X1f, X2f, 1e-4))
 
     out_variants = []
     for eps, q in ((0.6, 1.0), (0.9, 2.0)):
         if eps < delta:
             raise ValueError(f"delta must not exceed the variant eps = {eps}")
         _, mat = _strip_candidate(eps, q)
-        v11, v12, v22 = mat(X1, X2)
-        lam_v, det_v = _matrix_stats(v11, v12, v22)
-        out_variants.append({"max_eig": float(np.max(lam_v)),
-                             "max_det_rel": float(np.max(np.abs(det_v)))})
+        max_eig, max_det_rel = _matrix_stats(*mat(X1, X2))
+        out_variants.append({"max_eig": max_eig, "max_det_rel": max_det_rel})
 
     return JNReport(
         fd_max_eig=fd_eig,

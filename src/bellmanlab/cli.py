@@ -57,6 +57,14 @@ def _weight_family(spec: str):
     return lambda depth: _parse_weight(spec, depth)
 
 
+def _at_least(args, flag: str, least: int):
+    """The value of --flag, refused before any builder runs when below least."""
+    value = getattr(args, flag)
+    if value < least:
+        raise ValueError(f"--{flag} must be at least {least}, got {value:g}")
+    return value
+
+
 # parameters that no flag sets take the full tier's value
 _FULL = suite.tier_params("full")
 
@@ -69,24 +77,25 @@ def _paths(args, experiment):
 # (module, operation) -> (builder, flags -> builder parameters)
 OPERATIONS = {
     ("dyadic", "buckley"): (suite.buckley_checks, lambda a: dict(
-        weight=_weight_family(a.weight), depth=a.depth, label=f"weight={a.weight}")),
+        weight=_weight_family(a.weight), depth=_at_least(a, "depth", 1),
+        label=f"weight={a.weight}")),
     ("dyadic", "mt-ratio"): (suite.mt_envelope_checks, lambda a: dict(
-        w=_parse_weight(a.weight, a.depth), iters=_FULL["dyadic"]["iters"], p=a.p,
-        seed=a.seed)),
+        w=_parse_weight(a.weight, _at_least(a, "depth", 1)),
+        iters=_FULL["dyadic"]["iters"], p=a.p, seed=a.seed)),
     ("bellman", "zigzag"): (suite.zigzag_checks, lambda a: dict(
-        ps=[a.p], variants=[a.variant], samples=int(a.samples), box=a.box,
-        seed=a.seed)),
+        ps=[a.p], variants=[a.variant], samples=int(_at_least(a, "samples", 1)),
+        box=a.box, seed=a.seed)),
     ("bellman", "tau"): (suite.tau_checks, lambda a: dict(ps=[a.p])),
     ("bellman", "interp-sweep"): (suite.interp_checks, lambda a: dict(
-        qs=np.linspace(a.qmin, a.qmax, a.points))),
+        qs=np.linspace(a.qmin, a.qmax, _at_least(a, "points", 1)))),
     ("bellman", "jn"): (suite.strip_checks, lambda a: dict(
         delta=a.delta, grid=_FULL["bellman-jn"]["grid"])),
     ("planar", "norm-ascent"): (suite.ascent_checks, lambda a: dict(
-        op=a.op, p=a.p, n=a.n, iters=a.iters, seed=a.seed, witness=a.witness,
-        curve=a.curve)),
+        op=a.op, p=a.p, n=_at_least(a, "n", 2), iters=a.iters, seed=a.seed,
+        witness=a.witness, curve=a.curve)),
     ("planar", "identity113"): (suite.heat_identity_checks, lambda a: dict(
-        ladder=[(a.n, a.nt, a.tmax)])),
-    ("planar", "ap"): (suite.ap_checks, lambda a: dict(n=a.n)),
+        ladder=[(_at_least(a, "n", 2), a.nt, a.tmax)])),
+    ("planar", "ap"): (suite.ap_checks, lambda a: dict(n=_at_least(a, "n", 2))),
     ("laminate", "ratio"): (suite.ratio_sweep_checks, lambda a: dict(
         p=a.p, etas=[a.eta])),
     ("laminate", "sweep"): (suite.ratio_sweep_checks, lambda a: dict(
@@ -103,7 +112,8 @@ OPERATIONS = {
         p=a.p, trials=int(a.trials), seed=a.seed)),
     ("qc", "distortion"): (suite.distortion_checks, lambda a: dict(K=a.K)),
     ("qc", "sobolev"): (suite.sobolev_checks, lambda a: dict(K=a.K)),
-    ("qc", "weight"): (suite.weight_checks, lambda a: dict(K=a.K, p=a.p, n=a.n)),
+    ("qc", "weight"): (suite.weight_checks, lambda a: dict(
+        K=a.K, p=a.p, n=_at_least(a, "n", 2))),
 }
 
 

@@ -124,6 +124,30 @@ def test_hessian_singular_locus_raises():
         bm.hessian_form_identity([0.0, 0.0], [1.0, 0.0], [1, 0], [0, 1], 3.0)
 
 
+def form_below_2(x, y, dx, dy, p):
+    """The 1 < p < 2 display, written out: for ((p-1)Y - X)(X+Y)^(p-1),
+
+      -p(2-p)(X+Y)^(p-1)/X * |dx_perp|^2 + p(p-1)(X+Y)^(p-2)(|dy|^2-|dx|^2)
+      -p(p-1)(2-p) Y (X+Y)^(p-3) (h' + k')^2."""
+    X, Y = np.linalg.norm(x), np.linalg.norm(y)
+    hp, kp = float(dx @ x) / X, float(dy @ y) / Y
+    dx2, dy2 = float(dx @ dx), float(dy @ dy)
+    return (-p * (2.0 - p) * (X + Y) ** (p - 1.0) / X * (dx2 - hp ** 2)
+            + p * (p - 1.0) * (X + Y) ** (p - 2.0) * (dy2 - dx2)
+            - p * (p - 1.0) * (2.0 - p) * Y * (X + Y) ** (p - 3.0) * (hp + kp) ** 2)
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 1.9])
+def test_hessian_below_2_matches_the_explicit_display(p):
+    # the form is derived from the p >= 2 one by the x <-> y swap
+    rng = np.random.default_rng(7)
+    for _ in range(1000):
+        x, y, dx, dy = (rng.normal(size=2) for _ in range(4))
+        want = form_below_2(x, y, dx, dy, p)
+        got, _ = bm.hessian_form_identity(x, y, dx, dy, p)
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
 # ---------------------------------------------------------------------------
 # linear majorant feasibility
 
@@ -318,3 +342,106 @@ def test_jn_boundary_condition():
 def test_jn_delta_validation():
     with pytest.raises(ValueError):
         bm.jn_bellman_check(1.5)
+
+
+# ---------------------------------------------------------------------------
+# known-bad inputs for the suite's bellman checks
+
+
+def zigzag_entries(check_id):
+    samples = suite.tier_params("fast")["bellman-zigzag"]["samples"]
+    return [c for c in suite._hessian_checks((2.0, 2.5, 3.0, 5.0, 8.0), samples, 1)
+            if c.check_id == check_id]
+
+
+def test_majorant_check_fails_on_a_smaller_gamma(monkeypatch):
+    gamma = bm.gamma_p
+    monkeypatch.setattr(bm, "gamma_p", lambda p: 0.99 * gamma(p))
+    entries = zigzag_entries("bellman.majorant")
+    assert len(entries) == 5
+    for check in entries:
+        assert 0.007 < check.value <= 0.01 + 1e-12 and not check.passed, check.detail
+
+
+def test_hessian_identity_fails_on_a_dropped_sign_below_2(monkeypatch):
+    form = bm.hessian_form_identity
+
+    def dropped(x, y, dx, dy, p, h=1e-4):
+        analytic, numeric = form(x, y, dx, dy, p, h)
+        return (-analytic if p < 2 else analytic), numeric
+
+    monkeypatch.setattr(bm, "hessian_form_identity", dropped)
+    [check] = zigzag_entries("bellman.hessian-identity")
+    assert check.value == pytest.approx(2.0) and not check.passed
+
+
+def test_hessian_order_fails_on_a_forward_difference(monkeypatch):
+    form = bm._hessian_form
+
+    def forward(x, y, dx, dy, p, h):
+        x, y, dx, dy = (np.asarray(v, dtype=float) for v in (x, y, dx, dy))
+        analytic, _ = form(x, y, dx, dy, p, h)
+        hh = h * max(np.linalg.norm(x), np.linalg.norm(y), 1.0)
+
+        def phi(t):
+            X, Y = np.linalg.norm(x + t * dx), np.linalg.norm(y + t * dy)
+            return (Y - (p - 1.0) * X) * (X + Y) ** (p - 1.0)
+
+        return analytic, (phi(2.0 * hh) - 2.0 * phi(hh) + phi(0.0)) / hh ** 2
+
+    monkeypatch.setattr(bm, "_hessian_form", forward)
+    [check] = zigzag_entries("bellman.hessian-order")
+    assert -check.value == pytest.approx(1.0, abs=0.05) and not check.passed
+
+
+def test_section_inequality_fails_below_the_critical_c(monkeypatch):
+    H = bm._H
+    monkeypatch.setattr(bm, "_H", lambda s, p, c: H(s, p, 0.99 * c))
+    check = zigzag_entries("bellman.section-inequality")[0]
+    assert check.detail == "p=2.0"
+    assert check.value == pytest.approx(0.040, abs=1e-3) and not check.passed
+
+
+def test_feasibility_transition_fails_on_a_shifted_obstacle(monkeypatch):
+    H = bm._H
+    monkeypatch.setattr(bm, "_H", lambda s, p, c: H(s, p, 1.01 * c))
+    [check] = suite._feasibility_checks([3.0])
+    # the transition moves to 2/1.01
+    assert check.value == pytest.approx(2.0 - 2.0 / 1.01, abs=1e-4) and not check.passed
+
+
+def strip_entries(monkeypatch, value_map, matrix_map):
+    candidate = bm._strip_candidate
+
+    def patched(eps, q):
+        value, matrix = candidate(eps, q)
+        return (lambda x1, x2: value_map(value(x1, x2)),
+                lambda x1, x2: matrix_map(*matrix(x1, x2)))
+
+    monkeypatch.setattr(bm, "_strip_candidate", patched)
+    grid = suite.tier_params("fast")["bellman-jn"]["grid"]
+    return {c.check_id: c for c in suite.strip_checks(0.25, grid)}
+
+
+def test_strip_determinant_fails_on_a_scaled_m22(monkeypatch):
+    checks = strip_entries(monkeypatch, lambda v: v,
+                           lambda m11, m12, m22: (m11, m12, 1.05 * m22))
+    check = checks["bellman.strip-determinant"]
+    assert check.value == pytest.approx(0.0122, abs=1e-4) and not check.passed
+    assert checks["bellman.strip-eigenvalue"].passed
+
+
+def test_strip_eigenvalue_fails_on_the_negated_matrix(monkeypatch):
+    checks = strip_entries(monkeypatch, lambda v: v,
+                           lambda m11, m12, m22: (-m11, -m12, -m22))
+    check = checks["bellman.strip-eigenvalue"]
+    assert check.value > 1e4 and not check.passed
+    assert checks["bellman.strip-determinant"].passed
+
+
+def test_strip_obstacle_fails_on_a_smaller_candidate(monkeypatch):
+    checks = strip_entries(monkeypatch, lambda v: 0.98 * v,
+                           lambda m11, m12, m22: (m11, m12, m22))
+    check = checks["bellman.strip-obstacle"]
+    # 2% of e^{x1} at x1 = 1
+    assert check.value == pytest.approx(0.02 * np.e, rel=1e-6) and not check.passed

@@ -125,6 +125,28 @@ def test_monte_carlo_on_no_samples_is_usage_error(capsys, argv, message):
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    "dyadic mt-ratio --depth -3",
+    "planar norm-ascent --n 0",
+    "planar ap --n 0",
+    "planar identity113 --n 0",
+    "qc weight --n 0",
+    "bellman zigzag --samples 0",
+    "bellman interp-sweep --points 0",
+    "planar ap --n 1",
+    "qc weight --n 1",
+    "planar identity113 --n 1",
+    "planar norm-ascent --n 1",
+])
+def test_size_flag_below_its_least_value_is_usage_error(capsys, argv):
+    # refused before the builder runs: no crash, no raw numpy message, and
+    # no check that passes on a one-point grid
+    code, out, err = run_cli(capsys, *argv.split())
+    flag = argv.split()[2]
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} must be at least") and err.count("\n") == 1
+
+
 def flag_choices(module, flag):
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
