@@ -29,13 +29,17 @@ def power_ascent(f, p: float, iters: int, apply: Callable, adjoint: Callable,
     the norm.  mean(v) is subtracted from each candidate: the mean of the
     pairing's measure, whose constants op kills.  signs(u, f), if given,
     returns the operator of the family that maximizes <u, op f>, and its
-    image of f; it is tried before each f step.
+    image of f; it is tried before each f step.  apply(op, v, out) and
+    adjoint(op, u, out) write their image into `out`, an array shaped and
+    typed like f.
 
     For p > 2.25 the budget is split over a continuation ladder in p from
     2.25, which escapes the weakest fixed points; the curve records the
     last rung.  A rung ends when neither the candidate nor its mixes with
     the iterate improve the ratio.  The image of the accepted iterate is
-    kept beside it, so every field is transformed once.
+    kept beside it, so every field is transformed once.  Each call works
+    in its own fixed set of arrays, and a step is accepted by swapping
+    the trial and its image with the iterate and its image.
     """
     if p < 2:
         raise ValueError("ascent is set up for p >= 2")
@@ -44,32 +48,51 @@ def power_ascent(f, p: float, iters: int, apply: Callable, adjoint: Callable,
     ladder = [p]
     if p > 2.25:
         ladder = list(np.linspace(2.25, p, max(2, int(2 * (p - 2)) + 2)))
-    g = apply(op, f)
+    g, img, u, cand, mix = (np.empty_like(f) for _ in range(5))
+    a = np.empty(f.shape)
+
+    def dual(v, e, out):
+        """|v|^e v into out, the power taken in the real array a."""
+        m = np.abs(v, out=a)
+        m **= e
+        return np.multiply(m, v, out=out)
+
+    apply(op, f, g)
     curve = []
     for sp in ladder:
         q = sp / (sp - 1.0)
         r = pnorm(g, sp) / pnorm(f, sp)
         for _ in range(max(10, iters // len(ladder))):
-            u = np.abs(g) ** (sp - 2.0) * g
+            dual(g, sp - 2.0, u)
             if signs is not None:
                 eps, gs = signs(u, f)
                 rs = pnorm(gs, sp) / pnorm(f, sp)
                 if rs > r:
                     op, g, r = eps, gs, rs
-                    u = np.abs(g) ** (sp - 2.0) * g
-            v = adjoint(op, u)
-            cand = np.abs(v) ** (q - 2.0) * v
+                    dual(g, sp - 2.0, u)
+            adjoint(op, u, cand)
+            dual(cand, q - 2.0, cand)
             for tmix in (1.0, 0.5, 0.2, 0.05, 0.01):
-                trial = cand if tmix == 1.0 else (1 - tmix) * f + tmix * cand
+                # the tmix = 1 trial is cand itself, so its centring and
+                # scaling carry into the later mixes
+                trial = cand
+                if tmix != 1.0:
+                    trial = np.multiply(1 - tmix, f, out=mix)
+                    np.multiply(tmix, cand, out=u)  # the adjoint has read u
+                    trial += u
                 trial -= mean(trial)
                 tn = pnorm(trial, sp)
                 if tn == 0:
                     continue
                 trial /= tn
-                gt = apply(op, trial)
-                rt = pnorm(gt, sp) / pnorm(trial, sp)
+                apply(op, trial, img)
+                rt = pnorm(img, sp) / pnorm(trial, sp)
                 if rt > r:
-                    f, g, r = trial, gt, rt
+                    if trial is cand:
+                        cand = f
+                    else:
+                        mix = f
+                    f, g, img, r = trial, img, g, rt
                     break
             else:
                 break

@@ -57,12 +57,17 @@ def _weight_family(spec: str):
     return lambda depth: _parse_weight(spec, depth)
 
 
-def _at_least(args, flag: str, least: int):
-    """The value of --flag, refused before any builder runs when below least."""
-    value = getattr(args, flag)
-    if value < least:
-        raise ValueError(f"--{flag} must be at least {least}, got {value:g}")
-    return value
+# the least value of each size flag; a module's flags are shared by all its
+# operations, so every one that was parsed is checked, read or not
+_LEAST = {"depth": 1, "n": 2, "samples": 1, "points": 1}
+
+
+def _check_sizes(args):
+    """Refuse a size flag below its least value, before any builder runs."""
+    for flag, least in _LEAST.items():
+        value = getattr(args, flag, least)
+        if value < least:
+            raise ValueError(f"--{flag} must be at least {least}, got {value:g}")
 
 
 # parameters that no flag sets take the full tier's value
@@ -77,25 +82,25 @@ def _paths(args, experiment):
 # (module, operation) -> (builder, flags -> builder parameters)
 OPERATIONS = {
     ("dyadic", "buckley"): (suite.buckley_checks, lambda a: dict(
-        weight=_weight_family(a.weight), depth=_at_least(a, "depth", 1),
+        weight=_weight_family(a.weight), depth=a.depth,
         label=f"weight={a.weight}")),
     ("dyadic", "mt-ratio"): (suite.mt_envelope_checks, lambda a: dict(
-        w=_parse_weight(a.weight, _at_least(a, "depth", 1)),
+        w=_parse_weight(a.weight, a.depth),
         iters=_FULL["dyadic"]["iters"], p=a.p, seed=a.seed)),
     ("bellman", "zigzag"): (suite.zigzag_checks, lambda a: dict(
-        ps=[a.p], variants=[a.variant], samples=int(_at_least(a, "samples", 1)),
+        ps=[a.p], variants=[a.variant], samples=int(a.samples),
         box=a.box, seed=a.seed)),
     ("bellman", "tau"): (suite.tau_checks, lambda a: dict(ps=[a.p])),
     ("bellman", "interp-sweep"): (suite.interp_checks, lambda a: dict(
-        qs=np.linspace(a.qmin, a.qmax, _at_least(a, "points", 1)))),
+        qs=np.linspace(a.qmin, a.qmax, a.points))),
     ("bellman", "jn"): (suite.strip_checks, lambda a: dict(
         delta=a.delta, grid=_FULL["bellman-jn"]["grid"])),
     ("planar", "norm-ascent"): (suite.ascent_checks, lambda a: dict(
-        op=a.op, p=a.p, n=_at_least(a, "n", 2), iters=a.iters, seed=a.seed,
+        op=a.op, p=a.p, n=a.n, iters=a.iters, seed=a.seed,
         witness=a.witness, curve=a.curve)),
     ("planar", "identity113"): (suite.heat_identity_checks, lambda a: dict(
-        ladder=[(_at_least(a, "n", 2), a.nt, a.tmax)])),
-    ("planar", "ap"): (suite.ap_checks, lambda a: dict(n=_at_least(a, "n", 2))),
+        ladder=[(a.n, a.nt, a.tmax)])),
+    ("planar", "ap"): (suite.ap_checks, lambda a: dict(n=a.n)),
     ("laminate", "ratio"): (suite.ratio_sweep_checks, lambda a: dict(
         p=a.p, etas=[a.eta])),
     ("laminate", "sweep"): (suite.ratio_sweep_checks, lambda a: dict(
@@ -113,7 +118,7 @@ OPERATIONS = {
     ("qc", "distortion"): (suite.distortion_checks, lambda a: dict(K=a.K)),
     ("qc", "sobolev"): (suite.sobolev_checks, lambda a: dict(K=a.K)),
     ("qc", "weight"): (suite.weight_checks, lambda a: dict(
-        K=a.K, p=a.p, n=_at_least(a, "n", 2))),
+        K=a.K, p=a.p, n=a.n)),
 }
 
 
@@ -141,6 +146,7 @@ def _emit(report: RunReport, args) -> int:
 
 def _cmd_check(args) -> int:
     builder, params = OPERATIONS[args.module, args.operation]
+    _check_sizes(args)
     report = RunReport(config={"module": args.module, "operation": args.operation,
                                "seed": args.seed})
     report.extend(builder(**params(args)))

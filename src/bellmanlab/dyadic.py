@@ -343,8 +343,8 @@ def transform_ascent_ops(depth: int, weight: DyadicWeight | None = None) -> dict
         return eps, _haar_synthesis([s * c for s, c in zip(eps, cf)], 0.0)
 
     return dict(
-        apply=lambda eps, v: _transform(v, eps),
-        adjoint=lambda eps, u: _transform(wv * u, eps) / wv,
+        apply=lambda eps, v, out: np.copyto(out, _transform(v, eps)),
+        adjoint=lambda eps, u, out: np.divide(_transform(wv * u, eps), wv, out=out),
         pnorm=lambda v, p: _lp_norm(v, p, weight),
         mean=lambda v: np.mean(wv * v) / np.mean(wv),
         signs=signs, op=[np.ones(2 ** lev) for lev in range(depth)])

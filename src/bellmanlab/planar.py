@@ -158,13 +158,27 @@ def riesz_diff_multiplier() -> Callable:
     return lambda k1, k2: _safe_ratio(k1 ** 2 - k2 ** 2, k1 ** 2 + k2 ** 2)
 
 
+def _fft2(a, out: np.ndarray) -> np.ndarray:
+    """The 2-d FFT of a, written into the complex array out (which may be
+    a itself) and returned; both passes run in out."""
+    return np.fft.fft2(a, out=out)
+
+
+def _ifft2(a, out: np.ndarray) -> np.ndarray:
+    """The inverse 2-d FFT of a, written into out (which may be a itself)
+    and returned.  numpy's ifft2 ignores its out= and makes two arrays of
+    its own, while ifftn over the last two axes honours it and runs the
+    same two passes, so the result has the same bits."""
+    return np.fft.ifftn(a, axes=(-2, -1), out=out)
+
+
 def apply_multiplier(mult: Callable, f: GridField) -> GridField:
+    """mult applied to f through one spectrum array, which is returned."""
+    # the symbol comes first, so its temporaries are gone when spec is made
     symbol = mult(*_freq_axes(f.n, f.box))
-    spec = np.fft.fft2(f.values)
+    spec = _fft2(f.values, np.empty_like(f.values))
     np.multiply(symbol, spec, out=spec)
-    del symbol  # ifft2 makes 2 grids of its own beside spec
-    # no out= on ifft2: numpy 2.4.6 ignores it and returns a new array
-    return GridField(f.box, np.fft.ifft2(spec))
+    return GridField(f.box, _ifft2(spec, spec))
 
 
 def ab_transform(f: GridField) -> GridField:
@@ -236,16 +250,19 @@ def identity_1_13_check(phi: GridField, psi: GridField, tmax: float,
     n, box = phi.n, phi.box
     dA = phi.cell_area
     k1, k2 = _freq_axes(n, box)
-    P = np.fft.fft2(phi.values)
-    S = np.fft.fft2(psi.values)
-    lhs = float(np.real(np.sum(
-        np.fft.ifft2(riesz_sq_multiplier(1)(k1, k2) * P) * psi.values) * dA))
+    P = _fft2(phi.values, np.empty_like(phi.values))
+    S = _fft2(psi.values, np.empty_like(psi.values))
+    # two fields rewritten at each t: the heat-extended x1-derivatives
+    d1p, d1s = np.empty_like(P), np.empty_like(S)
+    _ifft2(np.multiply(riesz_sq_multiplier(1)(k1, k2), P, out=d1p), d1p)
+    d1p *= psi.values
+    lhs = float(np.real(np.sum(d1p) * dA))
 
     def g(t):
-        damp = heat_multiplier(t)(k1, k2)
-        d1p = np.fft.ifft2(1j * k1 * damp * P)
-        d1s = np.fft.ifft2(1j * k1 * damp * S)
-        return float(np.real(np.sum(d1p * d1s)) * dA)
+        kd = 1j * k1 * heat_multiplier(t)(k1, k2)
+        _ifft2(np.multiply(kd, P, out=d1p), d1p)
+        _ifft2(np.multiply(kd, S, out=d1s), d1s)
+        return float(np.real(np.sum(np.multiply(d1p, d1s, out=d1p))) * dA)
 
     tmin = (box / n) ** 2
     nt |= 1  # Simpson wants an odd count
@@ -313,12 +330,13 @@ def _sup_characteristic(w: PlanarWeight, kernels, stride: int) -> float:
     real(ifft2(spectrum * K)) / mass of w and its dual for each (K, mass)
     in `kernels`, sampled on a stride-subgrid.  w and its dual are
     transformed once for all kernels."""
-    W = np.fft.fft2(w.values)
-    D = np.fft.fft2(w.values ** (-1.0 / (w.p - 1.0)))
+    W = _fft2(w.values, np.empty(w.values.shape, complex))
+    D = _fft2(w.values ** (-1.0 / (w.p - 1.0)), np.empty_like(W))
+    bw, bd = np.empty_like(W), np.empty_like(D)  # the averages, per kernel
     best = 1.0
     for K, mass in kernels:
-        aw = np.real(np.fft.ifft2(W * K)) / mass
-        ad = np.real(np.fft.ifft2(D * K)) / mass
+        aw = _ifft2(np.multiply(W, K, out=bw), bw).real / mass
+        ad = _ifft2(np.multiply(D, K, out=bd), bd).real / mass
         char = aw[::stride, ::stride] * ad[::stride, ::stride] ** (w.p - 1.0)
         best = max(best, float(np.max(char)))
     return best
@@ -338,7 +356,7 @@ def ap_class(w: PlanarWeight, sampling: DiscSampling = DiscSampling()) -> float:
         for j in range(1, 6):
             # the disc always holds its center, so count >= 1
             mask = dist2 <= (box / 2 ** j) ** 2
-            yield np.fft.fft2(mask), mask.sum()
+            yield _fft2(mask, np.empty(mask.shape, complex)), mask.sum()
 
     return _sup_characteristic(w, discs(), sampling.stride)
 
@@ -365,10 +383,18 @@ def norm_ratio_ascent(op: Callable, p: float, n: int = 256,
     madj = np.conj(m)
     rng = np.random.default_rng(seed)
     f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    mod = np.empty((n, n))  # |v|^p, rewritten by each norm of this call
+
+    def pnorm(v, p):
+        a = np.abs(v, out=mod)
+        a **= p
+        return float(np.mean(a) ** (1.0 / p))
+
     res = power_ascent(
-        f, p, iters, apply=lambda _, v: np.fft.ifft2(m * np.fft.fft2(v)),
-        adjoint=lambda _, u: np.fft.ifft2(madj * np.fft.fft2(u)),
-        pnorm=lambda v, p: float(np.mean(np.abs(v) ** p) ** (1.0 / p)), mean=np.mean)
+        f, p, iters,
+        apply=lambda _, v, out: _ifft2(np.multiply(m, _fft2(v, out), out=out), out),
+        adjoint=lambda _, u, out: _ifft2(np.multiply(madj, _fft2(u, out), out=out), out),
+        pnorm=pnorm, mean=np.mean)
     return res._replace(witness=GridField(1.0, res.witness))
 
 

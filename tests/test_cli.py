@@ -137,6 +137,9 @@ def test_monte_carlo_on_no_samples_is_usage_error(capsys, argv, message):
     "qc weight --n 1",
     "planar identity113 --n 1",
     "planar norm-ascent --n 1",
+    # flags that the operation does not read are refused too
+    "bellman jn --samples 0",
+    "qc distortion --n 0",
 ])
 def test_size_flag_below_its_least_value_is_usage_error(capsys, argv):
     # refused before the builder runs: no crash, no raw numpy message, and

@@ -101,6 +101,17 @@ def test_spectral_checks_fail_on_the_wrong_chirality(monkeypatch):
     assert checks["planar.fft-roundtrip"].passed and checks["planar.ab-isometry"].passed
 
 
+def test_roundtrip_check_fails_on_a_scaled_inverse(monkeypatch):
+    # an inverse transform 1 + 1e-9 too large reads about 4.4e-9 at n = 128
+    inverse = pl._ifft2
+    monkeypatch.setattr(pl, "_ifft2",
+                        lambda a, out: np.multiply(inverse(a, out), 1 + 1e-9, out=out))
+    n = suite.tier_params("fast")["planar-spectral"]["n"]
+    checks = {c.check_id: c for c in suite._spectral_checks(n, 1)}
+    assert checks["planar.fft-roundtrip"].value > 1e-9
+    assert not checks["planar.fft-roundtrip"].passed
+
+
 def test_isometry_check_fails_on_a_scaled_symbol(monkeypatch):
     # 1.01 times the symbol stretches every mean-zero field by 1%
     symbol = pl.ab_multiplier()
@@ -158,11 +169,13 @@ def traced(fn):
     return peak, held
 
 
-def test_apply_multiplier_holds_three_grids():
+def test_apply_multiplier_holds_two_grids():
+    # the symbol and the one spectrum array, which both transforms run in
+    # and which is returned; the allocating transforms held three grids
     n = 256
     f = random_field(n, seed=12)
     peak, _ = traced(lambda: pl.apply_multiplier(pl.ab_multiplier(), f))
-    assert peak <= 3 * 16 * n * n + 64 * 1024
+    assert peak <= 2 * 16 * n * n + 16 * n
 
 
 def test_frequency_cache_holds_no_grid():
@@ -238,6 +251,17 @@ def test_identity113_orthogonal_pair():
     assert abs(rep.lhs) < 1e-12 and abs(rep.rhs) < 1e-10
 
 
+def test_heat_identity_checks_fail_on_a_shortened_heat_time(monkeypatch):
+    # heat times 1% short lift the fast ladder's gaps from (1.0e-2, 4.4e-4)
+    # to (4.7e-4, 9.6e-3): the finest rung misses 1e-3 and the ladder rises
+    heat = pl.heat_multiplier
+    monkeypatch.setattr(pl, "heat_multiplier", lambda t: heat(0.99 * t))
+    ladder = suite.tier_params("fast")["planar-identity113"]["ladder"]
+    finest, monotone = suite.heat_identity_checks(ladder)[-2:]
+    assert finest.value > 9e-3 and not finest.passed
+    assert monotone.value > 9e-3 and not monotone.passed
+
+
 def test_identity113_monotone_refinement():
     gaps = []
     for n, nt, tmax in ((64, 17, 6.0), (128, 33, 12.0), (256, 65, 24.0)):
@@ -287,16 +311,16 @@ def test_ap_heat_constant_and_refinement_monotone():
 def test_ap_heat_transforms_its_fields_once(monkeypatch):
     # w and its dual go forward once; each of the 9 heat times takes one
     # inverse transform per field
-    calls = {"fft2": 0, "ifft2": 0}
+    calls = {"_fft2": 0, "_ifft2": 0}
     for name in calls:
-        fn = getattr(np.fft, name)
+        fn = getattr(pl, name)
 
         def counting(*args, _fn=fn, _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counting)
+        monkeypatch.setattr(pl, name, counting)
     pl.ap_heat(radial_weight(64, 2.0, 0.5))
-    assert calls == {"fft2": 2, "ifft2": 18}
+    assert calls == {"_fft2": 2, "_ifft2": 18}
 
 
 def test_ap_two_sided_envelope():
