@@ -25,16 +25,3 @@ Subpackages:
 __version__ = "0.1.0"
 
 from . import ascent, bellman, dyadic, laminate, planar, qcmaps, reporting, stochastic, suite
-
-__all__ = [
-    "__version__",
-    "ascent",
-    "bellman",
-    "dyadic",
-    "laminate",
-    "planar",
-    "qcmaps",
-    "reporting",
-    "stochastic",
-    "suite",
-]

@@ -8,8 +8,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-__all__ = ["AscentResult", "power_ascent"]
-
 
 class AscentResult(NamedTuple):
     ratio: float
@@ -19,19 +17,21 @@ class AscentResult(NamedTuple):
 
 
 def power_ascent(f, p: float, iters: int, apply: Callable, adjoint: Callable,
-                 pnorm: Callable, mean: Callable, signs: Callable | None = None,
+                 weight=None, signs: Callable | None = None,
                  op=None) -> AscentResult:
-    """Ascend ||apply(op, f)||_p / ||f||_p from the start `f` by nonlinear
-    power iterations: with u = |g|^(p-2) g for g = op f, the candidate is
-    the dual element |v|^(q-2) v of v = adjoint(op, u), the adjoint in the
-    pairing of pnorm(v, p).  A step is kept only if the ratio increases,
-    so the last value is an achieved ratio, a certified lower bound for
-    the norm.  mean(v) is subtracted from each candidate: the mean of the
-    pairing's measure, whose constants op kills.  signs(u, f), if given,
-    returns the operator of the family that maximizes <u, op f>, and its
-    image of f; it is tried before each f step.  apply(op, v, out) and
-    adjoint(op, u, out) write their image into `out`, an array shaped and
-    typed like f.
+    """Ascend ||apply(op, f)||_p / ||f||_p in L^p(w) from the start `f` by
+    nonlinear power iterations, where w is `weight` (samples shaped like
+    f) or 1 when it is None.  The norm is (mean |v|^p w)^(1/p) and the
+    pairing is <u, v>_w = mean(u conj(v) w).  With u = |g|^(p-2) g for
+    g = op f, the candidate is the dual element |v|^(q-2) v of
+    v = adjoint(op, u), the adjoint in that pairing.  A step is kept only
+    if the ratio increases, so the last value is an achieved ratio, a
+    certified lower bound for the norm.  The w-mean mean(w v) / mean(w)
+    is subtracted from each candidate, since op kills constants.
+    signs(u, f), if given, returns the operator of the family that
+    maximizes <u, op f>, and its image of f; it is tried before each f
+    step.  apply(op, v, out) and adjoint(op, u, out) write their image
+    into `out`, an array shaped and typed like f.
 
     For p > 2.25 the budget is split over a continuation ladder in p from
     2.25, which escapes the weakest fixed points; the curve records the
@@ -43,19 +43,31 @@ def power_ascent(f, p: float, iters: int, apply: Callable, adjoint: Callable,
     """
     if p < 2:
         raise ValueError("ascent is set up for p >= 2")
-    f = f - mean(f)
-    f = f / pnorm(f, p)
-    ladder = [p]
-    if p > 2.25:
-        ladder = list(np.linspace(2.25, p, max(2, int(2 * (p - 2)) + 2)))
-    g, img, u, cand, mix = (np.empty_like(f) for _ in range(5))
     a = np.empty(f.shape)
+
+    def mean(v):
+        return np.mean(v) if weight is None else np.mean(weight * v) / np.mean(weight)
+
+    def pnorm(v, p):
+        """The L^p(w) norm of v, the power taken in the real array a."""
+        m = np.abs(v, out=a)
+        m **= p
+        if weight is not None:
+            m *= weight
+        return float(np.mean(m) ** (1.0 / p))
 
     def dual(v, e, out):
         """|v|^e v into out, the power taken in the real array a."""
         m = np.abs(v, out=a)
         m **= e
         return np.multiply(m, v, out=out)
+
+    f = f - mean(f)
+    f = f / pnorm(f, p)
+    ladder = [p]
+    if p > 2.25:
+        ladder = list(np.linspace(2.25, p, max(2, int(2 * (p - 2)) + 2)))
+    g, img, u, cand, mix = (np.empty_like(f) for _ in range(5))
 
     apply(op, f, g)
     curve = []

@@ -22,24 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "p_star",
-    "gamma_p",
-    "eval_phi",
-    "zigzag_check",
-    "majorant_check",
-    "hessian_form_identity",
-    "FeasibilityResult",
-    "linear_majorant_feasibility",
-    "feasibility_transition",
-    "h_section_inequality",
-    "tau",
-    "tau_closed_form",
-    "interpolation_constant",
-    "bq_hessian_check",
-    "jn_bellman_check",
-]
-
 
 def p_star(p: float) -> float:
     if p <= 1:
@@ -253,7 +235,8 @@ def linear_majorant_feasibility(c: float, p: float) -> FeasibilityResult:
         if (1.0 + rho - p) < -tol or (rho * (p - 1.0) - 1.0) < -tol:
             continue
         # H_c(s_rho) <= 0 at the zero s_rho = (rho-1)/(rho+1) of g1: a
-        # scalar test that rejects every rho > c before any array work
+        # scalar test that rejects every rho > c before any array work;
+        # H_c is nondecreasing, so it also holds H_c <= 0 where g1 < 0
         if _H((rho - 1.0) / (rho + 1.0), p, c) > tol:
             continue
         g1 = (1.0 + s) / 2.0 - rho * (1.0 - s) / 2.0
@@ -264,8 +247,6 @@ def linear_majorant_feasibility(c: float, p: float) -> FeasibilityResult:
             a_min = float(np.max(Hc[pos] / g1[pos]))
         a_max = np.inf
         if np.any(neg):
-            if np.any(Hc[neg] > tol):
-                continue  # H_c > 0 where g < 0: hopeless for this rho
             ratios = Hc[neg] / g1[neg]
             up = ratios[Hc[neg] < 0]
             if up.size:

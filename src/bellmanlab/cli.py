@@ -59,7 +59,7 @@ def _weight_family(spec: str):
 
 # the least value of each size flag; a module's flags are shared by all its
 # operations, so every one that was parsed is checked, read or not
-_LEAST = {"depth": 1, "n": 2, "samples": 1, "points": 1}
+_LEAST = {"depth": 1, "n": 2, "nt": 3, "samples": 1, "points": 1, "workers": 1}
 
 
 def _check_sizes(args):
@@ -154,6 +154,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    _check_sizes(args)
     skip = tuple(t for t in (args.skip or "").split(",") if t)
     report = run_suite(args.tier, seed=args.seed, workers=args.workers,
                        skip=skip)
@@ -206,7 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--op", choices=("ab", "r11-r22"), default="r11-r22")
     pl.add_argument("--p", type=float, default=4.0)
     pl.add_argument("--n", type=int, default=256)
-    pl.add_argument("--iters", type=int, default=500)
+    pl.add_argument("--iters", type=int, default=500,
+                    help="ascent budget, split over the continuation rungs "
+                         "in p; each rung runs at least 10 iterations")
     pl.add_argument("--tmax", type=float, default=24.0)
     pl.add_argument("--nt", type=int, default=65)
     pl.add_argument("--witness", default=None,

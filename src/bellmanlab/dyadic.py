@@ -20,26 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "DyadicFunction",
-    "DyadicWeight",
-    "CarlesonSequence",
-    "haar_coefficients",
-    "haar_synthesis",
-    "martingale_transform",
-    "random_signs",
-    "a2_dyadic",
-    "weighted_haar_system",
-    "caral_sequence",
-    "carleson_intensity",
-    "carleson_embedding_check",
-    "buckley_sum",
-    "a_infinity_constant",
-    "transform_ascent_ops",
-    "power_weight",
-    "two_value_weight",
-]
-
 
 class DyadicFunction:
     """Step function on [0,1] with 2**depth equal-width pieces."""
@@ -66,14 +46,10 @@ class DyadicFunction:
     def norm(self, p: float = 2.0, weight: "DyadicWeight | None" = None) -> float:
         """L^p([0,1]) norm; integrals are plain sample means since the grid
         is uniform.  With a weight, the L^p(w dx) norm."""
-        return _lp_norm(self.values, p, weight)
-
-
-def _lp_norm(values: np.ndarray, p: float, weight=None) -> float:
-    a = np.abs(values) ** p
-    if weight is not None:
-        a = a * weight.values
-    return float(np.mean(a) ** (1.0 / p))
+        a = np.abs(self.values) ** p
+        if weight is not None:
+            a = a * weight.values
+        return float(np.mean(a) ** (1.0 / p))
 
 
 class DyadicWeight(DyadicFunction):
@@ -327,11 +303,11 @@ def carleson_embedding_check(
 
 
 def transform_ascent_ops(depth: int, weight: DyadicWeight | None = None) -> dict:
-    """The martingale transforms T_eps on L^p(w) as the callables of
+    """The martingale transforms T_eps on L^p(w) as the arguments of
     `ascent.power_ascent`, from all-plus signs.  An operator is its sign
     arrays, one per level.  The adjoint in the pairing of L^2(w) is
-    u -> T(w u) / w, the mean step is the w-mean (T kills constants), and
-    the sign step eps_I = sign((w u, h_I)(f, h_I)) maximizes <u, T f>_w.
+    u -> T(w u) / w, and the sign step eps_I = sign((w u, h_I)(f, h_I))
+    maximizes <u, T f>_w.
     """
     if depth < 1:
         raise ValueError("need depth >= 1")
@@ -345,6 +321,5 @@ def transform_ascent_ops(depth: int, weight: DyadicWeight | None = None) -> dict
     return dict(
         apply=lambda eps, v, out: np.copyto(out, _transform(v, eps)),
         adjoint=lambda eps, u, out: np.divide(_transform(wv * u, eps), wv, out=out),
-        pnorm=lambda v, p: _lp_norm(v, p, weight),
-        mean=lambda v: np.mean(wv * v) / np.mean(wv),
+        weight=None if weight is None else weight.values,
         signs=signs, op=[np.ones(2 ** lev) for lev in range(depth)])

@@ -29,27 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "Ray",
-    "Laminate",
-    "TestFunction2D",
-    "power_test",
-    "phi_plus",
-    "phi_minus",
-    "s0_K_p_relations",
-    "nu_pair",
-    "mu_laminate",
-    "sigma_laminate",
-    "integrate",
-    "baricenter",
-    "RatioResult",
-    "ratio",
-    "printed_ratio",
-    "check_biconcave",
-    "laminate_inequality_check",
-    "default_battery",
-]
-
 
 @dataclass(frozen=True)
 class Ray:

@@ -42,33 +42,6 @@ import numpy as np
 
 from .ascent import AscentResult, power_ascent
 
-__all__ = [
-    "GridField",
-    "ab_multiplier",
-    "conj_ab_multiplier",
-    "riesz_sq_multiplier",
-    "riesz_mixed_multiplier",
-    "apply_multiplier",
-    "ab_transform",
-    "riesz_sq",
-    "riesz_mixed",
-    "d_z",
-    "d_zbar",
-    "heat_multiplier",
-    "Identity113Report",
-    "identity_1_13_check",
-    "PlanarWeight",
-    "DiscSampling",
-    "HeatSampling",
-    "ap_class",
-    "ap_heat",
-    "AscentResult",
-    "norm_ratio_ascent",
-    "write_field",
-    "read_field",
-    "gaussian_bump",
-]
-
 
 @dataclass
 class GridField:
@@ -247,6 +220,8 @@ def identity_1_13_check(phi: GridField, psi: GridField, tmax: float,
     """
     if phi.n != psi.n or phi.box != psi.box:
         raise ValueError("fields must share a grid")
+    if nt < 3:
+        raise ValueError(f"need nt >= 3 Simpson nodes, got {nt}")
     n, box = phi.n, phi.box
     dA = phi.cell_area
     k1, k2 = _freq_axes(n, box)
@@ -383,18 +358,10 @@ def norm_ratio_ascent(op: Callable, p: float, n: int = 256,
     madj = np.conj(m)
     rng = np.random.default_rng(seed)
     f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    mod = np.empty((n, n))  # |v|^p, rewritten by each norm of this call
-
-    def pnorm(v, p):
-        a = np.abs(v, out=mod)
-        a **= p
-        return float(np.mean(a) ** (1.0 / p))
-
     res = power_ascent(
         f, p, iters,
         apply=lambda _, v, out: _ifft2(np.multiply(m, _fft2(v, out), out=out), out),
-        adjoint=lambda _, u, out: _ifft2(np.multiply(madj, _fft2(u, out), out=out), out),
-        pnorm=pnorm, mean=np.mean)
+        adjoint=lambda _, u, out: _ifft2(np.multiply(madj, _fft2(u, out), out=out), out))
     return res._replace(witness=GridField(1.0, res.witness))
 
 

@@ -19,15 +19,6 @@ import numpy as np
 
 from .planar import GridField, PlanarWeight, grid_coordinates
 
-__all__ = [
-    "RadialMap",
-    "beltrami_ratio",
-    "distortion_exponent",
-    "sobolev_threshold",
-    "sobolev_boundary",
-    "jacobian_weight",
-]
-
 
 @dataclass(frozen=True)
 class RadialMap:

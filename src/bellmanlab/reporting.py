@@ -19,8 +19,6 @@ from dataclasses import dataclass, field, fields, asdict
 
 from . import __version__
 
-__all__ = ["CheckResult", "RunReport", "CHECK_REGISTRY"]
-
 # stable identifiers for every quantity the laboratory certifies or reports
 CHECK_REGISTRY = {
     "dyadic.parseval": "Haar coefficients satisfy the energy identity",

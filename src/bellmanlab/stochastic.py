@@ -40,19 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "CHUNK_PATHS",
-    "BrownianDriver",
-    "riemann_gap_demo",
-    "GaussianMix",
-    "simulate",
-    "terminal_gap_sweep",
-    "transform_residuals",
-    "ab_by_conditioning",
-    "ConditioningResult",
-    "subordination_constants_mc",
-]
-
 # paths per block of the engine: bounds the memory of every consumer
 CHUNK_PATHS = 250_000
 

@@ -81,11 +81,16 @@ def planar_oracle(n, p, iters, seed, mixed=None):
 
 
 def dyadic_oracle_ops(depth, weight=None):
-    """`dyadic.transform_ascent_ops` with the allocating apply and adjoint."""
+    """`dyadic.transform_ascent_ops` with the allocating apply and adjoint,
+    and the L^p(w) norm and w-mean as the callables the loop took."""
     wv = 1.0 if weight is None else weight.values
-    return {**dy.transform_ascent_ops(depth, weight),
+    ops = dy.transform_ascent_ops(depth, weight)
+    del ops["weight"]
+    return {**ops,
             "apply": lambda eps, v: dy._transform(v, eps),
-            "adjoint": lambda eps, u: dy._transform(wv * u, eps) / wv}
+            "adjoint": lambda eps, u: dy._transform(wv * u, eps) / wv,
+            "pnorm": lambda v, p: float(np.mean(np.abs(v) ** p * wv) ** (1.0 / p)),
+            "mean": lambda v: np.mean(wv * v) / np.mean(wv)}
 
 
 def bits(res):

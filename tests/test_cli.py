@@ -137,6 +137,9 @@ def test_monte_carlo_on_no_samples_is_usage_error(capsys, argv, message):
     "qc weight --n 1",
     "planar identity113 --n 1",
     "planar norm-ascent --n 1",
+    # one Simpson node would leave the t-integral a single sample
+    "planar identity113 --nt 0",
+    "planar identity113 --nt 1",
     # flags that the operation does not read are refused too
     "bellman jn --samples 0",
     "qc distortion --n 0",
@@ -148,6 +151,46 @@ def test_size_flag_below_its_least_value_is_usage_error(capsys, argv):
     flag = argv.split()[2]
     assert code == 2 and out == ""
     assert err.startswith(f"error: {flag} must be at least") and err.count("\n") == 1
+
+
+# one bad input per operation and one for `suite`: the flags, the exit code
+# and the one line on stderr.  `--iters` is not among them: each rung of the
+# ascent runs at least 10 iterations, an engine rule that the help states.
+BAD_INPUTS = {
+    ("dyadic", "buckley"): ("--weight wavelet:3", 2, "error: unknown weight spec 'wavelet:3'"),
+    ("dyadic", "mt-ratio"): ("--p 1.5", 2, "error: ascent is set up for p >= 2"),
+    ("bellman", "zigzag"): ("--samples 0", 2, "error: --samples must be at least 1, got 0"),
+    ("bellman", "tau"): ("--p 0", 2, "error: p must be positive"),
+    ("bellman", "interp-sweep"): (
+        "--qmin 1", 2, "error: q must be >= 2; pass the dual exponent instead"),
+    ("bellman", "jn"): ("--delta 1", 2, "error: delta must lie in (0, 1)"),
+    ("planar", "norm-ascent"): ("--p 1.5 --n 8", 2, "error: ascent is set up for p >= 2"),
+    ("planar", "identity113"): ("--nt 1", 2, "error: --nt must be at least 3, got 1"),
+    ("planar", "ap"): ("--n 1", 2, "error: --n must be at least 2, got 1"),
+    ("laminate", "ratio"): ("--p 1", 2, "error: need p + eta > 2"),
+    ("laminate", "sweep"): (
+        "--etas 1e-1,x", 2, "error: could not convert string to float: 'x'"),
+    ("laminate", "check"): (
+        "--p 2 --eta 0.01", 3, "numeric error: ray integral does not converge fast enough"),
+    ("stoch", "riemann-gap"): ("--steps 0", 2, "error: steps=0; need at least 1"),
+    ("stoch", "ab-mc"): (
+        "--paths 1", 2, "error: paths=1 per bin; a standard error needs at least 2"),
+    ("stoch", "constants"): (
+        "--p 1.5", 2, "error: p=1.5: the conformal ceiling needs p > 2"),
+    ("qc", "distortion"): ("--K 0.5", 2, "error: K must be >= 1"),
+    ("qc", "sobolev"): ("--K 0.5", 2, "error: K must be >= 1"),
+    ("qc", "weight"): ("--n 1", 2, "error: --n must be at least 2, got 1"),
+    ("suite", "fast"): ("--workers 0", 2, "error: --workers must be at least 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("command", [*cli.OPERATIONS, ("suite", "fast")],
+                         ids=" ".join)
+def test_every_operation_refuses_its_bad_input(capsys, command):
+    # a KeyError here means an operation was added without a row
+    flags, expected_code, line = BAD_INPUTS[command]
+    code, out, err = run_cli(capsys, *command, *flags.split())
+    assert (code, out, err) == (expected_code, "", line + "\n")
 
 
 def flag_choices(module, flag):

@@ -431,7 +431,8 @@ def test_mt_ratio_scale_invariance():
 
 
 # known-bad transforms: a level drift of 5% per level, or a 5% larger top
-# coefficient, is no martingale transform, and the plain mean step cannot
+# coefficient, is no martingale transform, and the ascent with the plain
+# measure in its norm and mean step (the adjoint still weighted) cannot
 # reach the weighted extremizer (h_root + 1/3 has plain mean 1/3)
 
 
@@ -464,7 +465,7 @@ def test_mt_envelope_fails_low_with_the_plain_mean(monkeypatch):
     w = dy.two_value_weight(2.0, 1.0, 10)
     ops = dy.transform_ascent_ops
     monkeypatch.setattr(dy, "transform_ascent_ops",
-                        lambda depth, w=None: {**ops(depth, w), "mean": np.mean})
+                        lambda depth, w=None: {**ops(depth, w), "weight": None})
     [check] = suite.mt_envelope_checks(w, 200, 2.0, 1)
     assert check.value > 0.06 and not check.passed
     assert check.detail.startswith("ascent 1.000000000")

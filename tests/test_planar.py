@@ -251,6 +251,14 @@ def test_identity113_orthogonal_pair():
     assert abs(rep.lhs) < 1e-12 and abs(rep.rhs) < 1e-10
 
 
+@pytest.mark.parametrize("nt", [0, 1, 2])
+def test_identity113_refuses_fewer_than_three_nodes(nt):
+    # nt = 0 and 1 left one Simpson node and a gap of 3.5 at n = 16
+    phi, psi = bump_pair(16)
+    with pytest.raises(ValueError, match="nt >= 3"):
+        pl.identity_1_13_check(phi, psi, tmax=12.0, nt=nt)
+
+
 def test_heat_identity_checks_fail_on_a_shortened_heat_time(monkeypatch):
     # heat times 1% short lift the fast ladder's gaps from (1.0e-2, 4.4e-4)
     # to (4.7e-4, 9.6e-3): the finest rung misses 1e-3 and the ladder rises
