@@ -63,6 +63,19 @@ def _obstacle(x, y, p, c):
 # Zigzag concavity and majorization by sampling
 
 
+# samples evaluated at once by the sampling checks; they draw all their
+# inputs first, then reduce each slice with an exact min or max, so the
+# result does not depend on the slice size
+_CHUNK = 8192
+
+
+def _chunks(samples: int):
+    """Slices of at most _CHUNK samples that cover range(samples)."""
+    if samples < 1:
+        raise ValueError(f"samples={samples}; need at least 1")
+    return [slice(i, i + _CHUNK) for i in range(0, samples, _CHUNK)]
+
+
 def zigzag_check(fn, samples: int, seed: int = 0, box: float = 5.0) -> float:
     """Worst (relative) f(x,y) - (f(x+a, y+-a) + f(x-a, y-+a))/2 over random
     points, with steps a uniform in (0, 1].
@@ -75,14 +88,16 @@ def zigzag_check(fn, samples: int, seed: int = 0, box: float = 5.0) -> float:
     x = rng.uniform(-box, box, samples)
     y = rng.uniform(-box, box, samples)
     a = rng.uniform(0.0, 1.0, samples) + 1e-12
-    c = fn(x, y)
     worst = np.inf
-    for sgn in (1, -1):
-        p1 = fn(x + a, y + sgn * a)
-        p2 = fn(x - a, y - sgn * a)
-        scale = np.maximum(1.0, np.maximum(np.abs(c), np.maximum(np.abs(p1), np.abs(p2))))
-        worst = min(worst, float(np.min((c - 0.5 * (p1 + p2)) / scale)))
-    return worst
+    for s in _chunks(samples):
+        xs, ys, steps = x[s], y[s], a[s]
+        c = fn(xs, ys)
+        for sgn in (1, -1):
+            p1 = fn(xs + steps, ys + sgn * steps)
+            p2 = fn(xs - steps, ys - sgn * steps)
+            scale = np.maximum(1.0, np.maximum(np.abs(c), np.maximum(np.abs(p1), np.abs(p2))))
+            worst = np.minimum(worst, np.min((c - 0.5 * (p1 + p2)) / scale))
+    return float(worst)
 
 
 def majorant_check(variant: str, p: float, samples: int, seed: int = 0,
@@ -95,11 +110,13 @@ def majorant_check(variant: str, p: float, samples: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     x = rng.uniform(-box, box, samples)
     y = rng.uniform(-box, box, samples)
-    h = _obstacle(x, y, p, p_star(p) - 1.0)
-    val = eval_phi(x, y, p, variant)
-    gap = val - h
-    scale = np.maximum(1.0, np.maximum(np.abs(val), np.abs(h)))
-    return float(np.min(gap / scale))
+    worst = np.inf
+    for s in _chunks(samples):
+        h = _obstacle(x[s], y[s], p, p_star(p) - 1.0)
+        val = eval_phi(x[s], y[s], p, variant)
+        scale = np.maximum(1.0, np.maximum(np.abs(val), np.abs(h)))
+        worst = np.minimum(worst, np.min((val - h) / scale))
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -376,17 +393,18 @@ def bq_hessian_check(Q: float, alpha: float, samples: int, seed: int = 0) -> BqR
     rng = np.random.default_rng(seed)
     prod = rng.uniform(1.0 + 1e-9, Q, samples)
     skew = rng.uniform(-3.0, 3.0, samples)
-    x = np.sqrt(prod) * np.exp(skew)
-    y = np.sqrt(prod) * np.exp(-skew)
     theta = rng.uniform(0.0, 2.0 * np.pi, samples)
-    dx, dy = np.cos(theta), np.sin(theta)
-
-    b = x ** alpha * y ** alpha
-    u, v = dx / x, dy / y
-    neg_form = b * (alpha * (1.0 - alpha) * (u ** 2 + v ** 2) - 2.0 * alpha ** 2 * u * v)
-    required = alpha * (1.0 - 2.0 * alpha) * b * (u ** 2 + v ** 2)
-    margin = float(np.min(neg_form - required))
-    return BqReport(worst_margin=margin, range_ratio=float(np.max(b)) / Q ** alpha)
+    margin, top = np.inf, -np.inf
+    for s in _chunks(samples):
+        x = np.sqrt(prod[s]) * np.exp(skew[s])
+        y = np.sqrt(prod[s]) * np.exp(-skew[s])
+        u, v = np.cos(theta[s]) / x, np.sin(theta[s]) / y
+        b = x ** alpha * y ** alpha
+        neg_form = b * (alpha * (1.0 - alpha) * (u ** 2 + v ** 2) - 2.0 * alpha ** 2 * u * v)
+        required = alpha * (1.0 - 2.0 * alpha) * b * (u ** 2 + v ** 2)
+        margin = np.minimum(margin, np.min(neg_form - required))
+        top = np.maximum(top, np.max(b))
+    return BqReport(worst_margin=float(margin), range_ratio=float(top) / Q ** alpha)
 
 
 # ---------------------------------------------------------------------------

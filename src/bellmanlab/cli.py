@@ -22,6 +22,7 @@ reading one sample per line (2^depth lines).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -62,8 +63,13 @@ def _weight_family(spec: str):
 _LEAST = {"depth": 1, "n": 2, "nt": 3, "samples": 1, "points": 1, "workers": 1}
 
 
-def _check_sizes(args):
-    """Refuse a size flag below its least value, before any builder runs."""
+def _check_flags(args):
+    """Refuse a float flag that is not finite and a size flag below its
+    least value, before any builder runs."""
+    for flag, value in vars(args).items():
+        # only the type=float flags parse to floats
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"--{flag} must be finite")
     for flag, least in _LEAST.items():
         value = getattr(args, flag, least)
         if value < least:
@@ -146,7 +152,7 @@ def _emit(report: RunReport, args) -> int:
 
 def _cmd_check(args) -> int:
     builder, params = OPERATIONS[args.module, args.operation]
-    _check_sizes(args)
+    _check_flags(args)
     report = RunReport(config={"module": args.module, "operation": args.operation,
                                "seed": args.seed})
     report.extend(builder(**params(args)))
@@ -154,7 +160,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    _check_sizes(args)
+    _check_flags(args)
     skip = tuple(t for t in (args.skip or "").split(",") if t)
     report = run_suite(args.tier, seed=args.seed, workers=args.workers,
                        skip=skip)

@@ -19,9 +19,11 @@ representation through heat extensions carries a positive sign.
 
 A multiplier is its symbol (k1, k2) -> array, zero mode included.  The
 symbol is evaluated on broadcastable frequency axes, k1 a column and k2 a
-row, and its value must broadcast to the N x N grid.  Singular symbols
-are 0 at the zero frequency: every such operator acts on the mean-zero
-part of its input and returns a mean-zero field.
+row, and its value must broadcast to the len(k1) x N block they span.
+Row r of a symbol depends only on k1[r] and k2, so a multiplier may be
+applied a block of rows at a time.  Singular symbols are 0 at the zero
+frequency: every such operator acts on the mean-zero part of its input
+and returns a mean-zero field.
 
 Band edge: symbols are evaluated at the canonical fftfreq representative,
 so the Nyquist plane (where +N/2 and -N/2 alias) picks the negative sign.
@@ -83,10 +85,18 @@ def grid_coordinates(n: int, box: float):
 
 def gaussian_bump(n: int, box: float, sigma: float = 1.0, center=(0.0, 0.0),
                   amplitude: float = 1.0) -> GridField:
-    X, Y = grid_coordinates(n, box)
+    """amplitude * exp(-|x - center|^2 / (2 sigma^2)), built in one real
+    buffer from the broadcast axes and written into a complex field."""
+    x = grid_axis(n, box)
     cx, cy = center
-    return GridField(
-        box, amplitude * np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2 * sigma ** 2)))
+    r = (x[:, None] - cx) ** 2 + (x[None, :] - cy) ** 2
+    np.negative(r, out=r)
+    np.divide(r, 2 * sigma ** 2, out=r)
+    np.exp(r, out=r)
+    np.multiply(amplitude, r, out=r)
+    v = np.zeros((n, n), complex)
+    v.real = r
+    return GridField(box, v)
 
 
 def _freq_axes(n: int, box: float):
@@ -145,12 +155,24 @@ def _ifft2(a, out: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(a, axes=(-2, -1), out=out)
 
 
+# rows of the spectrum that one evaluation of a symbol covers
+_ROW_BLOCK = 32
+
+
 def apply_multiplier(mult: Callable, f: GridField) -> GridField:
-    """mult applied to f through one spectrum array, which is returned."""
-    # the symbol comes first, so its temporaries are gone when spec is made
-    symbol = mult(*_freq_axes(f.n, f.box))
+    """mult applied to f through one spectrum array, which is returned.
+
+    The symbol is evaluated on _ROW_BLOCK rows of the frequency grid at a
+    time, mult(k1[r:r + _ROW_BLOCK], k2), and multiplies those rows of the
+    spectrum in place; so row r of the symbol must depend only on k1[r]
+    and k2, and no N x N symbol is ever held."""
+    k1, k2 = _freq_axes(f.n, f.box)
     spec = _fft2(f.values, np.empty_like(f.values))
-    np.multiply(symbol, spec, out=spec)
+    for r in range(0, f.n, _ROW_BLOCK):
+        rows = spec[r:r + _ROW_BLOCK]
+        # the symbol stays the first operand: a complex product under FMA
+        # need not have the bits of its swap
+        np.multiply(mult(k1[r:r + _ROW_BLOCK], k2), rows, out=rows)
     return GridField(f.box, _ifft2(spec, spec))
 
 

@@ -4,7 +4,8 @@ Every check emits a CheckResult carrying a stable identifier from the
 registry below, the measured value, and the target and tolerance that
 decide pass/fail by one rule: an entry passes iff value <= target +
 tolerance (so a NaN value fails).  An entry without a target is
-informational and always passes.  A RunReport serializes
+informational and passes unless its value is NaN: no entry passes on a
+NaN.  A RunReport serializes
 deterministically: the canonical payload (config echo + entries) is
 byte-stable for a fixed (config, seed); wall time and version are emitted
 outside the canonical section.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field, fields, asdict
 
 from . import __version__
@@ -93,7 +95,9 @@ class CheckResult:
 
     @property
     def passed(self) -> bool:
-        return self.target is None or self.value <= self.target + self.tolerance
+        if self.target is None:
+            return not math.isnan(self.value)
+        return self.value <= self.target + self.tolerance
 
 
 @dataclass

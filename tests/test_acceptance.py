@@ -277,9 +277,27 @@ def test_suite_submits_heaviest_first_and_merges_by_name(monkeypatch):
     assert report.entries == kept
 
 
+def golden_json(name):
+    """The canonical bytes of a committed golden report: the file is the
+    canonical payload, indented for review, and re-serializing it gives
+    the canonical bytes (floats round-trip)."""
+    golden = json.loads((Path(__file__).parent / name).read_text())
+    return json.dumps(golden, sort_keys=True, allow_nan=True)
+
+
 def test_golden_fast_seed1_report(fast_seed1_report):
-    # the committed file is the canonical payload, indented for review;
-    # re-serializing it gives the canonical bytes (floats round-trip)
-    golden = json.loads((Path(__file__).parent / "golden_suite_fast_seed1.json").read_text())
-    expected = json.dumps(golden, sort_keys=True, allow_nan=True)
-    assert fast_seed1_report.canonical_json() == expected
+    assert fast_seed1_report.canonical_json() == golden_json("golden_suite_fast_seed1.json")
+
+
+def test_golden_fast_seed6_report():
+    report = run_suite("fast", seed=6, workers=2)
+    assert report.canonical_json() == golden_json("golden_suite_fast_seed6.json")
+
+
+def test_golden_full_seed1_deterministic_report():
+    # the full tier's n = 512 spectral checks, 10^5-sample Bellman checks,
+    # depth 12 and n = 256 grids; planar-ascent is left to criterion 6
+    skip = ("planar-ascent", "stoch-conditioning", "stoch-constants", "stoch-core")
+    report = run_suite("full", seed=1, workers=2, skip=skip)
+    assert report.canonical_json() == golden_json(
+        "golden_suite_full_seed1_deterministic.json")

@@ -3,6 +3,7 @@ import pytest
 
 from bellmanlab import bellman as bm
 from bellmanlab import suite
+from test_planar import traced
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +316,46 @@ def test_bq_diagonal_direction_strict():
     assert neg_form - required == pytest.approx(4 * alpha ** 2 * b * u ** 2)
 
 
+# ---------------------------------------------------------------------------
+# the sampling checks evaluate fixed slices of their drawn inputs
+
+
+# name -> (the check at a sample count, the number of drawn input arrays)
+SAMPLING_CHECKS = {
+    "zigzag": (lambda samples: bm.zigzag_check(
+        lambda x, y: bm.eval_phi(x, y, 8.0, "phi0"), samples, seed=1, box=10.0), 3),
+    "majorant": (lambda samples: bm.majorant_check("phi", 8.0, samples, seed=1,
+                                                   box=10.0), 2),
+    "power-hessian": (lambda samples: bm.bq_hessian_check(8.0, 0.25, samples, seed=1), 3),
+}
+
+
+@pytest.mark.parametrize("samples", [100_000, 400_000])
+@pytest.mark.parametrize("name", SAMPLING_CHECKS)
+def test_sampling_check_memory_beyond_its_inputs_is_fixed(name, samples):
+    # the whole-sample temporaries held about 15 arrays of 8 * samples bytes
+    check, inputs = SAMPLING_CHECKS[name]
+    peak, _ = traced(lambda: check(samples))
+    assert peak - inputs * 8 * samples < 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("name", SAMPLING_CHECKS)
+def test_sampling_check_does_not_depend_on_the_slice_size(monkeypatch, name):
+    check, _ = SAMPLING_CHECKS[name]
+    sliced = check(20_000)
+    monkeypatch.setattr(bm, "_CHUNK", 1_000_000)
+    assert check(20_000) == sliced
+    monkeypatch.setattr(bm, "_CHUNK", 1000)
+    assert check(20_000) == sliced
+
+
+@pytest.mark.parametrize("name", SAMPLING_CHECKS)
+def test_sampling_check_refuses_an_empty_sample(name):
+    check, _ = SAMPLING_CHECKS[name]
+    with pytest.raises(ValueError, match="samples=0"):
+        check(0)
+
+
 def test_bq_alpha_validation():
     with pytest.raises(ValueError):
         bm.bq_hessian_check(4.0, 0.7, 10)
@@ -352,6 +393,14 @@ def zigzag_entries(check_id):
     samples = suite.tier_params("fast")["bellman-zigzag"]["samples"]
     return [c for c in suite._hessian_checks((2.0, 2.5, 3.0, 5.0, 8.0), samples, 1)
             if c.check_id == check_id]
+
+
+def test_zigzag_suite_check_fails_on_one_nan_margin(monkeypatch):
+    # the builtin min dropped a NaN margin, and the check passed on the others
+    margins = iter([0.0, np.nan, 0.0, 0.0])
+    monkeypatch.setattr(bm, "zigzag_check", lambda *args, **kw: next(margins))
+    [entry] = suite.zigzag_checks((2.0, 5.0), ("phi", "phi0"), 2000, 10.0, 1)
+    assert not entry.passed
 
 
 def test_majorant_check_fails_on_a_smaller_gamma(monkeypatch):

@@ -153,6 +153,29 @@ def test_size_flag_below_its_least_value_is_usage_error(capsys, argv):
     assert err.startswith(f"error: {flag} must be at least") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    # each of these ran before: the first exited 0 on a NaN ratio-limit
+    # entry, the next two 1 on failing checks, the fourth 3 on a division
+    "laminate ratio --p nan",
+    "planar norm-ascent --p nan --n 8",
+    "stoch constants --p nan",
+    "laminate ratio --p inf",
+    "laminate ratio --p=-inf",
+    "bellman zigzag --samples nan",
+])
+def test_float_flag_that_is_not_finite_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    flag = argv.split()[2].partition("=")[0]
+    assert (code, out, err) == (2, "", f"error: {flag} must be finite\n")
+
+
+def test_config_value_that_is_not_finite_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eta = inf\n")
+    code, out, err = run_cli(capsys, "laminate", "ratio", "--config", str(cfg))
+    assert (code, out, err) == (2, "", "error: --eta must be finite\n")
+
+
 # one bad input per operation and one for `suite`: the flags, the exit code
 # and the one line on stderr.  `--iters` is not among them: each rung of the
 # ascent runs at least 10 iterations, an engine rule that the help states.
@@ -345,11 +368,13 @@ def test_report_canonical_json_excludes_timing():
 
 
 def test_report_pass_fail_logic():
-    # one rule: value <= target + tolerance, and no target always passes
+    # one rule: value <= target + tolerance, and no target passes unless
+    # the value is NaN
     assert CheckResult("bellman.tau-quadrature", 3.0, 1.0, 2.0).passed
     assert not CheckResult("bellman.tau-quadrature", 3.5, 1.0, 2.0).passed
     assert not CheckResult("bellman.tau-quadrature", float("nan"), 0.0, 1e-10).passed
     assert CheckResult("laminate.ratio-limit", 99.0).passed
+    assert not CheckResult("laminate.ratio-limit", float("nan")).passed
     # the detail is keyword-only, so a stray fifth argument cannot land in it
     with pytest.raises(TypeError):
         CheckResult("bellman.tau-quadrature", 0.0, 0.0, 1e-10, "match")

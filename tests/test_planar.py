@@ -169,13 +169,14 @@ def traced(fn):
     return peak, held
 
 
-def test_apply_multiplier_holds_two_grids():
-    # the symbol and the one spectrum array, which both transforms run in
-    # and which is returned; the allocating transforms held three grids
+def test_apply_multiplier_holds_one_grid_and_a_row_block():
+    # the one spectrum array, which both transforms run in and which is
+    # returned, and the symbol of one block of rows with its temporaries
+    # (at most four complex blocks); an N x N symbol held a second grid
     n = 256
     f = random_field(n, seed=12)
     peak, _ = traced(lambda: pl.apply_multiplier(pl.ab_multiplier(), f))
-    assert peak <= 2 * 16 * n * n + 16 * n
+    assert peak <= 16 * n * n + 4 * 16 * pl._ROW_BLOCK * n
 
 
 def test_frequency_cache_holds_no_grid():
@@ -186,9 +187,12 @@ def test_frequency_cache_holds_no_grid():
 
 
 def test_spectral_experiment_memory():
+    # three n = 512 complex fields at a time, plus 2 MiB for a row block's
+    # symbol and a real temporary
     params = suite.tier_params("full")["planar-spectral"]
+    n = params["n"]
     peak, held = traced(lambda: suite.run_experiment("planar-spectral", params, 1))
-    assert peak <= 32 * 2 ** 20
+    assert peak <= 3 * 16 * n * n + 2 * 2 ** 20
     assert held < 64 * 1024
 
 
@@ -363,6 +367,15 @@ def test_ascent_monotone_fails_on_a_dropping_curve(monkeypatch):
     monkeypatch.setattr(pl, "norm_ratio_ascent", lambda *args, **kw: dropping)
     checks = {c.check_id: c for c in suite.ascent_checks("r11-r22", 4.0, 8, 3, 0)}
     assert checks["planar.ascent-monotone"].value == pytest.approx(0.1)
+    assert not checks["planar.ascent-monotone"].passed
+
+
+@pytest.mark.parametrize("curve", [[np.nan], [1.2, np.nan, 1.5], [1.2, np.inf]])
+def test_ascent_monotone_fails_on_a_curve_that_is_not_finite(monkeypatch, curve):
+    # a one-value NaN curve used to read 0.0 and pass
+    broken = pl.AscentResult(ratio=np.nan, witness=random_field(8), curve=np.array(curve))
+    monkeypatch.setattr(pl, "norm_ratio_ascent", lambda *args, **kw: broken)
+    checks = {c.check_id: c for c in suite.ascent_checks("r11-r22", 4.0, 8, 3, 0)}
     assert not checks["planar.ascent-monotone"].passed
 
 
