@@ -17,7 +17,7 @@ print(f"== the majorant at p = {p} ==")
 print(f"value at (0, 1): {bm.eval_phi(0, 1, p):.6f} = gamma_p = {bm.gamma_p(p):.6f}")
 print(f"value on the critical ray (1, p*-1): {bm.eval_phi(1, bm.p_star(p) - 1, p):.1e}")
 
-margin = bm.zigzag_check(lambda x, y: bm.eval_phi(x, y, p), 100_000, seed=0, box=10.0)
+margin = bm.zigzag_check(lambda x, y: bm.eval_phi(x, y, p), 100_000, seed=0)
 print(f"zigzag margin over 1e5 samples: {margin:+.2e} (>= 0 up to roundoff)")
 print(f"majorization margin: {bm.majorant_check('phi', p, 100_000, seed=0):+.2e}")
 bad = bm.zigzag_check(lambda x, y: x ** 2 + y ** 2, 10_000, seed=0)
@@ -45,7 +45,7 @@ for q in (2.1, 3.0, 5.0, 10.0, 50.0):
 print("(the sup sits near q = 5.2 at about 1.732)")
 
 print("\n== the strip candidate with exponential obstacle ==")
-rep = bm.jn_bellman_check(0.25)
+rep = bm.jn_bellman_check(0.25, grid=(200, 200))
 print(f"delta = 0.25: largest eigenvalue {rep.fd_max_eig:.1e}, "
       f"relative determinant {rep.fd_max_det_rel:.1e}, "
       f"obstacle slack {rep.obstacle_min_gap:+.1e}")

@@ -41,7 +41,7 @@ print(f"row orthogonality {res['max_orthogonality']:.1e}, norm mismatch "
       f"{res['max_subordination_excess']:+.1e}")
 
 print("\n== conditioning on the endpoint rebuilds the singular integral ==")
-[cond] = suite.conditioning_checks(T=40.0, paths=208, bins=16, steps=200, seed=5)
+[cond] = suite.conditioning_checks(paths=208, bins=16, steps=200, seed=5)
 print(f"bins agreeing with the exact transform at their centers "
       f"({suite.Z:g} sigma + 5%): {-cond.value:.1%}")
 

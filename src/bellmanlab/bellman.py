@@ -76,7 +76,7 @@ def _chunks(samples: int):
     return [slice(i, i + _CHUNK) for i in range(0, samples, _CHUNK)]
 
 
-def zigzag_check(fn, samples: int, seed: int = 0, box: float = 5.0) -> float:
+def zigzag_check(fn, samples: int, seed: int = 0, box: float = 10.0) -> float:
     """Worst (relative) f(x,y) - (f(x+a, y+-a) + f(x-a, y-+a))/2 over random
     points, with steps a uniform in (0, 1].
 
@@ -101,7 +101,7 @@ def zigzag_check(fn, samples: int, seed: int = 0, box: float = 5.0) -> float:
 
 
 def majorant_check(variant: str, p: float, samples: int, seed: int = 0,
-                   box: float = 5.0) -> float:
+                   box: float = 10.0) -> float:
     """Worst (relative) gap of candidate >= |y|^p - (p*-1)^p |x|^p.
 
     The candidate carries gamma_p, which is exactly the normalization under
@@ -469,7 +469,7 @@ def _fd_matrix(value, x1, x2, h):
     return v11 - 2.0 * v2, v12, v22
 
 
-def jn_bellman_check(delta: float, grid: tuple[int, int] = (200, 200)) -> JNReport:
+def jn_bellman_check(delta: float, grid: tuple[int, int]) -> JNReport:
     """Check the strip candidate v_delta on {|x1| <= 1, 0 <= x2 < delta}:
 
     (a) drift-modified matrix negative semidefinite, (b) its determinant

@@ -37,9 +37,9 @@ USAGE_ERROR, CHECK_FAILURE, NUMERIC_ERROR = 2, 1, 3
 def _parse_weight(spec: str, depth: int) -> dyadic.DyadicWeight:
     kind, _, arg = spec.partition(":")
     if kind == "power":
-        return dyadic.power_weight(float(arg), depth)
+        return dyadic.power_weight(_finite(float(arg), "weight"), depth)
     if kind == "twovalue":
-        u, v = (float(t) for t in arg.split(","))
+        u, v = (_finite(float(t), "weight") for t in arg.split(","))
         return dyadic.two_value_weight(u, v, depth)
     if kind == "file":
         with open(arg) as fh:
@@ -63,20 +63,28 @@ def _weight_family(spec: str):
 _LEAST = {"depth": 1, "n": 2, "nt": 3, "samples": 1, "points": 1, "workers": 1}
 
 
+def _finite(value: float, flag: str) -> float:
+    """`value`, read from the flag --`flag`, if it is finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"--{flag} must be finite")
+    return value
+
+
 def _check_flags(args):
     """Refuse a float flag that is not finite and a size flag below its
     least value, before any builder runs."""
     for flag, value in vars(args).items():
         # only the type=float flags parse to floats
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"--{flag} must be finite")
+        if isinstance(value, float):
+            _finite(value, flag)
     for flag, least in _LEAST.items():
         value = getattr(args, flag, least)
         if value < least:
             raise ValueError(f"--{flag} must be at least {least}, got {value:g}")
 
 
-# parameters that no flag sets take the full tier's value
+# the full tier's values: the flag defaults that size a run, and the
+# parameters that no flag sets
 _FULL = suite.tier_params("full")
 
 
@@ -94,8 +102,7 @@ OPERATIONS = {
         w=_parse_weight(a.weight, a.depth),
         iters=_FULL["dyadic"]["iters"], p=a.p, seed=a.seed)),
     ("bellman", "zigzag"): (suite.zigzag_checks, lambda a: dict(
-        ps=[a.p], variants=[a.variant], samples=int(a.samples),
-        box=a.box, seed=a.seed)),
+        ps=[a.p], variants=[a.variant], samples=int(a.samples), seed=a.seed)),
     ("bellman", "tau"): (suite.tau_checks, lambda a: dict(ps=[a.p])),
     ("bellman", "interp-sweep"): (suite.interp_checks, lambda a: dict(
         qs=np.linspace(a.qmin, a.qmax, a.points))),
@@ -110,14 +117,14 @@ OPERATIONS = {
     ("laminate", "ratio"): (suite.ratio_sweep_checks, lambda a: dict(
         p=a.p, etas=[a.eta])),
     ("laminate", "sweep"): (suite.ratio_sweep_checks, lambda a: dict(
-        p=a.p, etas=[float(t) for t in a.etas.split(",")])),
+        p=a.p, etas=[_finite(float(t), "etas") for t in a.etas.split(",")])),
     ("laminate", "check"): (suite.measure_checks, lambda a: dict(
         which=a.which, p=a.p, eta=a.eta, seed=a.seed)),
     ("stoch", "riemann-gap"): (suite.riemann_checks, lambda a: dict(
         a=a.a, b=a.b, steps=int(a.steps), paths=_paths(a, "stoch-core"),
         seed=a.seed)),
     ("stoch", "ab-mc"): (suite.conditioning_checks, lambda a: dict(
-        T=a.T, paths=_paths(a, "stoch-conditioning"), bins=a.bins,
+        paths=_paths(a, "stoch-conditioning"), bins=a.bins,
         steps=_FULL["stoch-conditioning"]["steps"], seed=a.seed)),
     ("stoch", "constants"): (suite.constant_checks, lambda a: dict(
         p=a.p, trials=int(a.trials), seed=a.seed)),
@@ -201,8 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = _module_parser(sub, "bellman")
     b.add_argument("--variant", choices=("phi", "phi0"), default="phi")
     b.add_argument("--p", type=float, default=3.0)
-    b.add_argument("--samples", type=float, default=1e5)
-    b.add_argument("--box", type=float, default=10.0)
+    b.add_argument("--samples", type=float, default=_FULL["bellman-zigzag"]["samples"])
     b.add_argument("--qmin", type=float, default=2.1)
     b.add_argument("--qmax", type=float, default=50.0)
     b.add_argument("--points", type=int, default=25)
@@ -212,12 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
     pl = _module_parser(sub, "planar")
     pl.add_argument("--op", choices=("ab", "r11-r22"), default="r11-r22")
     pl.add_argument("--p", type=float, default=4.0)
-    pl.add_argument("--n", type=int, default=256)
-    pl.add_argument("--iters", type=int, default=500,
+    pl.add_argument("--n", type=int, default=_FULL["planar-ascent"]["n"])
+    pl.add_argument("--iters", type=int, default=_FULL["planar-ascent"]["iters"],
                     help="ascent budget, split over the continuation rungs "
                          "in p; each rung runs at least 10 iterations")
-    pl.add_argument("--tmax", type=float, default=24.0)
-    pl.add_argument("--nt", type=int, default=65)
+    _, nt, tmax = _FULL["planar-identity113"]["ladder"][-1]
+    pl.add_argument("--tmax", type=float, default=tmax)
+    pl.add_argument("--nt", type=int, default=nt)
     pl.add_argument("--witness", default=None,
                     help="write the ascent witness field to this path")
     pl.add_argument("--curve", default=None,
@@ -227,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     la = _module_parser(sub, "laminate")
     la.add_argument("--p", type=float, default=3.0)
     la.add_argument("--eta", type=float, default=1e-3)
-    la.add_argument("--etas", default="1e-1,1e-2,1e-3,1e-4")
+    la.add_argument("--etas", default=",".join(map(str, suite.ETAS)))
     la.add_argument("--which", choices=("nu", "mu", "sigma"), default="nu")
     _add_common(la)
 
@@ -235,19 +242,17 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--a", type=float, default=0.0)
     st.add_argument("--b", type=float, default=1.0)
     st.add_argument("--paths", type=float, default=None,
-                    help="default: the full tier's count (1e5 riemann-gap, "
-                         "231 per bin ab-mc)")
-    st.add_argument("--steps", type=float, default=1e3)
-    st.add_argument("--T", type=float, default=40.0)
-    st.add_argument("--bins", type=int, default=24)
+                    help="default: the full tier's count (per bin for ab-mc)")
+    st.add_argument("--steps", type=float, default=_FULL["stoch-core"]["steps"])
+    st.add_argument("--bins", type=int, default=_FULL["stoch-conditioning"]["bins"])
     st.add_argument("--p", type=float, default=4.0)
-    st.add_argument("--trials", type=float, default=1e4)
+    st.add_argument("--trials", type=float, default=_FULL["stoch-constants"]["trials"])
     _add_common(st)
 
     qc = _module_parser(sub, "qc")
     qc.add_argument("--K", type=float, default=2.0)
     qc.add_argument("--p", type=float, default=3.0)
-    qc.add_argument("--n", type=int, default=256)
+    qc.add_argument("--n", type=int, default=_FULL["qc"]["n"])
     _add_common(qc)
 
     su = sub.add_parser("suite")

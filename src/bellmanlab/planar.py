@@ -228,7 +228,7 @@ class Identity113Report:
 
 
 def identity_1_13_check(phi: GridField, psi: GridField, tmax: float,
-                        nt: int = 65) -> Identity113Report:
+                        nt: int) -> Identity113Report:
     """Compare int R_1^2 phi . psi dx against (1/2) * the time-integrated
     product of heat-extended x1-derivatives,
 
@@ -245,6 +245,9 @@ def identity_1_13_check(phi: GridField, psi: GridField, tmax: float,
     if nt < 3:
         raise ValueError(f"need nt >= 3 Simpson nodes, got {nt}")
     n, box = phi.n, phi.box
+    tmin = (box / n) ** 2
+    if not tmax > tmin:
+        raise ValueError(f"need tmax > t_min = (L/N)^2 = {tmin:g}, got {tmax:g}")
     dA = phi.cell_area
     k1, k2 = _freq_axes(n, box)
     P = _fft2(phi.values, np.empty_like(phi.values))
@@ -261,7 +264,6 @@ def identity_1_13_check(phi: GridField, psi: GridField, tmax: float,
         _ifft2(np.multiply(kd, S, out=d1s), d1s)
         return float(np.real(np.sum(np.multiply(d1p, d1s, out=d1p))) * dA)
 
-    tmin = (box / n) ** 2
     nt |= 1  # Simpson wants an odd count
     s = np.linspace(np.log(tmin), np.log(tmax), nt)
     ts = np.exp(s)
@@ -371,8 +373,8 @@ def ap_heat(w: PlanarWeight, sampling: HeatSampling = HeatSampling()) -> float:
 # Lower bounds on multiplier norms by ascent
 
 
-def norm_ratio_ascent(op: Callable, p: float, n: int = 256,
-                      iters: int = 500, seed: int = 0) -> AscentResult:
+def norm_ratio_ascent(op: Callable, p: float, n: int, iters: int,
+                      seed: int = 0) -> AscentResult:
     """Maximize ||op f||_p / ||f||_p over mean-zero fields on the unit box
     by `ascent.power_ascent` from a complex Gaussian field; the ratio is a
     certified lower bound for the discretized operator norm."""

@@ -142,7 +142,7 @@ def sobolev_boundary(m: RadialMap) -> float:
     return 0.5 * (q_lo + q_hi)
 
 
-def jacobian_weight(m: RadialMap, p: float, n: int = 256) -> PlanarWeight:
+def jacobian_weight(m: RadialMap, p: float, n: int) -> PlanarWeight:
     """w = J_{f0}^(1 - p/2) sampled on the periodic grid of side 2.5.
 
     J_{f0} = (1/K) |z|^(2/K - 2) inside the disc and 1 outside, so w is a

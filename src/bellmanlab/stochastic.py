@@ -347,9 +347,8 @@ class ConditioningResult:
     oracle: np.ndarray         # (bins, bins) complex transform at the centers
 
 
-def ab_by_conditioning(surface: GaussianMix, T: float, paths: int,
-                       bins: int = 24, steps: int = 320,
-                       seed: int = 0) -> ConditioningResult:
+def ab_by_conditioning(surface: GaussianMix, T: float, paths: int, bins: int,
+                       steps: int, seed: int = 0) -> ConditioningResult:
     """Estimate the transform by conditioning on the endpoint: for each
     center x of a bins x bins grid over [-3, 3)^2, average Y(T) over
     `paths` discrete Brownian bridges from 0 to W_T = x.

@@ -188,7 +188,7 @@ def test_criterion_08_stochastic_suite():
                and res["max_subordination_excess"] <= 1e-10)
 
     # the agreement fraction, gated at 0.95, is the negated check value
-    [cond] = suite.conditioning_checks(T=40.0, paths=231, bins=24, steps=320, seed=8)
+    [cond] = suite.conditioning_checks(paths=231, bins=24, steps=320, seed=8)
     cond_ok = cond.passed
 
     plain, conformal = suite.constant_checks(4.0, trials=10_000, seed=9)

@@ -5,6 +5,9 @@ and two rules hold over src/bellmanlab:
   a leading underscore) has a user in src/, demos/, perfbench/ or
   README.md besides its own definition;
 - no module reads an underscore name of another module.
+
+A third keeps each run parameter in one place: `suite.tier_params` holds
+only the values that the tiers set differently.
 """
 
 import ast
@@ -20,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import bellmanlab
+from bellmanlab import suite
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(bellmanlab.__file__).resolve().parent
@@ -27,6 +31,7 @@ SOURCES = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
 OTHERS = [p.read_text() for p in [
     *sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py")),
     ROOT / "README.md"]]
+TIERS = ("fast", "full")
 
 
 def private(name):
@@ -92,6 +97,15 @@ def private_reaches(sources):
     return reaches
 
 
+def shared_parameters(tiers):
+    """`experiment.parameter` for each parameter that holds the same value
+    in every tier of `tiers` (tier -> experiment -> parameters)."""
+    first, *rest = tiers.values()
+    return [f"{experiment}.{key}" for experiment, params in first.items()
+            for key, value in params.items()
+            if all(other[experiment].get(key) == value for other in rest)]
+
+
 def test_import_loads_no_scipy():
     # scipy takes most of a bare import's time and memory; it is a test
     # oracle only, so neither the package nor the CLI may pull it in
@@ -122,6 +136,18 @@ def test_no_module_reads_another_modules_private_name():
 def test_the_audits_fail_on_planted_faults(planted, audit, finding):
     sources = {**SOURCES, "planted": planted}
     assert audit(sources) == [finding]
+
+
+def test_every_tier_parameter_differs_between_the_tiers():
+    # a value that both tiers set alike is a literal of its experiment
+    assert shared_parameters({t: suite.tier_params(t) for t in TIERS}) == []
+
+
+def test_the_tier_audit_fails_on_a_planted_shared_value():
+    tiers = {t: suite.tier_params(t) for t in TIERS}
+    for params in tiers.values():
+        params["stoch-conditioning"]["T"] = 40.0
+    assert shared_parameters(tiers) == ["stoch-conditioning.T"]
 
 
 def test_every_dataclass_field_is_read():

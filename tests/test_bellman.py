@@ -382,7 +382,7 @@ def test_jn_boundary_condition():
 
 def test_jn_delta_validation():
     with pytest.raises(ValueError):
-        bm.jn_bellman_check(1.5)
+        bm.jn_bellman_check(1.5, grid=(120, 120))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +399,7 @@ def test_zigzag_suite_check_fails_on_one_nan_margin(monkeypatch):
     # the builtin min dropped a NaN margin, and the check passed on the others
     margins = iter([0.0, np.nan, 0.0, 0.0])
     monkeypatch.setattr(bm, "zigzag_check", lambda *args, **kw: next(margins))
-    [entry] = suite.zigzag_checks((2.0, 5.0), ("phi", "phi0"), 2000, 10.0, 1)
+    [entry] = suite.zigzag_checks((2.0, 5.0), ("phi", "phi0"), 2000, 1)
     assert not entry.passed
 
 

@@ -162,11 +162,25 @@ def test_size_flag_below_its_least_value_is_usage_error(capsys, argv):
     "laminate ratio --p inf",
     "laminate ratio --p=-inf",
     "bellman zigzag --samples nan",
+    # floats parsed out of string flags: the first two exited 1 on NaN
+    # entries, the third warned and then blamed the weight's sign
+    "laminate sweep --etas 1e-1,nan",
+    "dyadic mt-ratio --weight power:nan --depth 6",
+    "dyadic mt-ratio --weight twovalue:inf,1 --depth 6",
+    "dyadic buckley --weight power:inf",
 ])
 def test_float_flag_that_is_not_finite_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
     flag = argv.split()[2].partition("=")[0]
     assert (code, out, err) == (2, "", f"error: {flag} must be finite\n")
+
+
+@pytest.mark.parametrize("tmax", ["0", "-1", "0.25", "0.1"])
+def test_identity113_tmax_not_above_t_min_is_usage_error(capsys, tmax):
+    # t_min = (8/16)^2 = 0.25: these reported nan, or 0.363 integrated backwards
+    code, out, err = run_cli(capsys, "planar", "identity113", "--n", "16", f"--tmax={tmax}")
+    assert (code, out) == (2, "")
+    assert err == f"error: need tmax > t_min = (L/N)^2 = 0.25, got {float(tmax):g}\n"
 
 
 def test_config_value_that_is_not_finite_is_usage_error(tmp_path, capsys):

@@ -212,3 +212,28 @@ def test_reflection_check_fails_when_the_rays_are_not_reflected(monkeypatch):
     [check] = [c for c in suite._quadrature_checks(3.0)
                if c.check_id == "laminate.reflection"]
     assert check.value > 1.0 and not check.passed
+
+
+def sweep_checks_with_roots(monkeypatch, root):
+    """The suite's ratio sweep at p = 3 over its etas, with laminate.ratio
+    patched so that the p-th root of its ratio is root(p, eta)."""
+    monkeypatch.setattr(lam, "ratio", lambda p, eta: lam.RatioResult(
+        direct=root(p, eta) ** p, printed=np.nan, target=np.nan))
+    return {c.check_id: c for c in suite.ratio_sweep_checks(3.0, suite.ETAS)}
+
+
+def test_ratio_monotone_fails_when_the_roots_fall_as_eta_shrinks(monkeypatch):
+    # the measured roots rise toward p - 1 = 2 (1.63 at eta = 0.1); these
+    # fall toward it, and the limit at eta = 1e-4 still holds
+    checks = sweep_checks_with_roots(monkeypatch, lambda p, eta: p - 1.0 + eta)
+    assert checks["laminate.ratio-limit"].passed
+    monotone = checks["laminate.ratio-monotone"]
+    assert monotone.value == pytest.approx(0.09) and not monotone.passed
+
+
+def test_ratio_limit_fails_when_the_roots_miss_p_minus_one(monkeypatch):
+    # roots that rise toward 1.01 (p - 1): 0.0199 off the limit at eta = 1e-4
+    checks = sweep_checks_with_roots(monkeypatch, lambda p, eta: 1.01 * (p - 1.0) - eta)
+    assert checks["laminate.ratio-monotone"].passed
+    limit = checks["laminate.ratio-limit"]
+    assert limit.value == pytest.approx(0.0199) and not limit.passed

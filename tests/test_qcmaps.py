@@ -82,9 +82,9 @@ def test_jacobian_weight_monotone_in_p():
 def test_jacobian_weight_range_validation():
     m = qc.RadialMap(2.0, "regular")   # 1 + 1/k = 4
     with pytest.raises(ValueError):
-        qc.jacobian_weight(m, 4.0)
+        qc.jacobian_weight(m, 4.0, n=64)
     with pytest.raises(ValueError):
-        qc.jacobian_weight(m, 1.5)
+        qc.jacobian_weight(m, 1.5, n=64)
 
 
 def test_weight_product_of_averages_at_least_one():

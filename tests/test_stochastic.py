@@ -364,7 +364,7 @@ def path_check_values(monkeypatch, matrix):
     place of A_STAR: {id: (value, passed)}."""
     monkeypatch.setattr(st, "A_STAR", matrix)
     return {c.check_id: (c.value, c.passed)
-            for c in _path_checks(steps=32, paths=256, sweep_steps=[16, 32], seed=1)}
+            for c in _path_checks(steps=32, paths=256, seed=1)}
 
 
 def test_conformality_fails_for_a_non_conformal_matrix(monkeypatch):
@@ -390,10 +390,19 @@ def test_one_d_checks_gate_at_three_standard_errors(monkeypatch, k, passed):
 
     monkeypatch.setattr(st, "riemann_gap_demo", moved)
     checks = {c.check_id: c.passed
-              for c in _path_checks(steps=32, paths=256, sweep_steps=[16, 32], seed=1)}
+              for c in _path_checks(steps=32, paths=256, seed=1)}
     for check_id in ("stoch.riemann-gap", "stoch.variance", "stoch.isometry",
                      "stoch.product"):
         assert checks[check_id] is passed, check_id
+
+
+def test_terminal_order_fails_at_order_three_tenths(monkeypatch):
+    # an RMS ladder that decays like dt^0.3, short of the gated order 0.45
+    monkeypatch.setattr(st, "terminal_gap_sweep", lambda surface, T, steps_list, paths,
+                        seed=0: [(T / n, 0.1 * (T / n) ** 0.3) for n in steps_list])
+    [check] = [c for c in _path_checks(steps=32, paths=256, seed=1)
+               if c.check_id == "stoch.terminal-order"]
+    assert check.value == pytest.approx(-0.3) and not check.passed
 
 
 def test_subordination_fails_for_a_scaled_matrix(monkeypatch):
