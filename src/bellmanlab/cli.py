@@ -22,7 +22,6 @@ reading one sample per line (2^depth lines).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -47,7 +46,7 @@ def _parse_weight(spec: str, depth: int) -> dyadic.DyadicWeight:
         # checked here, since np.loadtxt only warns on a file without data
         if not any(line.strip() for line in lines):
             raise ValueError(f"weight file {arg!r} holds no samples")
-        return dyadic.DyadicWeight(np.loadtxt(lines))
+        return dyadic.DyadicWeight(_finite(np.loadtxt(lines), "weight"))
     raise ValueError(f"unknown weight spec {spec!r}")
 
 
@@ -63,9 +62,10 @@ def _weight_family(spec: str):
 _LEAST = {"depth": 1, "n": 2, "nt": 3, "samples": 1, "points": 1, "workers": 1}
 
 
-def _finite(value: float, flag: str) -> float:
-    """`value`, read from the flag --`flag`, if it is finite."""
-    if not math.isfinite(value):
+def _finite(value, flag: str):
+    """`value`, a float or an array read from the flag --`flag`, if every
+    number in it is finite."""
+    if not np.all(np.isfinite(value)):
         raise ValueError(f"--{flag} must be finite")
     return value
 

@@ -57,7 +57,7 @@ class DyadicWeight(DyadicFunction):
 
     def __init__(self, values):
         super().__init__(values)
-        if np.any(self.values <= 0):
+        if not np.all(self.values > 0):
             raise ValueError("weight samples must be strictly positive")
 
     def inverse(self) -> "DyadicWeight":

@@ -85,18 +85,10 @@ def grid_coordinates(n: int, box: float):
 
 def gaussian_bump(n: int, box: float, sigma: float = 1.0, center=(0.0, 0.0),
                   amplitude: float = 1.0) -> GridField:
-    """amplitude * exp(-|x - center|^2 / (2 sigma^2)), built in one real
-    buffer from the broadcast axes and written into a complex field."""
-    x = grid_axis(n, box)
+    X, Y = grid_coordinates(n, box)
     cx, cy = center
-    r = (x[:, None] - cx) ** 2 + (x[None, :] - cy) ** 2
-    np.negative(r, out=r)
-    np.divide(r, 2 * sigma ** 2, out=r)
-    np.exp(r, out=r)
-    np.multiply(amplitude, r, out=r)
-    v = np.zeros((n, n), complex)
-    v.real = r
-    return GridField(box, v)
+    return GridField(
+        box, amplitude * np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2 * sigma ** 2)))
 
 
 def _freq_axes(n: int, box: float):

@@ -7,7 +7,6 @@ to the bit.
 """
 
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ import pytest
 from bellmanlab import ascent
 from bellmanlab import dyadic as dy
 from bellmanlab import planar as pl
+from memtrace import traced
 
 
 def allocating_ascent(f, p, iters, apply, adjoint, pnorm, mean, signs=None,
@@ -154,20 +154,9 @@ def test_concurrent_ascents_equal_their_serial_runs():
     assert [bits(r) for r in results] == [bits(r) for r in serial]
 
 
-def traced_peak(fn):
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 def test_ascent_peak_memory_does_not_grow_with_iterations():
     n = 128
-    short = traced_peak(lambda: planar_ascent(n, 4.0, 20, 0))
-    long = traced_peak(lambda: planar_ascent(n, 4.0, 60, 0))
+    short, _ = traced(lambda: planar_ascent(n, 4.0, 20, 0))
+    long, _ = traced(lambda: planar_ascent(n, 4.0, 60, 0))
     # the curve's floats are all that may grow: far less than one grid
     assert long - short < 8 * n * n

@@ -3,7 +3,7 @@ import pytest
 
 from bellmanlab import bellman as bm
 from bellmanlab import suite
-from test_planar import traced
+from memtrace import traced
 
 
 # ---------------------------------------------------------------------------

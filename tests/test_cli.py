@@ -100,6 +100,16 @@ def test_empty_weight_file_usage_error(tmp_path, capsys):
     assert err == f"error: weight file {str(path)!r} holds no samples\n"
 
 
+@pytest.mark.parametrize("samples", ["nan 1 1 1", "inf 1 1 1"])
+def test_weight_file_sample_that_is_not_finite_is_usage_error(tmp_path, capsys, samples):
+    # nan exited 1 on a NaN envelope entry; inf warned, then blamed the sign
+    path = tmp_path / "w.txt"
+    path.write_text("\n".join(samples.split()))
+    code, out, err = run_cli(capsys, "dyadic", "mt-ratio", "--weight", f"file:{path}",
+                             "--depth", "2")
+    assert (code, out, err) == (2, "", "error: --weight must be finite\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("dyadic", "mt-ratio", "--weight", "file:{missing}"),
     ("planar", "norm-ascent", "--n", "8", "--iters", "3", "--witness", "{missing}"),

@@ -146,6 +146,15 @@ def test_haar_bounds_check_fails_on_a_scaled_beta(monkeypatch):
     assert check.value > 0.04 and not check.passed
 
 
+def test_a_infinity_check_fails_above_the_a2_characteristic(monkeypatch):
+    # [w]_Ainf = 1.02 [w]_A2 on the two-value weights: 0.02 * [w]_A2 over,
+    # largest at u = 32, where [w]_A2 = 33^2 / 128
+    a2 = dy.a2_dyadic
+    monkeypatch.setattr(dy, "a_infinity_constant", lambda w: 1.02 * a2(w))
+    check = fast_dyadic_check("dyadic.a-infinity-vs-a2")
+    assert check.value == pytest.approx(0.02 * 33 ** 2 / 128) and not check.passed
+
+
 # ---------------------------------------------------------------------------
 # Martingale transform
 
@@ -210,6 +219,9 @@ def test_a2_monotone_in_depth():
 def test_weight_validation():
     with pytest.raises(ValueError):
         dy.DyadicWeight(np.array([1.0, -1.0]))
+    # NaN compares False both ways, so `any(values <= 0)` let it through
+    with pytest.raises(ValueError, match="strictly positive"):
+        dy.DyadicWeight(np.array([np.nan, 1.0]))
 
 
 # ---------------------------------------------------------------------------

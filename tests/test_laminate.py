@@ -214,6 +214,15 @@ def test_reflection_check_fails_when_the_rays_are_not_reflected(monkeypatch):
     assert check.value > 1.0 and not check.passed
 
 
+def test_closed_vs_quad_fails_on_a_scaled_closed_form(monkeypatch):
+    # each closed-form ray integral x1.01; the atoms keep their exact sum
+    closed = lam._ray_closed_form
+    monkeypatch.setattr(lam, "_ray_closed_form", lambda ray, phi: 1.01 * closed(ray, phi))
+    check = suite._quadrature_checks(3.0)[0]
+    assert check.check_id == "laminate.closed-vs-quad"
+    assert 1e-3 < check.value < 0.01 and not check.passed
+
+
 def sweep_checks_with_roots(monkeypatch, root):
     """The suite's ratio sweep at p = 3 over its etas, with laminate.ratio
     patched so that the p-th root of its ratio is root(p, eta)."""

@@ -1,12 +1,12 @@
 import os
 import tempfile
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from bellmanlab import planar as pl
 from bellmanlab import suite
+from memtrace import traced
 
 
 def random_field(n, seed=0, box=1.0, mean_zero=False):
@@ -151,22 +151,6 @@ def test_symbols_are_fresh_grids_on_fresh_axes():
 # ---------------------------------------------------------------------------
 # memory: tracemalloc counts numpy's allocations, so these bounds are
 # deterministic (resident memory is not)
-
-
-def traced(fn):
-    """Bytes at the peak of fn() and still held once its result is dropped,
-    both above what was held before the call."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        result = fn()
-        peak = tracemalloc.get_traced_memory()[1] - base
-        del result
-        held = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
-    return peak, held
 
 
 def test_apply_multiplier_holds_one_grid_and_a_row_block():
@@ -341,6 +325,16 @@ def test_ap_two_sided_envelope():
         c = pl.ap_class(w, sampling=pl.DiscSampling(stride=4))
         h = pl.ap_heat(w, sampling=pl.HeatSampling(stride=4))
         assert 0.25 * c <= h <= 8.0 * c
+
+
+def test_ap_two_sided_check_fails_on_one_scaled_heat_characteristic(monkeypatch):
+    # the first weight's heat characteristic x10: the envelope's ratio
+    # (1.025 in the fast report) goes past its bound of 8
+    heat = pl.ap_heat
+    scales = iter([10.0, 1.0, 1.0])
+    monkeypatch.setattr(pl, "ap_heat", lambda w, sampling: next(scales) * heat(w, sampling))
+    [check] = suite.ap_checks(suite.tier_params("fast")["planar-ap"]["n"])
+    assert check.value > 8.0 and not check.passed
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 
 from bellmanlab import planar as pl
 from bellmanlab import qcmaps as qc
+from bellmanlab import suite
 
 
 def test_beltrami_ratio_both_variants():
@@ -25,6 +26,23 @@ def test_distortion_slope_and_constancy():
     slope, spread = qc.distortion_exponent(m)
     assert abs(slope - 1.0 / 3.0) < 1e-10
     assert spread < 1e-10  # |f(B_r)| / |B_r|^{1/K} constant in r
+
+
+def test_beltrami_check_fails_on_a_scaled_dilatation(monkeypatch):
+    # k x1.01 against the maps' own |f_zbar / f_z| = k: 0.01 k = 1/300 off
+    k = qc.RadialMap.k
+    monkeypatch.setattr(qc.RadialMap, "k", property(lambda m: 1.01 * k.fget(m)))
+    [check] = suite._beltrami_checks(2.0, 1)
+    assert check.value == pytest.approx(0.01 / 3.0, rel=1e-6) and not check.passed
+
+
+def test_distortion_check_fails_on_a_steeper_exponent(monkeypatch):
+    # f0(z) = z |z|^(1.02/K - 1): the slope is 1.02/K, 0.01 off at K = 2,
+    # and |f(B_r)| / |B_r|^(1/K) is no longer constant in r
+    monkeypatch.setattr(qc.RadialMap, "apply",
+                        lambda m, z: z * np.abs(z) ** (1.02 / m.K - 1.0))
+    [check] = suite.distortion_checks(2.0)
+    assert check.value > 0.01 and not check.passed
 
 
 def test_map_continuity_at_unit_circle():

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import tracemalloc
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -14,6 +13,7 @@ from bellmanlab import stochastic as st
 from bellmanlab.suite import (_half_width, _path_checks, _sum_checks,
                              conditioning_checks, constant_checks, run_experiment,
                              tier_params)
+from memtrace import traced
 
 
 @dataclass
@@ -236,12 +236,7 @@ def test_ito_integral_memory_is_per_step():
     paths, steps = 20_000, 400
     one_array = paths * steps * 8          # a (paths, steps) float64 array: 64 MB
     drv = st.BrownianDriver(1, 1.0, steps, seed=6)
-    tracemalloc.start()
-    try:
-        ito_integral(lambda w: w, drv, paths)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced(lambda: ito_integral(lambda w: w, drv, paths))
     assert peak < one_array / 16
 
 
