@@ -257,7 +257,9 @@ def linear_majorant_feasibility(c: float, p: float) -> FeasibilityResult:
             continue
         # H_c(s_rho) <= 0 at the zero s_rho = (rho-1)/(rho+1) of g1: a
         # scalar test that rejects every rho > c before any array work;
-        # H_c is nondecreasing, so it also holds H_c <= 0 where g1 < 0
+        # H_c is nondecreasing, so it also holds H_c <= 0 where g1 < 0.
+        # The transitions are the same without it, but feasibility_transition
+        # at p = 3 took 0.41-0.53 s against 0.01-0.02 s (two-core Xeon)
         if _H((rho - 1.0) / (rho + 1.0), p, c) > tol:
             continue
         g1 = (1.0 + s) / 2.0 - rho * (1.0 - s) / 2.0

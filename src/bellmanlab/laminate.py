@@ -279,9 +279,11 @@ def check_biconcave(fn, seed: int = 0) -> tuple[bool, tuple | None]:
 
 
 def default_battery(seed: int = 0) -> list[TestFunction2D]:
-    """Affine functions, concave quadratics in one variable, and the
-    minimum of 5 random affine functions (jointly concave, hence
-    bi-concave)."""
+    """Affine functions, concave quadratics in one variable, the minimum
+    of 5 random affine functions (jointly concave, hence bi-concave), and
+    +-XY.  The jointly concave members obey Jensen for every probability
+    measure; +-XY is bi-concave but not concave, exact on laminates
+    (E XY = Xbar Ybar), and tells a laminate from other centered measures."""
     rng = np.random.default_rng(seed)
     battery = [
         TestFunction2D(lambda X, Y: 2.0 * X - 3.0 * Y + 1.0, "affine"),
@@ -297,6 +299,8 @@ def default_battery(seed: int = 0) -> list[TestFunction2D]:
         return np.minimum.reduce(vals)
 
     battery.append(TestFunction2D(min_affine, "min-affine"))
+    battery.append(TestFunction2D(lambda X, Y: np.multiply(X, Y, dtype=float), "xy"))
+    battery.append(TestFunction2D(lambda X, Y: -np.multiply(X, Y, dtype=float), "neg-xy"))
     return battery
 
 

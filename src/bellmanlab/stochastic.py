@@ -7,13 +7,12 @@ match under t_planar = 2 t_here.  No conversion is needed: the
 conditioning oracle transforms u(0, .), the surface itself, in closed
 form, so this module imports nothing from `planar`.
 
-Every simulation runs on one engine, `BrownianDriver.chunks`.  It streams
-increments time-major: for each block of at most CHUNK_PATHS paths it
-yields one (paths in block, dimension) array per time step, so a consumer
-holds per-path state and never a (paths, steps) array.  The draws are
-counter-based: stream `batch` of a driver is keyed by Philox (seed, batch)
-and block c starts at counter (0, 0, c, 0), so a block's draws depend only
-on (seed, batch, c), never on which blocks were drawn before it.
+Every simulation runs on one engine, `BrownianDriver.increments`.  It
+streams increments time-major: one (paths, dimension) array per time step,
+so a consumer holds per-path state and never a (paths, steps) array.
+Stream `batch` of a driver is Philox keyed by (seed, batch), so its draws
+depend only on (seed, batch, paths), never on which streams were drawn
+before it.
 
 The engine feeds the 1-d study and one planar martingale simulator,
 `simulate`: X(t) = u(T - t, W_t) as a sum of gradient increments and its
@@ -40,9 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# paths per block of the engine: bounds the memory of every consumer
-CHUNK_PATHS = 250_000
-
 
 @dataclass
 class BrownianDriver:
@@ -57,26 +53,14 @@ class BrownianDriver:
     def dt(self) -> float:
         return self.horizon / self.steps
 
-    def chunks(self, paths: int, batch: int = 0):
-        """Stream `batch` of increments, time-major, one block at a time.
-
-        Yields (rows, increments) for each block of at most CHUNK_PATHS
-        paths: `rows` is the block's slice of path indices and
-        `increments` an iterator over `steps` arrays of shape
-        (block paths, dimension), std sqrt(dt), in time order.  Block c
-        draws from Philox(key=[seed, batch], counter=[0, 0, c, 0]); block 0
-        is the generator's default stream.
-        """
-        for c, start in enumerate(range(0, paths, CHUNK_PATHS)):
-            m = min(CHUNK_PATHS, paths - start)
-            rng = np.random.Generator(np.random.Philox(
-                key=[self.seed, batch], counter=[0, 0, c, 0]))
-            yield slice(start, start + m), self._block(rng, m)
-
-    def _block(self, rng, m: int):
+    def increments(self, paths: int, batch: int = 0):
+        """Stream `batch` of increments, time-major: `steps` arrays of shape
+        (paths, dimension), std sqrt(dt), in time order, drawn from
+        Philox(key=[seed, batch])."""
+        rng = np.random.Generator(np.random.Philox(key=[self.seed, batch]))
         scale = np.sqrt(self.dt)
         for _ in range(self.steps):
-            yield rng.normal(0.0, scale, size=(m, self.dimension))
+            yield rng.normal(0.0, scale, size=(paths, self.dimension))
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.steps + 1)
@@ -96,51 +80,38 @@ def riemann_gap_demo(a: float, b: float, steps: int, paths: int, seed: int = 0):
     bits.  The increments are stream 0 of the seed; W_a, for a > 0, is
     one step of variance a on stream 3.
     """
-    if b < a:
-        raise ValueError("need a <= b")
+    if a < 0 or b < a:
+        raise ValueError(f"a={a:g}, b={b:g}; need 0 <= a <= b")
     if paths < 2:
         raise ValueError(f"paths={paths}; a standard error needs at least 2")
     if steps < 1:
         raise ValueError(f"steps={steps}; need at least 1")
-    if b == a:
-        return dict.fromkeys(("ES1", "ES1_sd", "ES2", "ES2_sd", "ES1_sq",
-                              "ES1_sq_sd", "EFG", "EFG_sd", "EFG_ref"), 0.0)
-    w_a = np.zeros(paths)
+    w = np.zeros(paths)
     if a > 0:
-        for rows, incs in BrownianDriver(1, a, 1, seed).chunks(paths, batch=3):
-            w_a[rows] = next(incs)[:, 0]
-    s1 = np.empty(paths)
-    s2 = np.empty(paths)
-    fg = np.empty(paths)
-    drift = 0.0
+        w = next(BrownianDriver(1, a, 1, seed).increments(paths, batch=3))[:, 0]
+    s1 = np.zeros(paths)
+    s2 = np.zeros(paths)
+    f_int = np.zeros(paths)
+    g_int = np.zeros(paths)
+    fg_dt = np.zeros(paths)
     driver = BrownianDriver(1, b - a, steps, seed)
-    for rows, incs in driver.chunks(paths):
-        w = w_a[rows]
-        acc1 = np.zeros(len(w))
-        acc2 = np.zeros(len(w))
-        f_int = np.zeros(len(w))
-        g_int = np.zeros(len(w))
-        fg_dt = np.zeros(len(w))
-        for inc in incs:
-            dw = inc[:, 0]
-            f, g = np.sin(w), np.cos(w)
-            fg_dt += f * g
-            f_int += f * dw
-            g_int += g * dw
-            acc1 += w * dw
-            w = w + dw
-            acc2 += w * dw
-        s1[rows] = acc1
-        s2[rows] = acc2
-        fg[rows] = f_int * g_int
-        drift += float(np.sum(fg_dt))
+    for inc in driver.increments(paths):
+        dw = inc[:, 0]
+        f, g = np.sin(w), np.cos(w)
+        fg_dt += f * g
+        f_int += f * dw
+        g_int += g * dw
+        s1 += w * dw
+        w = w + dw
+        s2 += w * dw
+    fg = f_int * g_int
     sd = lambda x: float(np.std(x))
     return {
         "ES1": float(np.mean(s1)), "ES1_sd": sd(s1),
         "ES2": float(np.mean(s2)), "ES2_sd": sd(s2),
         "ES1_sq": float(np.mean(s1 ** 2)), "ES1_sq_sd": sd(s1 ** 2),
         "EFG": float(np.mean(fg)), "EFG_sd": sd(fg),
-        "EFG_ref": float(drift * driver.dt / paths),
+        "EFG_ref": float(np.sum(fg_dt)) * driver.dt / paths,
     }
 
 
@@ -199,7 +170,9 @@ class GaussianMix:
     def dbar(self, t: float, x: np.ndarray) -> np.ndarray:
         """(d1 u + i d2 u) / 2: each bump contributes -u_j z_j / (2 s_j)
         with z_j = (x1 - c_j1) + i (x2 - c_j2) and s_j = sigma_j^2 + t.
-        The real and imaginary parts are formed in place, in real arithmetic."""
+        Its parts are formed in place, in real arithmetic: the conditioning
+        study reads the same bits through `gradient`, but took 3.5-4.0 s
+        there against 2.4-2.6 s at full size (two-core Xeon)."""
         out = None
         for a, c, s2 in zip(self.amplitudes, self.centers, self.sigma2):
             s = s2 + t
@@ -242,28 +215,25 @@ def simulate(surface, driver: BrownianDriver, paths: int,
     With A_STAR the increments of Y are (dW_1 + i dW_2) * 2 dbar u.  X and
     the gradients are computed once per step for all k transforms.
     Returns the terminal X, shape (paths,), and Y, shape (k, paths).
-    `on_step(rows, i, grad, mg)` is called at each step of each block with
-    the gradient, (block paths, 2), and its images, (k, block paths, 2)."""
+    `on_step(grad, mg)` is called at each step with the gradient,
+    (paths, 2), and its images, (k, paths, 2)."""
     if driver.dimension != 2:
         raise ValueError("planar martingales need a 2-d driver")
     T, times = driver.horizon, driver.times()
     X = np.full(paths, surface.value(T, np.zeros((1, 2)))[0], dtype=complex)
     Y = np.zeros((len(matrices), paths), dtype=complex)
+    W = np.zeros((paths, 2))
     m00, m01, m10, m11 = (matrices[:, r, c, None] for r, c in np.ndindex(2, 2))
-    for rows, incs in driver.chunks(paths, batch):
-        x = X[rows]
-        y = Y[:, rows]
-        W = np.zeros((rows.stop - rows.start, 2))
-        for i, dW in enumerate(incs):
-            grad = surface.gradient(T - times[i], W)     # (m, 2) complex
-            x += grad[:, 0] * dW[:, 0] + grad[:, 1] * dW[:, 1]
-            mg = np.empty((len(matrices),) + grad.shape, dtype=complex)
-            mg[..., 0] = m00 * grad[:, 0] + m01 * grad[:, 1]
-            mg[..., 1] = m10 * grad[:, 0] + m11 * grad[:, 1]
-            y += mg[..., 0] * dW[:, 0] + mg[..., 1] * dW[:, 1]
-            if on_step is not None:
-                on_step(rows, i, grad, mg)
-            W += dW
+    for i, dW in enumerate(driver.increments(paths, batch)):
+        grad = surface.gradient(T - times[i], W)     # (paths, 2) complex
+        X += grad[:, 0] * dW[:, 0] + grad[:, 1] * dW[:, 1]
+        mg = np.empty((len(matrices),) + grad.shape, dtype=complex)
+        mg[..., 0] = m00 * grad[:, 0] + m01 * grad[:, 1]
+        mg[..., 1] = m10 * grad[:, 0] + m11 * grad[:, 1]
+        Y += mg[..., 0] * dW[:, 0] + mg[..., 1] * dW[:, 1]
+        if on_step is not None:
+            on_step(grad, mg)
+        W += dW
     return X, Y
 
 
@@ -283,27 +253,24 @@ def terminal_gap_sweep(surface, T: float, steps_list, paths: int, seed: int = 0)
     for s in steps_list:
         if finest % s:
             raise ValueError("step counts must divide the finest one")
-    x0 = surface.value(T, np.zeros((1, 2)))[0]
-    sq = np.zeros(len(steps_list))
-    for rows, incs in BrownianDriver(2, T, finest, seed=seed).chunks(paths, batch=6):
-        m = rows.stop - rows.start
-        W = np.zeros((len(steps_list), m, 2))
-        X = np.full((len(steps_list), m), x0, dtype=complex)
-        pending = np.zeros((len(steps_list), m, 2))
-        for j, inc in enumerate(incs):
-            pending += inc
-            for lvl, s in enumerate(steps_list):
-                k = finest // s
-                if (j + 1) % k:
-                    continue
-                dW = pending[lvl]
-                grad = surface.gradient(T - (j // k) * (T / s), W[lvl])
-                X[lvl] += grad[:, 0] * dW[:, 0] + grad[:, 1] * dW[:, 1]
-                W[lvl] += dW
-                dW[:] = 0.0
-        # the finest level's W is the sum of every increment: W_T
-        target = surface.value(0.0, W[-1])
-        sq += np.sum(np.abs(X - target) ** 2, axis=1)
+    W = np.zeros((len(steps_list), paths, 2))
+    X = np.full((len(steps_list), paths), surface.value(T, np.zeros((1, 2)))[0],
+                dtype=complex)
+    pending = np.zeros((len(steps_list), paths, 2))
+    fine = BrownianDriver(2, T, finest, seed=seed).increments(paths, batch=6)
+    for j, inc in enumerate(fine):
+        pending += inc
+        for lvl, s in enumerate(steps_list):
+            k = finest // s
+            if (j + 1) % k:
+                continue
+            dW = pending[lvl]
+            grad = surface.gradient(T - (j // k) * (T / s), W[lvl])
+            X[lvl] += grad[:, 0] * dW[:, 0] + grad[:, 1] * dW[:, 1]
+            W[lvl] += dW
+            dW[:] = 0.0
+    # the finest level's W is the sum of every increment: W_T
+    sq = np.sum(np.abs(X - surface.value(0.0, W[-1])) ** 2, axis=1)
     return [(T / s, float(np.sqrt(sq[lvl] / paths)))
             for lvl, s in enumerate(steps_list)]
 
@@ -317,7 +284,7 @@ def transform_residuals(surface: GaussianMix, driver: BrownianDriver, paths: int
     """
     worst = np.full(3, -np.inf)
 
-    def residuals(rows, i, grad, mg):
+    def residuals(grad, mg):
         mg = mg[0]
         k1r, k1i, k2r, k2i = mg[:, 0].real, mg[:, 0].imag, mg[:, 1].real, mg[:, 1].imag
         h = grad.real ** 2 + grad.imag ** 2
@@ -377,17 +344,15 @@ def ab_by_conditioning(surface: GaussianMix, T: float, paths: int, bins: int,
     noise = np.sqrt(dts / (T / steps) * left[1:] / left[:-1])
     pull = dts / left[:-1]
     Y = np.zeros(len(ends), dtype=complex)
-    for rows, incs in BrownianDriver(2, T, steps, seed=seed).chunks(len(ends), batch=8):
-        x = ends[rows]
-        W = np.zeros_like(x)
-        y = Y[rows]
-        for i, inc in enumerate(incs):
-            dW = inc * noise[i] + (x - W) * pull[i]
-            db = surface.dbar(left[i], W)
-            db *= dW.view(complex)[:, 0]     # the rows (dW1, dW2) as dW1 + i dW2
-            db *= 2.0
-            y += db
-            W += dW
+    W = np.zeros_like(ends)
+    draws = BrownianDriver(2, T, steps, seed=seed).increments(len(ends), batch=8)
+    for i, inc in enumerate(draws):
+        dW = inc * noise[i] + (ends - W) * pull[i]
+        db = surface.dbar(left[i], W)
+        db *= dW.view(complex)[:, 0]     # the rows (dW1, dW2) as dW1 + i dW2
+        db *= 2.0
+        Y += db
+        W += dW
     Y = Y.reshape(bins, bins, paths)
     return ConditioningResult(
         estimate=Y.mean(axis=2),

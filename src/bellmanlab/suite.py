@@ -102,7 +102,9 @@ def buckley_checks(weight, depth, label):
     sums = [dyadic.buckley_sum(weight(d)) for d in range(8, max(depth, 11) + 1)]
     inc = np.diff(sums)
     ratio_max = float(np.max(inc[1:] / inc[:-1])) if np.all(inc > 0) else 0.0
-    limit = sums[-1] + inc[-1] / (1 - max(ratio_max, 0.5))
+    # a ratio at or above 1 is no geometric tail: the sums grow without bound
+    limit = (sums[-1] + inc[-1] / (1 - max(ratio_max, 0.5))
+             if ratio_max < 1 else np.inf)
     return [CheckResult("dyadic.buckley-bounded", ratio_max, 0.9, 0.0,
                         detail=f"{label}, limit~{limit:.4f}")]
 
@@ -638,13 +640,19 @@ _HEAVIEST_FIRST = ("stoch-core", "stoch-constants", "stoch-conditioning",
 def run_suite(tier: str = "fast", seed: int = 0,
               workers: int = 1, skip: tuple = ()) -> RunReport:
     """Run the whole battery on `workers` threads.  Experiments named in
-    `skip` are omitted (skipped, not failed).  Experiments are submitted
-    heaviest first (`_HEAVIEST_FIRST`, then name order) and their results
-    merged in name order, so the report does not depend on the worker
-    count or the order in which experiments finish.  The report also
-    sorts its entries when it serializes them."""
+    `skip` are omitted (skipped, not failed); a name that is not an
+    experiment, or a skip of every experiment, is refused.  Experiments
+    are submitted heaviest first (`_HEAVIEST_FIRST`, then name order) and
+    their results merged in name order, so the report does not depend on
+    the worker count or the order in which experiments finish.  The
+    report also sorts its entries when it serializes them."""
     params = tier_params(tier)
+    unknown = sorted(set(skip) - set(EXPERIMENTS))
+    if unknown:
+        raise ValueError(f"skip names no experiment: {', '.join(unknown)}")
     names = [n for n in sorted(EXPERIMENTS) if n not in skip]
+    if not names:
+        raise ValueError("skip leaves no experiment to run")
     order = ([n for n in _HEAVIEST_FIRST if n in names]
              + [n for n in names if n not in _HEAVIEST_FIRST])
     report = RunReport(config={"tier": tier, "seed": seed,

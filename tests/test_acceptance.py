@@ -7,6 +7,7 @@ desk scale (see the analysis in the project notes); they are asserted
 as stated rather than loosened, so an honest red here is expected.
 """
 
+import ast
 import json
 from pathlib import Path
 
@@ -301,3 +302,26 @@ def test_golden_full_seed1_deterministic_report():
     report = run_suite("full", seed=1, workers=2, skip=skip)
     assert report.canonical_json() == golden_json(
         "golden_suite_full_seed1_deterministic.json")
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def golden_ids(name):
+    return sorted(e["check_id"] for e in json.loads(golden_json(name))["entries"])
+
+
+def test_perfbench_copies_match_the_source():
+    # the benchmark never imports bellmanlab: it spells out the experiment
+    # names and the check ids it expects, and refuses a run that drifts
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    assigned = {t.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Name)}
+    assert list(ast.literal_eval(assigned["EXPERIMENTS"])) == sorted(suite.EXPERIMENTS)
+    expected = json.loads((PERFBENCH / "expected_checks.json").read_text())
+    for name in ("golden_suite_fast_seed1.json", "golden_suite_fast_seed6.json"):
+        assert golden_ids(name) == expected["fast"], name
+    # the full golden leaves planar-ascent to criterion 6; the workload runs it
+    assert sorted(golden_ids("golden_suite_full_seed1_deterministic.json")
+                  + ["planar.ascent-monotone", "planar.ascent-ratio"]) == (
+        expected["full-deterministic"])

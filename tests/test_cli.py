@@ -229,15 +229,28 @@ BAD_INPUTS = {
     ("qc", "weight"): ("--n 1", 2, "error: --n must be at least 2, got 1"),
     ("suite", "fast"): ("--workers 0", 2, "error: --workers must be at least 1, got 0"),
 }
+# further refusals of the same operations: a skip list that names no
+# experiment, or every one, ran the rest or nothing and exited 0, and a
+# negative start time ran a path from t < 0
+MORE_BAD_INPUTS = {
+    ("suite", "fast"): [
+        ("--skip nosuch," + ",".join(n for n in cli.suite.EXPERIMENTS if n != "qc"),
+         2, "error: skip names no experiment: nosuch"),
+        ("--skip " + ",".join(cli.suite.EXPERIMENTS), 2,
+         "error: skip leaves no experiment to run"),
+    ],
+    ("stoch", "riemann-gap"): [("--a -1 --b 1", 2, "error: a=-1, b=1; need 0 <= a <= b")],
+}
 
 
 @pytest.mark.parametrize("command", [*cli.OPERATIONS, ("suite", "fast")],
                          ids=" ".join)
 def test_every_operation_refuses_its_bad_input(capsys, command):
     # a KeyError here means an operation was added without a row
-    flags, expected_code, line = BAD_INPUTS[command]
-    code, out, err = run_cli(capsys, *command, *flags.split())
-    assert (code, out, err) == (expected_code, "", line + "\n")
+    for flags, expected_code, line in [BAD_INPUTS[command],
+                                       *MORE_BAD_INPUTS.get(command, ())]:
+        code, out, err = run_cli(capsys, *command, *flags.split())
+        assert (code, out, err) == (expected_code, "", line + "\n"), flags
 
 
 def flag_choices(module, flag):

@@ -509,3 +509,18 @@ def test_suite_gram_check_reports_both_weights():
     rng = np.random.default_rng(seed + 1)
     random_weight = dy.DyadicWeight(np.exp(0.7 * rng.standard_normal(2 ** 7)))
     assert reported == max(two_value, gram_error(random_weight))
+
+
+def riesz_product(depth):
+    """w = prod_{k <= depth} (1 + r_k / 2), r_k the k-th Rademacher digit:
+    every level adds the same (Delta w / <w>)^2 mass 1 to the Buckley sum."""
+    i = np.arange(2 ** depth)
+    digits = (i[:, None] >> (depth - 1 - np.arange(depth))) & 1
+    return dy.DyadicWeight(np.prod(1.0 + 0.5 * (1 - 2 * digits), axis=1))
+
+
+def test_buckley_check_fails_on_a_riesz_product():
+    # the sums grow linearly in depth: increment ratio 1, no finite limit
+    [check] = suite.buckley_checks(riesz_product, 11, "Riesz product")
+    assert check.value == pytest.approx(1.0, abs=1e-9) and not check.passed
+    assert check.detail == "Riesz product, limit~inf"

@@ -172,6 +172,17 @@ def test_min_affine_battery():
     assert lam.laminate_inequality_check(both, a=(0.5, -0.25), seed=11) >= -1e-10
 
 
+def test_bilinear_members_tell_a_laminate_from_other_measures():
+    # 1/2 delta(1, 1) + 1/2 delta(-1, -1) is centered but no laminate: every
+    # jointly concave member holds Jensen on it, and XY misses by E XY = 1
+    two = lam.Laminate(atoms=[(1.0, 1.0, 0.5), (-1.0, -1.0, 0.5)])
+    concave = [f for f in lam.default_battery() if f.tag not in ("xy", "neg-xy")]
+    assert lam.laminate_inequality_check(two, battery=concave) >= 0.0
+    assert lam.laminate_inequality_check(two) == pytest.approx(-1.0, abs=1e-12)
+    # on the suite's nu, E XY = Xbar Ybar up to rounding
+    assert abs(lam.laminate_inequality_check(nu_sum(3.0, 1e-3), a=(0.5, -0.25))) < 1e-12
+
+
 def test_battery_certification_rejects_convex():
     both = nu_sum(3.0, 1e-2)
     bad = lam.TestFunction2D(lambda X, Y: np.asarray(X, float) ** 2, "convex")
@@ -246,3 +257,15 @@ def test_ratio_limit_fails_when_the_roots_miss_p_minus_one(monkeypatch):
     assert checks["laminate.ratio-monotone"].passed
     limit = checks["laminate.ratio-limit"]
     assert limit.value == pytest.approx(0.0199) and not limit.passed
+
+
+def test_jensen_check_fails_on_a_measure_that_is_no_laminate(monkeypatch):
+    # atoms (2, 2) and (0, 0) of mass 1/2: unit mass at the baricenter
+    # (1, 1), so the mass check holds, but E XY - Xbar Ybar = 1
+    monkeypatch.setattr(lam, "nu_pair", lambda p, eta: (
+        lam.Laminate(atoms=[(2.0, 2.0, 0.5)]), lam.Laminate(atoms=[(0.0, 0.0, 0.5)])))
+    params = suite.tier_params("fast")["laminate"]
+    checks = {e.check_id: e for e in suite.run_experiment("laminate", params, seed=1)}
+    assert checks["laminate.mass-baricenter"].passed
+    jensen = checks["laminate.jensen"]
+    assert jensen.value == pytest.approx(1.0, abs=1e-12) and not jensen.passed

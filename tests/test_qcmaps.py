@@ -45,6 +45,32 @@ def test_distortion_check_fails_on_a_steeper_exponent(monkeypatch):
     assert check.value > 0.01 and not check.passed
 
 
+def test_sobolev_check_fails_on_a_larger_annulus_exponent(monkeypatch):
+    # the integrand |z|^(q(-1 - 1/K')) at K' = 1.02 K: the boundary moves
+    # to 1 + k' with k' = (K' - 1)/(K' + 1), 0.009 off at K = 2
+    annulus = qc._annulus_integral
+    monkeypatch.setattr(qc, "_annulus_integral", lambda m, q, eps: annulus(
+        qc.RadialMap(1.02 * m.K, m.variant), q, eps))
+    [check] = suite.sobolev_checks(2.0)
+    assert check.value == pytest.approx(0.009, abs=5e-4) and not check.passed
+
+
+def test_weight_check_fails_on_a_shrinking_sweep(monkeypatch):
+    # the i-th characteristic x0.97^i: the first step, 1.0 -> 1.0234 at
+    # K = 2 and n = 128, grows by only 2.3% and turns into a drop
+    ap_class = pl.ap_class
+    calls = []
+
+    def shrinking(w, sampling):
+        calls.append(None)
+        return ap_class(w, sampling) * 0.97 ** (len(calls) - 1)
+
+    monkeypatch.setattr(pl, "ap_class", shrinking)
+    [check] = suite.weight_checks(2.0, 3.9, 128)
+    assert len(calls) == 5
+    assert check.value > 1e-3 and not check.passed
+
+
 def test_map_continuity_at_unit_circle():
     for variant in ("regular", "singular"):
         m = qc.RadialMap(2.0, variant)

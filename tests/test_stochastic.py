@@ -35,30 +35,26 @@ def ito_integral(process, driver, paths, batch=0):
     """Samples of sum_i f(t_i) (w(t_{i+1}) - w(t_i)) for a 1-d driver: the
     reference the one-pass statistics of `riemann_gap_demo` are held to.
 
-    `process(w)` is called once per step of each block with w(t_i), the
-    block's paths at the current node, shape (m,); the engine keeps no
-    other step, so the integrand is adapted.  It returns the integrand per
-    path, shape (m,), or k integrands against the same increments, shape
-    (k, m); the result then has shape (k, paths).
+    `process(w)` is called once per step with w(t_i), the paths at the
+    current node, shape (paths,); the engine keeps no other step, so the
+    integrand is adapted.  It returns the integrand per path, shape
+    (paths,), or k integrands against the same increments, shape
+    (k, paths); the result then has that shape too.
     """
     if driver.dimension != 1:
         raise ValueError("ito_integral expects a 1-d driver")
-    parts = []
-    for rows, incs in driver.chunks(paths, batch):
-        w = np.zeros(rows.stop - rows.start)
-        total = 0.0
-        for inc in incs:
-            dw = inc[:, 0]
-            total = total + np.asarray(process(w)) * dw
-            w = w + dw      # a new array: one handed to `process` is not changed
-        parts.append(total)
-    return np.concatenate(parts, axis=-1)
+    w = np.zeros(paths)
+    total = 0.0
+    for inc in driver.increments(paths, batch):
+        dw = inc[:, 0]
+        total = total + np.asarray(process(w)) * dw
+        w = w + dw      # a new array: one handed to `process` is not changed
+    return total
 
 
 def increments(driver, paths, batch=0):
-    """The (steps, paths, dimension) stack of `driver.chunks`."""
-    return np.concatenate([np.stack(list(incs))
-                           for _, incs in driver.chunks(paths, batch)], axis=1)
+    """The (steps, paths, dimension) stack of `driver.increments`."""
+    return np.stack(list(driver.increments(paths, batch)))
 
 
 # ---------------------------------------------------------------------------
@@ -85,37 +81,26 @@ def test_driver_reproducible_batches():
     assert not np.array_equal(a, c)
 
 
-def test_chunks_block0_is_the_default_philox_stream():
+def test_the_stream_is_philox_keyed_by_seed_and_batch():
     drv = st.BrownianDriver(2, 1.0, 8, seed=3)
-    (rows, incs), = drv.chunks(100, batch=5)
+    incs = increments(drv, 100, batch=5)
     rng = np.random.Generator(np.random.Philox(key=[3, 5]))
-    assert rows == slice(0, 100)
+    assert incs.shape == (8, 100, 2)
     for inc in incs:
         assert np.array_equal(inc, rng.normal(0.0, np.sqrt(drv.dt), size=(100, 2)))
-
-
-def test_chunks_split_into_counter_keyed_blocks():
-    drv = st.BrownianDriver(1, 1.0, 3, seed=4)
-    blocks = [(rows, np.stack(list(incs))) for rows, incs in
-              drv.chunks(st.CHUNK_PATHS + 7, batch=1)]
-    assert [rows for rows, _ in blocks] == [slice(0, st.CHUNK_PATHS),
-                                            slice(st.CHUNK_PATHS, st.CHUNK_PATHS + 7)]
-    rng = np.random.Generator(np.random.Philox(key=[4, 1], counter=[0, 0, 1, 0]))
-    expect = np.stack([rng.normal(0.0, np.sqrt(drv.dt), size=(7, 1)) for _ in range(3)])
-    assert np.array_equal(blocks[1][1], expect)
 
 
 def test_fast_tier_studies_draw_disjoint_streams(monkeypatch):
     # each study of a seed owns its Philox key (seed, batch); a key drawn
     # twice would let two checks score overlapping samples as independent
     keys = []
-    chunks = st.BrownianDriver.chunks
+    stream = st.BrownianDriver.increments
 
     def recording(self, paths, batch=0):
         keys.append((self.seed, batch))
-        return chunks(self, paths, batch)
+        return stream(self, paths, batch)
 
-    monkeypatch.setattr(st.BrownianDriver, "chunks", recording)
+    monkeypatch.setattr(st.BrownianDriver, "increments", recording)
     params = tier_params("fast")
     for name in ("stoch-core", "stoch-conditioning", "stoch-constants"):
         run_experiment(name, params[name], seed=1)
