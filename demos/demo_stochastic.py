@@ -2,10 +2,12 @@
 """Monte-Carlo stochastic calculus.
 
 Left and right Riemann sums against Brownian increments disagree by the
-quadratic variation; adapted step integrals obey the isometry; heat
-martingales reproduce their boundary data at strong order 1/2; and the
-matrix transform of a heat martingale, conditioned on the endpoint,
-reconstructs the planar singular integral.
+quadratic variation; adapted step integrals hit the exact means of their
+discrete sums (the isometry and a product rule); heat martingales
+reproduce their boundary data at strong order 1/2; and the matrix
+transform of a heat martingale, conditioned on the endpoint, matches the
+exact mean of its discrete scheme, whose limit is the planar singular
+integral.
 """
 
 import numpy as np
@@ -14,18 +16,21 @@ from bellmanlab import stochastic as st
 from bellmanlab import suite
 
 print("== left vs right Riemann sums on [0, 1] ==")
-paths = 100_000
-demo = st.riemann_gap_demo(0.0, 1.0, 1000, paths, seed=0)
+paths, steps = 100_000, 1000
+demo = st.riemann_gap_demo(0.0, 1.0, steps, paths, seed=0)
 # the half-widths are the suite's gates: Z standard errors
 half = {key: suite.Z * demo[key + "_sd"] / np.sqrt(paths)
-        for key in ("ES1", "ES2", "ES1_sq", "EFG")}
+        for key in ("ES1", "ES2", "ES1_sq", "EFS1")}
 print(f"E sum w(t_i-1) dw = {demo['ES1']:+.4f} +- {half['ES1']:.4f}")
 print(f"E sum w(t_i)   dw = {demo['ES2']:+.4f} +- {half['ES2']:.4f}  (gap = b - a = 1)")
 
 print("\n== isometry and product rule, read off the same paths ==")
-print(f"E (int w dw)^2 = {demo['ES1_sq']:.4f} +- {half['ES1_sq']:.4f}  (exact value 1/2)")
-print(f"E int sin w dw int cos w dw = {demo['EFG']:+.4f} +- {half['EFG']:.4f}  "
-      f"(E int sin w cos w dt = {demo['EFG_ref']:+.4f})")
+# the exact means of the discrete left-point sums, which the suite gates
+isometry, product = suite._left_point_means(steps)
+print(f"E (sum w dw)^2 = {demo['ES1_sq']:.4f} +- {half['ES1_sq']:.4f}  "
+      f"(exact (N-1)/(2N) = {isometry:.4f})")
+print(f"E sum sin w dw sum w dw = {demo['EFS1']:+.4f} +- {half['EFS1']:.4f}  "
+      f"(exact sum t e^(-t/2) dt = {product:.4f})")
 
 print("\n== heat martingales reach their boundary data ==")
 surf = st.GaussianMix.single(sigma2=0.8)
@@ -41,9 +46,10 @@ print(f"row orthogonality {res['max_orthogonality']:.1e}, norm mismatch "
       f"{res['max_subordination_excess']:+.1e}")
 
 print("\n== conditioning on the endpoint rebuilds the singular integral ==")
-[cond] = suite.conditioning_checks(paths=208, bins=16, steps=200, seed=5)
-print(f"bins agreeing with the exact transform at their centers "
-      f"({suite.Z:g} sigma + 5%): {-cond.value:.1%}")
+[cond] = suite.conditioning_checks(paths=208, bins=16, steps=50, seed=5)
+print(f"mean z^2 against the exact mean of the discrete bridges: {cond.value:.3f} "
+      f"(pure noise reads 1; gate {cond.target:.4f})")
+print(f"detail: {cond.detail} (the oracle's distance to the transform itself)")
 
 print("\n== moment-ratio ceilings ==")
 plain, conformal = suite.constant_checks(4.0, trials=5000, seed=6)

@@ -63,12 +63,12 @@ CHECK_REGISTRY = {
     "laminate.reflection": "reflecting the measure swaps the two tests",
     "stoch.variance": "left-point sums average to zero",
     "stoch.riemann-gap": "left and right sums disagree by the quadratic variation",
-    "stoch.isometry": "integral second moment equals the time integral",
-    "stoch.product": "product of integrals averages the integrand product",
+    "stoch.isometry": "left-point sum's second moment equals its exact mean (N-1)/(2N)",
+    "stoch.product": "sin w and w integrals' product averages sum t e^(-t/2) dt",
     "stoch.terminal-order": "terminal gap decays at strong order one half",
     "stoch.conformality": "transform rows stay orthogonal with equal norms",
     "stoch.subordination": "transform rows stay dominated pathwise",
-    "stoch.conditioning": "bridges pinned at the bin centers match the closed-form oracle",
+    "stoch.conditioning": "bridges pinned at the bin centers match their scheme's exact mean",
     "stoch.plain-constant": "moment ratio under p*-1",
     "stoch.conformal-constant": "moment ratio under sqrt(p(p-1)/2)",
     "qc.beltrami": "sampled dilatation matches (K-1)/(K+1)",

@@ -4,8 +4,8 @@ Heat extensions here solve d/dt u = (1/2) Laplacian u, so u(t, .) is the
 law-of-W_t smoothing and u(T - t, W_t) is a martingale.  The planar module
 uses the kernel with variance t/2 per axis instead; the two conventions
 match under t_planar = 2 t_here.  No conversion is needed: the
-conditioning oracle transforms u(0, .), the surface itself, in closed
-form, so this module imports nothing from `planar`.
+conditioning study's oracle and its limit, the transform of u(0, .), are
+closed forms of the surface, so this module imports nothing from `planar`.
 
 Every simulation runs on one engine, `BrownianDriver.increments`.  It
 streams increments time-major: one (paths, dimension) array per time step,
@@ -24,10 +24,10 @@ increments into Brownian bridges pinned at each bin center, so it
 conditions on the endpoint W_T directly.
 
 Each study of a seed draws its own streams, once, and names them itself:
-0 the 1-d study (the Riemann sums, the isometry and the sin/cos product
-in one pass), 3 its W_a for a > 0, 6 the step-ladder sweep, 7 the
-transform residuals, 8 the conditioning bridges and 10 + j surface j of
-the moment-ratio constants.
+0 the 1-d study (the Riemann sums, the isometry and the product of the
+sin w and w integrals in one pass), 3 its W_a for a > 0, 6 the
+step-ladder sweep, 7 the transform residuals, 8 the conditioning bridges
+and 10 + j surface j of the moment-ratio constants.
 
 The studies return measurements (means with per-path deviations, standard
 errors, oracles, ratios); the check builders in `suite` gate them.
@@ -68,20 +68,20 @@ class BrownianDriver:
 
 def riemann_gap_demo(a: float, b: float, steps: int, paths: int, seed: int = 0):
     """Means of S1 = sum w(t_{i-1}) dw_i and S2 = sum w(t_i) dw_i over [a, b],
-    the second moment of S1, and the product of the left-point integrals
-    F = sum sin w dw, G = sum cos w dw, each with its per-path standard
+    the second moment of S1, and the product of S1 with the left-point
+    integral F = sum sin w(t_{i-1}) dw_i, each with its per-path standard
     deviation (`*_sd`).
 
     S1 is the adapted (left-point) sum with mean 0 and second moment
-    (b^2 - a^2) / 2; S2 differs by the accumulated squared increments,
-    mean b - a.  E FG equals E sum sin w cos w dt, which the same pass
-    returns as `EFG_ref`: summed per path over the steps, then over the
-    paths by numpy's pairwise sum, so no BLAS thread count changes its
-    bits.  The increments are stream 0 of the seed; W_a, for a > 0, is
-    one step of variance a on stream 3.
+    sum t_{i-1} dt; S2 differs by the accumulated squared increments,
+    mean b - a.  The increments are independent of the past, so
+    E[F S1] = sum E[w sin w](t_{i-1}) dt = sum t_{i-1} e^{-t_{i-1}/2} dt;
+    `suite` gates both against these exact means.  The increments are
+    stream 0 of the seed; W_a, for a > 0, is one step of variance a on
+    stream 3.
     """
-    if a < 0 or b < a:
-        raise ValueError(f"a={a:g}, b={b:g}; need 0 <= a <= b")
+    if a < 0 or b <= a:
+        raise ValueError(f"a={a:g}, b={b:g}; need 0 <= a < b")
     if paths < 2:
         raise ValueError(f"paths={paths}; a standard error needs at least 2")
     if steps < 1:
@@ -92,26 +92,19 @@ def riemann_gap_demo(a: float, b: float, steps: int, paths: int, seed: int = 0):
     s1 = np.zeros(paths)
     s2 = np.zeros(paths)
     f_int = np.zeros(paths)
-    g_int = np.zeros(paths)
-    fg_dt = np.zeros(paths)
-    driver = BrownianDriver(1, b - a, steps, seed)
-    for inc in driver.increments(paths):
+    for inc in BrownianDriver(1, b - a, steps, seed).increments(paths):
         dw = inc[:, 0]
-        f, g = np.sin(w), np.cos(w)
-        fg_dt += f * g
-        f_int += f * dw
-        g_int += g * dw
+        f_int += np.sin(w) * dw
         s1 += w * dw
         w = w + dw
         s2 += w * dw
-    fg = f_int * g_int
+    fs = f_int * s1
     sd = lambda x: float(np.std(x))
     return {
         "ES1": float(np.mean(s1)), "ES1_sd": sd(s1),
         "ES2": float(np.mean(s2)), "ES2_sd": sd(s2),
         "ES1_sq": float(np.mean(s1 ** 2)), "ES1_sq_sd": sd(s1 ** 2),
-        "EFG": float(np.mean(fg)), "EFG_sd": sd(fg),
-        "EFG_ref": float(np.sum(fg_dt)) * driver.dt / paths,
+        "EFS1": float(np.mean(fs)), "EFS1_sd": sd(fs),
     }
 
 
@@ -311,7 +304,53 @@ def transform_residuals(surface: GaussianMix, driver: BrownianDriver, paths: int
 class ConditioningResult:
     estimate: np.ndarray       # (bins, bins) complex conditional means
     stderr: np.ndarray         # (bins, bins) per-bin standard errors
-    oracle: np.ndarray         # (bins, bins) complex transform at the centers
+    oracle: np.ndarray         # (bins, bins) exact mean of the discrete bridges
+    limit: np.ndarray          # (bins, bins) complex transform at the centers
+
+
+def _bridge_schedule(T: float, steps: int):
+    """T - t_i on the grid t_i = T (1 - (1 - i/N)^2), and per step the pull
+    dt_i / (T - t_i) toward the pin and the scale that turns an engine
+    increment, variance T/N, into one of variance
+    dt_i (T - t_{i+1}) / (T - t_i)."""
+    left = T * (1.0 - np.arange(steps + 1) / steps) ** 2
+    dts = left[:-1] - left[1:]
+    noise = np.sqrt(dts / (T / steps) * left[1:] / left[:-1])
+    pull = dts / left[:-1]
+    return left, pull, noise
+
+
+def bridge_oracle(surface: GaussianMix, T: float, steps: int,
+                  ends: np.ndarray) -> np.ndarray:
+    """E[Y(T)] for the discrete bridges of `ab_by_conditioning` pinned at
+    `ends`, shape (..., 2), in closed form.
+
+    The scheme is linear in Gaussian increments, so W_i ~ N(m_i, v_i I)
+    with m_{i+1} = m_i (1 - pull_i) + x pull_i and
+    v_{i+1} = v_i (1 - pull_i)^2 + noise_i^2 T/N from m_0 = v_0 = 0.  The
+    noise of step i is independent of W_i, so only the drift adds to the
+    mean: E[Y(T)] = sum_i pull_i E[2 dbar u(T - t_i, W_i) (x - W_i)_c],
+    with z_c = z_1 + i z_2.  A bump a exp(-|z - c|^2 / (2 sigma^2)) gives,
+    with S = sigma^2 + T - t_i, k = S/(S + v_i) and mu = (m_i - c) k,
+    -(a sigma^2 / S^2) k exp(-|m_i - c|^2 / (2 (S + v_i))) mu_c (x - c - mu)_c.
+    As T and N/T grow it tends to `GaussianMix.conj_ab`, at first order.
+    """
+    left, pull, noise = _bridge_schedule(T, steps)
+    x = ends[..., 0] + 1j * ends[..., 1]
+    m = np.zeros_like(x)        # the mean of W_i as a complex point
+    v = 0.0                     # the per-axis variance of W_i
+    out = np.zeros_like(x)
+    for i in range(steps):
+        for a, c, s2 in zip(surface.amplitudes, surface.centers, surface.sigma2):
+            s = s2 + left[i]
+            k = s / (s + v)
+            cc = c[0] + 1j * c[1]
+            mu = (m - cc) * k
+            decay = np.exp(np.abs(m - cc) ** 2 * (-0.5 / (s + v)))
+            out += (-a * s2 / s ** 2 * k * pull[i]) * decay * mu * (x - cc - mu)
+        m = m * (1.0 - pull[i]) + x * pull[i]
+        v = v * (1.0 - pull[i]) ** 2 + noise[i] ** 2 * (T / steps)
+    return out
 
 
 def ab_by_conditioning(surface: GaussianMix, T: float, paths: int, bins: int,
@@ -326,10 +365,11 @@ def ab_by_conditioning(surface: GaussianMix, T: float, paths: int, bins: int,
     dt_i and scaled by sqrt((T - t_{i+1}) / (T - t_i)), which is 0 on the
     last step, so each bin mean estimates E[Y(T) | W_T = x] for the
     discretized integral with no self-normalization.  The bridges are
-    stream 8 of the seed, bin-major.  The matrix-A martingale
-    represents the conjugate-chirality multiplier (k1 + i k2)^2/|k|^2, so
-    the oracle is `GaussianMix.conj_ab`, that transform in closed form,
-    at the bin centers.
+    stream 8 of the seed, bin-major.  `oracle` is that discrete mean
+    exactly (`bridge_oracle`).  The matrix-A martingale represents the
+    conjugate-chirality multiplier (k1 + i k2)^2/|k|^2, so `limit` is
+    `GaussianMix.conj_ab`, that transform in closed form, at the centers:
+    the oracle's value for T and N/T without bound.
     """
     if paths < 2:
         raise ValueError(f"paths={paths} per bin; a standard error needs at least 2")
@@ -339,10 +379,7 @@ def ab_by_conditioning(surface: GaussianMix, T: float, paths: int, bins: int,
     centers = -box / 2.0 + (np.arange(bins) + 0.5) * (box / bins)
     mesh = np.stack(np.meshgrid(centers, centers, indexing="ij"), axis=-1)
     ends = np.repeat(mesh.reshape(-1, 2), paths, axis=0)
-    left = T * (1.0 - np.arange(steps + 1) / steps) ** 2   # T - t_i
-    dts = left[:-1] - left[1:]
-    noise = np.sqrt(dts / (T / steps) * left[1:] / left[:-1])
-    pull = dts / left[:-1]
+    left, pull, noise = _bridge_schedule(T, steps)
     Y = np.zeros(len(ends), dtype=complex)
     W = np.zeros_like(ends)
     draws = BrownianDriver(2, T, steps, seed=seed).increments(len(ends), batch=8)
@@ -357,7 +394,8 @@ def ab_by_conditioning(surface: GaussianMix, T: float, paths: int, bins: int,
     return ConditioningResult(
         estimate=Y.mean(axis=2),
         stderr=Y.std(axis=2) / np.sqrt(paths),
-        oracle=surface.conj_ab(mesh),
+        oracle=bridge_oracle(surface, T, steps, mesh),
+        limit=surface.conj_ab(mesh),
     )
 
 

@@ -230,8 +230,9 @@ BAD_INPUTS = {
     ("suite", "fast"): ("--workers 0", 2, "error: --workers must be at least 1, got 0"),
 }
 # further refusals of the same operations: a skip list that names no
-# experiment, or every one, ran the rest or nothing and exited 0, and a
-# negative start time ran a path from t < 0
+# experiment, or every one, ran the rest or nothing and exited 0; a
+# negative start time ran a path from t < 0; and an empty interval passed
+# both of its gates by comparing 0 with 0
 MORE_BAD_INPUTS = {
     ("suite", "fast"): [
         ("--skip nosuch," + ",".join(n for n in cli.suite.EXPERIMENTS if n != "qc"),
@@ -239,7 +240,8 @@ MORE_BAD_INPUTS = {
         ("--skip " + ",".join(cli.suite.EXPERIMENTS), 2,
          "error: skip leaves no experiment to run"),
     ],
-    ("stoch", "riemann-gap"): [("--a -1 --b 1", 2, "error: a=-1, b=1; need 0 <= a <= b")],
+    ("stoch", "riemann-gap"): [("--a -1 --b 1", 2, "error: a=-1, b=1; need 0 <= a < b"),
+                               ("--a 0.5 --b 0.5", 2, "error: a=0.5, b=0.5; need 0 <= a < b")],
 }
 
 
