@@ -120,18 +120,21 @@ def sigma_laminate(p: float, eta: float) -> Laminate:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
-def _gauss_legendre(f, a: float, b: float) -> float:
-    """int_a^b f by the order-24 Gauss-Legendre rule; f takes an array."""
-    return float((b - a) / 2.0 * np.sum(_GL_WEIGHTS * f((b - a) * (_GL_NODES + 1) / 2.0 + a)))
+def _gauss_legendre(f, S: float, panels: int) -> float:
+    """int_0^S f by the order-24 Gauss-Legendre rule on `panels` equal
+    panels, in one array evaluation; f takes an array."""
+    h = S / panels
+    return float(h / 2.0 * np.sum(_GL_WEIGHTS * f(
+        h * (np.arange(panels)[:, None] + (_GL_NODES + 1) / 2.0))))
 
 
 def _ray_quadrature(ray: Ray, phi, shift) -> float:
     """integral_1^inf phi(ax t + sx, ay t + sy) t^(-q) dt.
 
-    Substituting t = e^s, order-24 Gauss-Legendre panels cover [0, S]; the
-    remainder beyond e^S is estimated from the local power-law degree of
-    the integrand (fitted from samples) and S grows until that tail
-    estimate drops below 1e-12 of the total.
+    Substituting t = e^s, one array pass of order-24 Gauss-Legendre panels
+    covers [0, S]; the remainder beyond e^S is estimated from the local
+    power-law degree of the integrand (fitted from samples), and S grows
+    until |tail estimate| drops below 1e-12 of |total|, whatever its sign.
     """
     sx, sy = shift
 
@@ -141,10 +144,7 @@ def _ray_quadrature(ray: Ray, phi, shift) -> float:
 
     S, panels = 8.0, 24
     for _ in range(12):
-        total = 0.0
-        edges = np.linspace(0.0, S, panels + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            total += _gauss_legendre(integrand, a, b)
+        total = _gauss_legendre(integrand, S, panels)
         t_end = np.exp(S)
         f_end = float(phi(ray.ax * t_end + sx, ray.ay * t_end + sy))
         f_mid = float(phi(ray.ax * t_end / 2 + sx, ray.ay * t_end / 2 + sy))
@@ -155,8 +155,8 @@ def _ray_quadrature(ray: Ray, phi, shift) -> float:
         decay = ray.q - 1.0 - deg
         if decay <= 0.05:
             raise ArithmeticError("ray integral does not converge fast enough")
-        tail = f_end * t_end ** (1.0 - ray.q) / decay if abs(f_end) > 0 else 0.0
-        if tail <= 1e-12 * max(abs(total), 1e-300):
+        tail = f_end * t_end ** (1.0 - ray.q) / decay
+        if abs(tail) <= 1e-12 * max(abs(total), 1e-300):
             return ray.weight * (total + tail)
         S *= 1.6
         panels = int(panels * 1.6)

@@ -347,7 +347,7 @@ def ap_class(w: PlanarWeight, sampling: DiscSampling = DiscSampling()) -> float:
         for j in range(1, 6):
             # the disc always holds its center, so count >= 1
             mask = dist2 <= (box / 2 ** j) ** 2
-            yield _fft2(mask, np.empty(mask.shape, complex)), mask.sum()
+            yield np.fft.fft2(mask), mask.sum()
 
     return _sup_characteristic(w, discs(), sampling.stride)
 

@@ -155,6 +155,31 @@ def test_a_infinity_check_fails_above_the_a2_characteristic(monkeypatch):
     assert check.value == pytest.approx(0.02 * 33 ** 2 / 128) and not check.passed
 
 
+def test_carleson_slope_check_fails_on_a_larger_exponent(monkeypatch):
+    # sequences built at alpha + 0.1 grow like [w]_A2^0.35: the fitted slope
+    # reads 0.3509 against 0.25 +- 0.05, at the full tier's depth 12 too
+    caral = dy.caral_sequence
+    monkeypatch.setattr(dy, "caral_sequence", lambda w, alpha: caral(w, alpha + 0.1))
+    for depth in (10, 12):
+        [check] = [c for c in suite._dyadic_checks(depth, 1)
+                   if c.check_id == "dyadic.carleson-intensity-slope"]
+        assert check.value == pytest.approx(0.3509, abs=1e-4) and not check.passed
+
+
+def test_embedding_1_check_fails_on_suprema_for_infima(monkeypatch):
+    # sup_L F in place of inf_L F: the left side reads 2.904 against
+    # 2 B int F = 1.459.  dyadic.embedding-2 has no known-bad test: the same
+    # fault reads 1.936 against 4 B int F/w = 2.186 and passes, because its
+    # slack measures the input (one nonzero Carleson term, at the root, and
+    # inf F ~ 1e-3), not the inequality
+    pyramid = dy._pyramid
+    monkeypatch.setattr(dy, "_pyramid", lambda values, *pair: pyramid(
+        values, *(np.maximum if p is np.minimum else p for p in pair)))
+    check = fast_dyadic_check("dyadic.embedding-1")
+    assert check.value == pytest.approx(2.904, abs=1e-3) and not check.passed
+    assert fast_dyadic_check("dyadic.embedding-2").passed
+
+
 # ---------------------------------------------------------------------------
 # Martingale transform
 

@@ -269,3 +269,22 @@ def test_jensen_check_fails_on_a_measure_that_is_no_laminate(monkeypatch):
     assert checks["laminate.mass-baricenter"].passed
     jensen = checks["laminate.jensen"]
     assert jensen.value == pytest.approx(1.0, abs=1e-12) and not jensen.passed
+
+
+def test_jensen_check_fails_on_a_small_negative_covariance(monkeypatch):
+    # a share 2 mu of nu's ray mass moved onto the atoms (1 + e, 1 - e) and
+    # (1 - e, 1 + e): mass and baricenter stay exact, but E XY - Xbar Ybar
+    # = -2 mu e^2 = -1e-8, which -XY sees once its tail is integrated to
+    # 1e-12 relative whatever its sign (a signed stop read -4.05e-11)
+    mu, e = 0.005, 1e-3
+    pair = lam.nu_pair
+    monkeypatch.setattr(lam, "nu_pair", lambda p, eta: tuple(
+        lam.Laminate(atoms=[atom],
+                     rays=[lam.Ray(r.ax, r.ay, (1 - 2 * mu) * r.weight, r.q)
+                           for r in half.rays])
+        for half, atom in zip(pair(p, eta), ((1 + e, 1 - e, mu), (1 - e, 1 + e, mu)))))
+    checks = {c.check_id: c for c in suite.measure_checks("nu", 3.0, 1e-3, 1)}
+    mass = checks["laminate.mass-baricenter"]
+    assert mass.value < 1e-15 and mass.passed
+    jensen = checks["laminate.jensen"]
+    assert jensen.value == pytest.approx(2 * mu * e ** 2, rel=1e-3) and not jensen.passed
