@@ -69,8 +69,11 @@ CHECK_REGISTRY = {
     "stoch.conformality": "transform rows stay orthogonal with equal norms",
     "stoch.subordination": "transform rows stay dominated pathwise",
     "stoch.conditioning": "bridges pinned at the bin centers match their scheme's exact mean",
-    "stoch.plain-constant": "moment ratio under p*-1",
-    "stoch.conformal-constant": "moment ratio under sqrt(p(p-1)/2)",
+    "stoch.plain-constant": "moment ratio under p*-1; loose, since the bound is exact "
+                            "for the discrete sums but the random surfaces are far from extremal",
+    "stoch.conformal-constant": "moment ratio under sqrt(p(p-1)/2); loose, since the bound is "
+                                "exact for the discrete sums but the random surfaces are far "
+                                "from extremal",
     "qc.beltrami": "sampled dilatation matches (K-1)/(K+1)",
     "qc.distortion-slope": "area distortion exponent equals 1/K",
     "qc.sobolev-boundary": "integrability threshold sits at 1 + k",

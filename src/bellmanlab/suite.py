@@ -502,11 +502,13 @@ def conditioning_checks(paths, bins, steps, seed):
 
 
 def constant_checks(p, trials, seed):
-    """The moment ratios under p* - 1 = p - 1 (p > 2) and sqrt(p(p-1)/2)."""
+    """The moment ratios under p* - 1 = p - 1 (p > 2) and sqrt(p(p-1)/2);
+    the details name the study's step count."""
     rep = stochastic.subordination_constants_mc(p, trials, seed=seed)
-    observed = f"observed {rep['ratio_conformal']:.3f} vs sqrt({p * (p - 1) / 2:g})"
+    grid = f"steps={rep['steps']}"
+    observed = f"observed {rep['ratio_conformal']:.3f} vs sqrt({p * (p - 1) / 2:g}), {grid}"
     return [
-        CheckResult("stoch.plain-constant", rep["ratio_plain"], p - 1.0, 0.0),
+        CheckResult("stoch.plain-constant", rep["ratio_plain"], p - 1.0, 0.0, detail=grid),
         CheckResult("stoch.conformal-constant", rep["ratio_conformal"],
                     float(np.sqrt(p * (p - 1.0) / 2.0)), 0.0, detail=observed),
     ]

@@ -405,7 +405,8 @@ KNOWN_BAD = {
     "stoch.subordination": ["test_stochastic.py::test_subordination_fails_for_a_scaled_matrix"],
     "stoch.conditioning": [
         "test_stochastic.py::test_conditioning_fails_against_the_wrong_chirality",
-        "test_stochastic.py::test_conditioning_fails_against_a_biased_oracle"],
+        "test_stochastic.py::test_conditioning_fails_against_a_biased_oracle",
+        "test_stochastic.py::test_conditioning_fails_against_a_biased_oracle_at_full_size"],
     "stoch.plain-constant": ["test_stochastic.py::test_constant_checks_gate_at_both_ceilings"],
     "stoch.conformal-constant": [
         "test_stochastic.py::test_constant_checks_gate_at_both_ceilings"],

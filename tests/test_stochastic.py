@@ -445,16 +445,21 @@ def test_conditioning_matches_oracle_small():
     assert check.passed and 0.8 <= check.value <= 1.2, check.value
 
 
+def score_against(monkeypatch, oracle_of):
+    """Make the conditioning study return oracle_of(result) as its oracle."""
+    study = st.ab_by_conditioning
+
+    def patched(*args, **kwargs):
+        res = study(*args, **kwargs)
+        return replace(res, oracle=oracle_of(res))
+
+    monkeypatch.setattr(st, "ab_by_conditioning", patched)
+
+
 def test_conditioning_fails_against_the_wrong_chirality(monkeypatch):
     # the matrix-A martingale represents the conjugate multiplier: scored
     # against the other chirality, most bins disagree
-    study = st.ab_by_conditioning
-
-    def wrong(*args, **kwargs):
-        res = study(*args, **kwargs)
-        return replace(res, oracle=np.conj(res.oracle))
-
-    monkeypatch.setattr(st, "ab_by_conditioning", wrong)
+    score_against(monkeypatch, lambda res: np.conj(res.oracle))
     assert not fast_conditioning(1).passed
 
 
@@ -464,14 +469,18 @@ def test_conditioning_fails_against_a_biased_oracle(monkeypatch, oracle, seed):
     # the fast tier's 50 steps against the oracle scaled by 1.10 read mean
     # z^2 1.96-2.11, and against conj_ab, the limit of the scheme, 3.13-3.26
     # (seeds 1 and 5), over the target 1.3125
-    study = st.ab_by_conditioning
-
-    def biased(*args, **kwargs):
-        res = study(*args, **kwargs)
-        return replace(res, oracle=1.10 * res.oracle if oracle == "scaled" else res.limit)
-
-    monkeypatch.setattr(st, "ab_by_conditioning", biased)
+    score_against(monkeypatch, lambda res: 1.10 * res.oracle if oracle == "scaled"
+                  else res.limit)
     check = fast_conditioning(seed)
+    assert not check.passed, check.value
+
+
+def test_conditioning_fails_against_a_biased_oracle_at_full_size(monkeypatch):
+    # the full tier's 231 paths per bin, 24 bins and 320 steps at criterion
+    # 8's seed read mean z^2 0.986 against the oracle, and 1.846 against the
+    # oracle scaled by 1.05, over the target 1 + 5/24
+    score_against(monkeypatch, lambda res: 1.05 * res.oracle)
+    [check] = conditioning_checks(paths=231, bins=24, steps=320, seed=8)
     assert not check.passed, check.value
 
 
@@ -596,7 +605,7 @@ def test_constant_checks_gate_at_both_ceilings(monkeypatch, scale, passed):
     # ratios 1% above p - 1 and sqrt(p(p-1)/2) fail, 1% below pass
     monkeypatch.setattr(st, "subordination_constants_mc", lambda p, trials, seed=0: {
         "ratio_plain": scale * (p - 1.0),
-        "ratio_conformal": scale * np.sqrt(p * (p - 1.0) / 2.0)})
+        "ratio_conformal": scale * np.sqrt(p * (p - 1.0) / 2.0), "steps": 50})
     checks = constant_checks(4.0, trials=10, seed=0)
     assert [(c.check_id, c.passed) for c in checks] == [
         ("stoch.plain-constant", passed), ("stoch.conformal-constant", passed)]
@@ -606,3 +615,45 @@ def test_constants_stationary_in_horizon():
     a = st.subordination_constants_mc(4.0, trials=1500, seed=17, T=8.0)
     b = st.subordination_constants_mc(4.0, trials=1500, seed=17, T=16.0)
     assert abs(a["ratio_conformal"] - b["ratio_conformal"]) < 0.2
+    assert abs(a["ratio_plain"] - b["ratio_plain"]) < 0.2
+
+
+def test_constants_study_draws_fifty_steps_per_surface(monkeypatch):
+    # six surfaces, one 50-step pass of (trials, 2) normals each: the
+    # ceilings are exact for the discrete sums, so a finer grid buys
+    # nothing the checks read
+    increments = st.BrownianDriver.increments
+    drawn = []
+
+    def counted(self, paths, batch=0):
+        for inc in increments(self, paths, batch):
+            drawn.append(inc.size)
+            yield inc
+
+    monkeypatch.setattr(st.BrownianDriver, "increments", counted)
+    trials = 10
+    assert st.subordination_constants_mc(4.0, trials, seed=1)["steps"] == 50
+    assert sum(drawn) == 6 * 50 * trials * 2
+
+
+def test_euler_sum_is_a_martingale_at_fifty_steps():
+    # X_N sums grad u at the left end of each step against dW, an Ito
+    # integral of a simple predictable process, so E X_N = u(T, 0) exactly
+    # at any N; each part reads z 0.63 and 0.90 here.  The same sum with
+    # the gradient at the right end anticipates dW: z -65 and -18
+    surf = st.GaussianMix.random(np.random.default_rng(1), 3)
+    T, paths = 8.0, 4000
+    driver = st.BrownianDriver(2, T, 50, seed=1)
+    u0 = surf.value(T, np.zeros((1, 2)))[0]
+    X, _ = st.simulate(surf, driver, paths, matrices=st.A_STAR[None])
+    W = np.zeros((paths, 2))
+    right = np.full(paths, u0)
+    for t, dW in zip(driver.times()[1:], driver.increments(paths)):
+        W += dW
+        grad = surf.gradient(T - t, W)
+        right += grad[:, 0] * dW[:, 0] + grad[:, 1] * dW[:, 1]
+    z = lambda sums: [float((np.mean(part(sums)) - part(u0))
+                            / (np.std(part(sums)) / np.sqrt(paths)))
+                      for part in (np.real, np.imag)]
+    assert max(map(abs, z(X))) <= 3.0, z(X)
+    assert max(map(abs, z(right))) > 10.0, z(right)
