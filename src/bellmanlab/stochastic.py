@@ -23,6 +23,11 @@ per-level state, and the conditioning study turns the engine's
 increments into Brownian bridges pinned at each bin center, so it
 conditions on the endpoint W_T directly.
 
+Every study has an exact value for its discrete scheme at any step
+count, so the grids stay coarse: the fast tier runs the 1-d study on 25
+steps, and the suite's step-ladder sweep runs N = 4, 8, ..., 64 against
+`strong_error_oracle`, the Ito-isometry value of its mean squared gap.
+
 Each study of a seed draws its own streams, once, and names them itself:
 0 the 1-d study (the Riemann sums, the isometry and the product of the
 sin w and w integrals in one pass), 3 its W_a for a > 0, 6 the
@@ -235,12 +240,14 @@ A_STAR = np.array([[1.0, 1.0j], [1.0j, -1.0]])
 
 
 def terminal_gap_sweep(surface, T: float, steps_list, paths: int, seed: int = 0):
-    """RMS of |X(T) - f(W_T)| across a ladder of step counts, all ladder
-    levels driven by aggregated copies of the same finest increments of
-    stream 6 (so the sweep isolates the time-discretization error).
-    Expected decay is order 1/2 in dt.  The levels advance together in one
-    pass over the finest increments; each keeps only its own (X, W) and
-    the sum of the fine increments in its current coarse step."""
+    """Mean and per-path standard deviation of |X_N - f(W_T)|^2 for each
+    step count N of a ladder, in increasing N, all ladder levels driven by
+    aggregated copies of the same finest increments of stream 6 (so the
+    sweep isolates the time-discretization error).  For the centred bump
+    `strong_error_oracle` gives the exact mean.  The levels advance
+    together in one pass over the finest increments; each keeps only its
+    own (X, W) and the sum of the fine increments in its current coarse
+    step."""
     steps_list = sorted(int(s) for s in steps_list)
     finest = steps_list[-1]
     for s in steps_list:
@@ -263,9 +270,39 @@ def terminal_gap_sweep(surface, T: float, steps_list, paths: int, seed: int = 0)
             W[lvl] += dW
             dW[:] = 0.0
     # the finest level's W is the sum of every increment: W_T
-    sq = np.sum(np.abs(X - surface.value(0.0, W[-1])) ** 2, axis=1)
-    return [(T / s, float(np.sqrt(sq[lvl] / paths)))
-            for lvl, s in enumerate(steps_list)]
+    sq = np.abs(X - surface.value(0.0, W[-1])) ** 2
+    return [(float(m), float(sd)) for m, sd in zip(sq.mean(axis=1), sq.std(axis=1))]
+
+
+def _bump_gradient_gram(sigma2: float, T: float, t, s):
+    """G(t, s) = E[grad u(T - t, W_t) . grad u(T - s, W_s)] for the centred
+    unit bump, t <= s.  The two axes are independent Gaussian pairs of
+    covariance [[t, t], [t, s]], which gives
+    G = 2 sigma2^2 t / (S1^2 S2^2 d^2) with S1 = sigma2 + T - t,
+    S2 = sigma2 + T - s and d = 1 + t/S1 + s/S2 + t(s - t)/(S1 S2)."""
+    s1, s2 = sigma2 + T - t, sigma2 + T - s
+    d = 1.0 + t / s1 + s / s2 + t * (s - t) / (s1 * s2)
+    return 2.0 * sigma2 ** 2 * t / (s1 ** 2 * s2 ** 2 * d ** 2)
+
+
+def strong_error_oracle(sigma2: float, T: float, steps: int) -> float:
+    """E|X_N - f(W_T)|^2 for `terminal_gap_sweep` on the centred unit bump
+    u(tau, x) = (sigma2 / S) exp(-|x|^2 / (2S)), S = sigma2 + tau, with N
+    equal steps t_i = iT/N.
+
+    f(W_T) = u(T, 0) + int_0^T grad u(T - s, W_s) . dW_s and X_N freezes
+    the integrand at t_i on each step, so by the Ito isometry the gap's
+    second moment is sum_i int_{t_i}^{t_{i+1}} [G(t_i, t_i) - 2 G(t_i, s)
+    + G(s, s)] ds with G from `_bump_gradient_gram`.  Each step's integral
+    is an 8-point Gauss-Legendre rule; at sigma2 = 0.8, T = 4 it agrees
+    with 16 points to 2e-10 relative at N = 4 and to 1e-13 from N = 8."""
+    h = T / steps
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    t = (np.arange(steps) * h)[:, None]
+    s = t + 0.5 * h * (nodes + 1.0)
+    gram = lambda a, b: _bump_gradient_gram(sigma2, T, a, b)
+    gap = gram(t, t) - 2.0 * gram(t, s) + gram(s, s)
+    return float(np.sum(gap @ weights) * 0.5 * h)
 
 
 def transform_residuals(surface: GaussianMix, driver: BrownianDriver, paths: int):

@@ -461,18 +461,26 @@ def _unit_interval_checks(demo, steps, paths):
     ]
 
 
+def _terminal_order_check(paths, seed):
+    """The step-ladder sweep on the centred bump (sigma^2 = 0.8, T = 4):
+    each rung's mean |X_N - f(W_T)|^2 against its exact value
+    (`stochastic.strong_error_oracle`), and the largest |z| over the rungs
+    must stay under Z.  The detail carries the oracle's own strong order,
+    the slope of its log RMS against log dt over the ladder."""
+    ladder = (4, 8, 16, 32, 64)
+    surf = stochastic.GaussianMix.single(sigma2=0.8)
+    sweep = stochastic.terminal_gap_sweep(surf, 4.0, ladder, paths, seed=seed)
+    exact = [stochastic.strong_error_oracle(0.8, 4.0, n) for n in ladder]
+    z = max(abs(mean - e) / (sd / np.sqrt(paths)) for (mean, sd), e in zip(sweep, exact))
+    order = float(np.polyfit(np.log(4.0 / np.array(ladder)), 0.5 * np.log(exact), 1)[0])
+    return CheckResult("stoch.terminal-order", z, Z, 0.0,
+                       detail=f"max |z| over N=4..64, exact order {order:.3f}")
+
+
 def _path_checks(steps, paths, seed):
     out = _unit_interval_checks(
         stochastic.riemann_gap_demo(0.0, 1.0, steps, paths, seed=seed), steps, paths)
-
-    surf = stochastic.GaussianMix.single(sigma2=0.8)
-    sweep = stochastic.terminal_gap_sweep(surf, 4.0, [16, 32, 64, 128, 256],
-                                          max(4096, paths // 40), seed=seed)
-    dts = np.log([d for d, _ in sweep])
-    rms = np.log([r for _, r in sweep])
-    order = float(np.polyfit(dts, rms, 1)[0])
-    out.append(CheckResult("stoch.terminal-order", -order, -0.45, 0.0,
-                           detail=f"observed order {order:.3f}"))
+    out.append(_terminal_order_check(max(4096, paths // 40), seed))
 
     drv_pl = stochastic.BrownianDriver(2, 4.0, 64, seed=seed)
     res = stochastic.transform_residuals(
@@ -615,7 +623,7 @@ def tier_params(tier: str) -> dict:
             "planar-ap": {"n": 128},
             "planar-ascent": {"n": 64, "iters": 150},
             "laminate": {},
-            "stoch-core": {"paths": 20_000, "steps": 100},
+            "stoch-core": {"paths": 20_000, "steps": 25},
             "stoch-conditioning": {"paths": 78, "bins": 16, "steps": 50},
             "stoch-constants": {"trials": 2000},
             "qc": {"K_list": [2.0], "n": 128},

@@ -399,7 +399,9 @@ KNOWN_BAD = {
     "stoch.product": [
         "test_stochastic.py::test_one_d_checks_gate_at_three_standard_errors",
         "test_stochastic.py::test_product_fails_on_anticipating_sums"],
-    "stoch.terminal-order": ["test_stochastic.py::test_terminal_order_fails_at_order_three_tenths"],
+    "stoch.terminal-order": [
+        "test_stochastic.py::test_terminal_order_fails_on_a_late_gradient_time",
+        "test_stochastic.py::test_terminal_order_fails_on_the_post_step_gradient"],
     "stoch.conformality": [
         "test_stochastic.py::test_conformality_fails_for_a_non_conformal_matrix"],
     "stoch.subordination": ["test_stochastic.py::test_subordination_fails_for_a_scaled_matrix"],

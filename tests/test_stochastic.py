@@ -7,8 +7,9 @@ import pytest
 from bellmanlab import planar as pl
 from bellmanlab import stochastic as st
 from bellmanlab.suite import (_half_width, _left_point_means, _path_checks,
-                             _sum_checks, _unit_interval_checks, conditioning_checks,
-                             constant_checks, run_experiment, tier_params)
+                             _sum_checks, _terminal_order_check, _unit_interval_checks,
+                             conditioning_checks, constant_checks, run_experiment,
+                             tier_params)
 from memtrace import traced
 
 
@@ -243,26 +244,56 @@ def test_martingale_mean_is_initial_value():
     assert gap <= 3.0 * np.std(X.real) / np.sqrt(20000) + 1e-12
 
 
+LADDER = [4, 8, 16, 32, 64]
+
+
 def test_terminal_gap_strong_order():
+    # every rung's mean squared gap sits within 3 standard errors of its
+    # exact value, and the sampled RMS decays at the exact order, 0.431
     surf = st.GaussianMix.single(sigma2=0.8)
-    sweep = st.terminal_gap_sweep(surf, 4.0, [16, 32, 64, 128, 256], 3000, seed=8)
-    dts = np.log([d for d, _ in sweep])
-    rms = np.log([r for _, r in sweep])
-    order = np.polyfit(dts, rms, 1)[0]
-    assert order >= 0.45
+    sweep = st.terminal_gap_sweep(surf, 4.0, LADDER, 3000, seed=8)
+    for (mean, sd), n in zip(sweep, LADDER):
+        assert abs(mean - st.strong_error_oracle(0.8, 4.0, n)) <= 3.0 * sd / np.sqrt(3000)
+    order = np.polyfit(np.log(4.0 / np.array(LADDER)),
+                       0.5 * np.log([mean for mean, _ in sweep]), 1)[0]
+    assert order == pytest.approx(0.431, abs=0.01)
 
 
 def test_terminal_order_holds_across_seeds():
-    # the suite's sweep, max(4096, paths // 40) coupled paths on stream 6,
-    # at seeds 1-30
-    surf = st.GaussianMix.single(sigma2=0.8)
-    orders = []
+    # the suite's gate on max(4096, paths // 40) coupled paths of stream 6;
+    # seeds 1-40 read max |z| 2.55 against Z = 3
     for seed in range(1, 31):
-        sweep = st.terminal_gap_sweep(surf, 4.0, [16, 32, 64, 128, 256], 4096,
-                                      seed=seed)
-        orders.append(np.polyfit(np.log([d for d, _ in sweep]),
-                                 np.log([r for _, r in sweep]), 1)[0])
-    assert min(orders) >= 0.45, orders
+        check = _terminal_order_check(4096, seed)
+        assert check.passed, (seed, check.value)
+
+
+def test_bump_gradient_gram_on_the_diagonal():
+    # G(t, t) = E|grad u(T - t, W_t)|^2 = 2 sigma^4 t / (S^4 (1 + 2t/S)^2)
+    t = np.linspace(0.0, 4.0, 9)
+    S = 0.8 + 4.0 - t
+    assert np.allclose(st._bump_gradient_gram(0.8, 4.0, t, t),
+                       2.0 * 0.8 ** 2 * t / (S ** 4 * (1.0 + 2.0 * t / S) ** 2),
+                       rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_strong_error_oracle_matches_monte_carlo(seed):
+    surf = st.GaussianMix.single(sigma2=0.8)
+    sweep = st.terminal_gap_sweep(surf, 4.0, [4, 16], 50_000, seed=seed)
+    for (mean, sd), n in zip(sweep, [4, 16]):
+        assert abs(mean - st.strong_error_oracle(0.8, 4.0, n)) <= 3.0 * sd / np.sqrt(50_000)
+
+
+def test_strong_error_oracle_settles_at_order_one_half():
+    # N E|X_N - f(W_T)|^2 tends to a constant, so the RMS falls as dt^(1/2)
+    assert 256 * st.strong_error_oracle(0.8, 4.0, 256) == pytest.approx(0.2053, abs=5e-5)
+    assert 16_384 * st.strong_error_oracle(0.8, 4.0, 16_384) == pytest.approx(0.2066, abs=5e-5)
+    # on the 16-256 ladder the exact order is the 0.482 mean of the orders
+    # that seeds 1-40 observed there
+    old = np.array([16, 32, 64, 128, 256])
+    exact = [st.strong_error_oracle(0.8, 4.0, n) for n in old]
+    assert np.polyfit(np.log(4.0 / old), 0.5 * np.log(exact), 1)[0] == pytest.approx(
+        0.4825, abs=5e-5)
 
 
 def test_gradient_and_dbar_closed_forms():
@@ -375,7 +406,8 @@ def test_one_d_checks_gate_at_three_standard_errors(monkeypatch, k, passed):
 
 def test_one_d_checks_false_failure_rate():
     # each of the four Z = 3 gates fails a correct run at 0.27%; at the fast
-    # tier's 100 steps and 20,000 paths, seeds 1-40 read max |z| 2.27
+    # tier's 25 steps and 20,000 paths, seeds 1-40 read max |z| 2.74 over
+    # the four checks (2.27 at 100 steps)
     prm = tier_params("fast")["stoch-core"]
     one_d = ("stoch.riemann-gap", "stoch.variance", "stoch.isometry", "stoch.product")
     for seed in range(1, 21):
@@ -384,10 +416,11 @@ def test_one_d_checks_false_failure_rate():
         assert [c.check_id for c in checks if c.passed] == list(one_d), seed
 
 
-@pytest.mark.parametrize("steps", [100, 400])
+@pytest.mark.parametrize("steps", [25, 100, 400])
 def test_product_fails_on_anticipating_sums(monkeypatch, steps):
     # sin w(t_i) in place of sin w(t_{i-1}) in F: the sum is no longer
-    # adapted, and z reads -12.6 to -15.7 at 100 and 400 steps (seeds 1-3)
+    # adapted, and z reads -15.7 to -17.8 at 25 steps and -12.6 to -15.7 at
+    # 100 and 400 steps (seeds 1-3)
     study = st.riemann_gap_demo
 
     def anticipating(a, b, steps, paths, seed=0):
@@ -407,13 +440,48 @@ def test_product_fails_on_anticipating_sums(monkeypatch, steps):
     assert checks["stoch.isometry"].passed and checks["stoch.variance"].passed
 
 
-def test_terminal_order_fails_at_order_three_tenths(monkeypatch):
-    # an RMS ladder that decays like dt^0.3, short of the gated order 0.45
-    monkeypatch.setattr(st, "terminal_gap_sweep", lambda surface, T, steps_list, paths,
-                        seed=0: [(T / n, 0.1 * (T / n) ** 0.3) for n in steps_list])
-    [check] = [c for c in _path_checks(steps=32, paths=256, seed=1)
+def faulty_sweep(fault):
+    """`terminal_gap_sweep` with the gradient of step i read at time
+    T - t_{i+1} ("late-time") or at the post-step W ("post-step")."""
+    def sweep(surface, T, steps_list, paths, seed=0):
+        finest = max(steps_list)
+        fine = np.stack(list(st.BrownianDriver(2, T, finest, seed=seed).increments(
+            paths, batch=6)))
+        out = []
+        for n in sorted(steps_list):
+            X = surface.value(T, np.zeros((1, 2)))[0]
+            W = np.zeros((paths, 2))
+            for i, dW in enumerate(fine.reshape(n, finest // n, paths, 2).sum(axis=1)):
+                if fault == "post-step":
+                    W = W + dW
+                grad = surface.gradient(T - (i + (fault == "late-time")) * T / n, W)
+                X = X + grad[:, 0] * dW[:, 0] + grad[:, 1] * dW[:, 1]
+                if fault != "post-step":
+                    W = W + dW
+            sq = np.abs(X - surface.value(0.0, W)) ** 2
+            out.append((float(sq.mean()), float(sq.std())))
+        return out
+    return sweep
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+def test_terminal_order_fails_on_a_late_gradient_time(monkeypatch, seed):
+    # the integrand of step i read at T - t_{i+1}: z reads 13.0-13.3 at N = 4
+    monkeypatch.setattr(st, "terminal_gap_sweep", faulty_sweep("late-time"))
+    [check] = [c for c in _path_checks(steps=32, paths=256, seed=seed)
                if c.check_id == "stoch.terminal-order"]
-    assert check.value == pytest.approx(-0.3) and not check.passed
+    assert not check.passed and check.value > 12.0
+
+
+def test_terminal_order_fails_on_the_post_step_gradient(monkeypatch):
+    # the integrand read at W_{t_{i+1}} anticipates the increment: z reads
+    # 20-33 on every rung
+    monkeypatch.setattr(st, "terminal_gap_sweep", faulty_sweep("post-step"))
+    sweep = st.terminal_gap_sweep(st.GaussianMix.single(sigma2=0.8), 4.0, LADDER, 4096,
+                                  seed=1)
+    for (mean, sd), n in zip(sweep, LADDER):
+        assert (mean - st.strong_error_oracle(0.8, 4.0, n)) / (sd / np.sqrt(4096)) > 15.0
+    assert not _terminal_order_check(4096, 1).passed
 
 
 def test_subordination_fails_for_a_scaled_matrix(monkeypatch):
