@@ -35,7 +35,7 @@ print(f"E sum sin w dw sum w dw = {demo['EFS1']:+.4f} +- {half['EFS1']:.4f}  "
 print("\n== heat martingales reach their boundary data ==")
 surf = st.GaussianMix.single(sigma2=0.8)
 ladder = [4, 8, 16, 32, 64]
-for n, (mean, sd) in zip(ladder, st.terminal_gap_sweep(surf, 4.0, ladder, 4000, seed=2)):
+for n, (mean, sd, _) in zip(ladder, st.terminal_gap_sweep(surf, 4.0, ladder, 4000, seed=2)):
     exact = st.strong_error_oracle(0.8, 4.0, n)
     print(f"  N = {n:3d}: mean squared terminal gap {mean:.5f} +- {3 * sd / np.sqrt(4000):.5f}"
           f"  (exact {exact:.5f}, N x exact = {n * exact:.4f})")

@@ -80,17 +80,17 @@ def _chunks(samples: int):
     return [slice(i, i + _CHUNK) for i in range(0, samples, _CHUNK)]
 
 
-def zigzag_check(fn, samples: int, seed: int = 0, box: float = 10.0) -> float:
+def zigzag_check(fn, samples: int, seed: int = 0) -> float:
     """Worst (relative) f(x,y) - (f(x+a, y+-a) + f(x-a, y-+a))/2 over random
-    points, with steps a uniform in (0, 1].
+    points of the box [-10, 10]^2, with steps a uniform in (0, 1].
 
     For a zigzag concave f both variants are >= 0; the returned margin is
     the minimum over samples and both variants, each normalized by its
     stencil magnitude.
     """
     rng = np.random.default_rng(seed)
-    x = rng.uniform(-box, box, samples)
-    y = rng.uniform(-box, box, samples)
+    x = rng.uniform(-10.0, 10.0, samples)
+    y = rng.uniform(-10.0, 10.0, samples)
     a = rng.uniform(0.0, 1.0, samples) + 1e-12
     worst = np.inf
     for s in _chunks(samples):
@@ -104,16 +104,16 @@ def zigzag_check(fn, samples: int, seed: int = 0, box: float = 10.0) -> float:
     return float(worst)
 
 
-def majorant_check(variant: str, p: float, samples: int, seed: int = 0,
-                   box: float = 10.0) -> float:
-    """Worst (relative) gap of candidate >= |y|^p - (p*-1)^p |x|^p.
+def majorant_check(variant: str, p: float, samples: int, seed: int = 0) -> float:
+    """Worst (relative) gap of candidate >= |y|^p - (p*-1)^p |x|^p over
+    random points of the box [-10, 10]^2.
 
     The candidate carries gamma_p, which is exactly the normalization under
     which the majorization holds; the gap vanishes on |y| = (p*-1)|x|.
     """
     rng = np.random.default_rng(seed)
-    x = rng.uniform(-box, box, samples)
-    y = rng.uniform(-box, box, samples)
+    x = rng.uniform(-10.0, 10.0, samples)
+    y = rng.uniform(-10.0, 10.0, samples)
     worst = np.inf
     for s in _chunks(samples):
         h = _obstacle(x[s], y[s], p, p_star(p) - 1.0)

@@ -83,12 +83,10 @@ def grid_coordinates(n: int, box: float):
     return np.meshgrid(x, x, indexing="ij")
 
 
-def gaussian_bump(n: int, box: float, sigma: float = 1.0, center=(0.0, 0.0),
-                  amplitude: float = 1.0) -> GridField:
+def gaussian_bump(n: int, box: float, sigma: float = 1.0, center=(0.0, 0.0)) -> GridField:
     X, Y = grid_coordinates(n, box)
     cx, cy = center
-    return GridField(
-        box, amplitude * np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2 * sigma ** 2)))
+    return GridField(box, np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2 * sigma ** 2)))
 
 
 def _freq_axes(n: int, box: float):
@@ -133,12 +131,6 @@ def riesz_diff_multiplier() -> Callable:
     return lambda k1, k2: _safe_ratio(k1 ** 2 - k2 ** 2, k1 ** 2 + k2 ** 2)
 
 
-def _fft2(a, out: np.ndarray) -> np.ndarray:
-    """The 2-d FFT of a, written into the complex array out (which may be
-    a itself) and returned; both passes run in out."""
-    return np.fft.fft2(a, out=out)
-
-
 def _ifft2(a, out: np.ndarray) -> np.ndarray:
     """The inverse 2-d FFT of a, written into out (which may be a itself)
     and returned.  numpy's ifft2 ignores its out= and makes two arrays of
@@ -159,7 +151,7 @@ def apply_multiplier(mult: Callable, f: GridField) -> GridField:
     spectrum in place; so row r of the symbol must depend only on k1[r]
     and k2, and no N x N symbol is ever held."""
     k1, k2 = _freq_axes(f.n, f.box)
-    spec = _fft2(f.values, np.empty_like(f.values))
+    spec = np.fft.fft2(f.values, out=np.empty_like(f.values))
     for r in range(0, f.n, _ROW_BLOCK):
         rows = spec[r:r + _ROW_BLOCK]
         # the symbol stays the first operand: a complex product under FMA
@@ -242,8 +234,8 @@ def identity_1_13_check(phi: GridField, psi: GridField, tmax: float,
         raise ValueError(f"need tmax > t_min = (L/N)^2 = {tmin:g}, got {tmax:g}")
     dA = phi.cell_area
     k1, k2 = _freq_axes(n, box)
-    P = _fft2(phi.values, np.empty_like(phi.values))
-    S = _fft2(psi.values, np.empty_like(psi.values))
+    P = np.fft.fft2(phi.values, out=np.empty_like(phi.values))
+    S = np.fft.fft2(psi.values, out=np.empty_like(psi.values))
     # two fields rewritten at each t: the heat-extended x1-derivatives
     d1p, d1s = np.empty_like(P), np.empty_like(S)
     _ifft2(np.multiply(riesz_sq_multiplier(1)(k1, k2), P, out=d1p), d1p)
@@ -321,8 +313,8 @@ def _sup_characteristic(w: PlanarWeight, kernels, stride: int) -> float:
     real(ifft2(spectrum * K)) / mass of w and its dual for each (K, mass)
     in `kernels`, sampled on a stride-subgrid.  w and its dual are
     transformed once for all kernels."""
-    W = _fft2(w.values, np.empty(w.values.shape, complex))
-    D = _fft2(w.values ** (-1.0 / (w.p - 1.0)), np.empty_like(W))
+    W = np.fft.fft2(w.values, out=np.empty(w.values.shape, complex))
+    D = np.fft.fft2(w.values ** (-1.0 / (w.p - 1.0)), out=np.empty_like(W))
     bw, bd = np.empty_like(W), np.empty_like(D)  # the averages, per kernel
     best = 1.0
     for K, mass in kernels:
@@ -371,13 +363,13 @@ def norm_ratio_ascent(op: Callable, p: float, n: int, iters: int,
     by `ascent.power_ascent` from a complex Gaussian field; the ratio is a
     certified lower bound for the discretized operator norm."""
     m = op(*_freq_axes(n, 1.0))
-    madj = np.conj(m)
     rng = np.random.default_rng(seed)
     f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    res = power_ascent(
-        f, p, iters,
-        apply=lambda _, v, out: _ifft2(np.multiply(m, _fft2(v, out), out=out), out),
-        adjoint=lambda _, u, out: _ifft2(np.multiply(madj, _fft2(u, out), out=out), out))
+
+    def through(symbol):  # ifft2(symbol fft2(v)), both transforms run in out
+        return lambda _, v, out: _ifft2(np.multiply(symbol, np.fft.fft2(v, out=out), out=out), out)
+
+    res = power_ascent(f, p, iters, apply=through(m), adjoint=through(np.conj(m)))
     return res._replace(witness=GridField(1.0, res.witness))
 
 

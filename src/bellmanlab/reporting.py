@@ -70,7 +70,7 @@ CHECK_REGISTRY = {
     "stoch.isometry": "left-point sum's second moment equals its exact mean (N-1)/(2N)",
     "stoch.product": "sin w and w integrals' product averages sum t e^(-t/2) dt",
     "stoch.terminal-order": "each rung's mean squared terminal gap matches its exact "
-                            "Ito-isometry value within 3 sigma",
+                            "Ito-isometry value within 3 skew-corrected sigma",
     "stoch.conformality": "transform rows stay orthogonal with equal norms",
     "stoch.subordination": "transform rows stay dominated pathwise",
     "stoch.conditioning": "bridges pinned at the bin centers match their scheme's exact mean",
@@ -113,7 +113,6 @@ class RunReport:
     config: dict
     entries: list = field(default_factory=list)
     wall_time: float = 0.0
-    version: str = __version__
 
     def extend(self, results):
         self.entries.extend(results)
@@ -143,7 +142,7 @@ class RunReport:
     def to_json(self) -> str:
         return json.dumps(
             {**self.canonical_payload(),
-             "wall_time_s": self.wall_time, "version": self.version},
+             "wall_time_s": self.wall_time, "version": __version__},
             sort_keys=True, indent=2, allow_nan=True)
 
     def to_csv(self) -> str:

@@ -72,10 +72,8 @@ def test_criterion_03_zigzag_hessian_suite():
     for p in (2.0, 2.5, 3.0, 5.0, 8.0):
         for variant in ("phi", "phi0"):
             worst_zz = min(worst_zz, bm.zigzag_check(
-                lambda x, y, p=p, v=variant: bm.eval_phi(x, y, p, v),
-                samples, seed=0, box=10.0))
-        worst_maj = min(worst_maj, bm.majorant_check("phi", p, samples, seed=0,
-                                                     box=10.0))
+                lambda x, y, p=p, v=variant: bm.eval_phi(x, y, p, v), samples, seed=0))
+        worst_maj = min(worst_maj, bm.majorant_check("phi", p, samples, seed=0))
         worst_sec = max(worst_sec, bm.h_section_inequality(p))
     rng = np.random.default_rng(1)
     orders = []

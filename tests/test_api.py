@@ -1,12 +1,14 @@
 """The public surface.  A leading underscore is the only privacy marker,
-and two rules hold over src/bellmanlab:
+and three rules hold over src/bellmanlab:
 
 - every public name (a top-level def, class or assignment target without
   a leading underscore) has a user in src/, demos/, perfbench/ or
   README.md besides its own definition;
-- no module reads an underscore name of another module.
+- no module reads an underscore name of another module;
+- every defaulted parameter of a public function or method gets a value
+  other than its default from some call, so no option has only one value.
 
-A third keeps each run parameter in one place: `suite.tier_params` holds
+A fourth keeps each run parameter in one place: `suite.tier_params` holds
 only the values that the tiers set differently.
 """
 
@@ -28,10 +30,27 @@ from bellmanlab import suite
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(bellmanlab.__file__).resolve().parent
 SOURCES = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-OTHERS = [p.read_text() for p in [
-    *sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py")),
-    ROOT / "README.md"]]
+SCRIPTS = [*sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+OTHERS = [p.read_text() for p in [*SCRIPTS, ROOT / "README.md"]]
 TIERS = ("fast", "full")
+
+
+def python_blocks(markdown):
+    """The fenced blocks of `markdown` that parse as Python."""
+    blocks = []
+    for block in re.findall(r"```[a-z]*\n(.*?)```", markdown, re.S):
+        try:
+            ast.parse(block)
+        except SyntaxError:
+            continue
+        blocks.append(block)
+    return blocks
+
+
+# the texts whose calls may set a parameter
+CALLERS = [*SOURCES.values(), *(p.read_text() for p in [*SCRIPTS, *TESTS]),
+           *python_blocks((ROOT / "README.md").read_text())]
 
 
 def private(name):
@@ -106,6 +125,109 @@ def shared_parameters(tiers):
             if all(other[experiment].get(key) == value for other in rest)]
 
 
+def defaulted_parameters(sources):
+    """(`module.function.parameter`, function name, parameter, position,
+    default node) for each defaulted parameter of a public top-level
+    function, or of a public method of a public class, in `sources`.  The
+    position counts the positional arguments of a call, so a method's self
+    or cls takes none; it is None for a keyword-only parameter."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef):
+                defs = [(node.name, node, False)]
+            elif isinstance(node, ast.ClassDef) and not private(node.name):
+                defs = [(f"{node.name}.{d.name}", d, not any(
+                    isinstance(x, ast.Name) and x.id == "staticmethod"
+                    for x in d.decorator_list))
+                    for d in node.body if isinstance(d, ast.FunctionDef)]
+            else:
+                continue
+            for label, fn, bound in defs:
+                if fn.name.startswith("_"):
+                    continue
+                args = fn.args
+                positional = args.posonlyargs + args.args
+                tail = positional[len(positional) - len(args.defaults):]
+                pairs = [*((a, d, positional.index(a) - bound)
+                           for a, d in zip(tail, args.defaults)),
+                         *((a, d, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                           if d is not None)]
+                found += [(f"{module}.{label}.{a.arg}", fn.name, a.arg, position, d)
+                          for a, d, position in pairs]
+    return found
+
+
+def literal(node):
+    """(True, value) for a literal node, (False, None) for any other."""
+    try:
+        return True, ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return False, None
+
+
+def callee(call):
+    """The bare name that `call` calls, or None."""
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
+def calls_in(texts):
+    return [n for text in texts for n in ast.walk(ast.parse(text)) if isinstance(n, ast.Call)]
+
+
+def splat_keys(sources, callers):
+    """(function name, parameter) for each parameter that a `**` argument
+    names: a key of the dict(...) of a `cli.OPERATIONS` lambda for its
+    builder, or of the dict(...) that a package function of `sources`
+    returns into the `**` of a call in `callers`."""
+    returned = {}  # package function -> the keys of the dict(...) it returns
+    for node in (n for source in sources.values() for n in ast.walk(ast.parse(source))):
+        if isinstance(node, ast.FunctionDef):
+            returned[node.name] = {
+                k.arg for r in ast.walk(node) if isinstance(r, ast.Return)
+                and isinstance(r.value, ast.Call) and callee(r.value) == "dict"
+                for k in r.value.keywords}
+    keys = set()
+    for node in ast.parse(sources["cli"]).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "OPERATIONS" for t in node.targets):
+            for builder, params in (v.elts for v in node.value.values):
+                keys |= {(builder.attr, k.arg) for k in params.body.keywords}
+    for call in calls_in(callers):
+        for k in call.keywords:
+            if k.arg is None and isinstance(k.value, ast.Call):
+                keys |= {(callee(call), key) for key in returned.get(callee(k.value), ())}
+    return keys
+
+
+def unset_defaults(sources, callers=CALLERS):
+    """`module.function.parameter` for each defaulted parameter of
+    `defaulted_parameters(sources)` that no call in `callers`, and no
+    `**` of `splat_keys`, sets to a value other than its default.  Calls
+    match by bare name; a literal equal to the default does not count."""
+    calls = {}
+    for call in calls_in(callers):
+        calls.setdefault(callee(call), []).append(call)
+    splats = splat_keys(sources, callers)
+
+    def differs(node, default):
+        same, value = literal(node)
+        known, expected = literal(default)
+        return not (same and known and value == expected)
+
+    def sets(call, name, position, default):
+        given = [k.value for k in call.keywords if k.arg == name]
+        if (position is not None and position < len(call.args)
+                and not any(isinstance(a, ast.Starred) for a in call.args[:position + 1])):
+            given.append(call.args[position])
+        return any(differs(v, default) for v in given)
+
+    return [label for label, fn, name, position, default in defaulted_parameters(sources)
+            if (fn, name) not in splats
+            and not any(sets(c, name, position, default) for c in calls.get(fn, []))]
+
+
 def test_import_loads_no_scipy():
     # scipy takes most of a bare import's time and memory; it is a test
     # oracle only, so neither the package nor the CLI may pull it in
@@ -138,6 +260,33 @@ def test_the_audits_fail_on_planted_faults(planted, audit, finding):
     assert audit(sources) == [finding]
 
 
+def test_every_defaulted_parameter_takes_a_second_value():
+    # a parameter that every call leaves at its default is a literal of
+    # its function
+    assert unset_defaults(SOURCES) == []
+
+
+PLANTED_OPTIONS = ("def scaled(x, factor=1.0):\n    return factor * x\n\n\n"
+                   "class Planted:\n    def scale(self, x, factor=2.0):\n"
+                   "        return factor * x\n")
+
+
+@pytest.mark.parametrize("calls, finding", [
+    ("scaled(2.0, 3.0)\nPlanted().scale(1.0, 3.0)\n", []),
+    ("", ["planted.scaled.factor", "planted.Planted.scale.factor"]),
+    # literals equal to the default leave it unset
+    ("scaled(2.0)\nscaled(2.0, 1.0)\nscaled(2.0, factor=1)\nPlanted().scale(1.0, 3.0)\n",
+     ["planted.scaled.factor"]),
+    ("scaled(2.0, factor=k)\nPlanted().scale(1.0, factor=2.0)\n",
+     ["planted.Planted.scale.factor"]),
+    # self takes no positional argument of the call
+    ("scaled(2.0, 3.0)\nPlanted().scale(2.0)\n", ["planted.Planted.scale.factor"]),
+], ids=["both-set", "none-set", "default-literals", "keyword", "self-skipped"])
+def test_the_default_audit_fails_on_a_planted_one_value_option(calls, finding):
+    sources = {**SOURCES, "planted": PLANTED_OPTIONS}
+    assert unset_defaults(sources, [*CALLERS, calls]) == finding
+
+
 def test_every_tier_parameter_differs_between_the_tiers():
     # a value that both tiers set alike is a literal of its experiment
     assert shared_parameters({t: suite.tier_params(t) for t in TIERS}) == []
@@ -153,8 +302,7 @@ def test_the_tier_audit_fails_on_a_planted_shared_value():
 def test_every_dataclass_field_is_read():
     """Every field of a dataclass defined in src/bellmanlab is read as
     `.field` somewhere in src/, demos/, perfbench/, README.md or tests/."""
-    texts = [*SOURCES.values(), *OTHERS,
-             *(p.read_text() for p in sorted((ROOT / "tests").glob("*.py")))]
+    texts = [*SOURCES.values(), *OTHERS, *(p.read_text() for p in TESTS)]
     unread = []
     for path in sorted(PACKAGE.glob("[!_]*.py")):
         module = importlib.import_module(f"bellmanlab.{path.stem}")

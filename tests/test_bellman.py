@@ -54,7 +54,7 @@ def test_zigzag_majorants():
         for variant in ("phi", "phi0"):
             margin = bm.zigzag_check(
                 lambda x, y, p=p, v=variant: bm.eval_phi(x, y, p, v),
-                20000, seed=1, box=5.0)
+                20000, seed=1)
             assert margin >= -1e-9
 
 
@@ -80,8 +80,8 @@ def test_majorant_touches_on_ray():
 
 def test_majorant_sampled():
     for p in (2.5, 3.0, 8.0):
-        assert bm.majorant_check("phi", p, 30000, seed=3, box=10.0) >= -1e-9
-        assert bm.majorant_check("phi0", p, 30000, seed=3, box=10.0) >= -1e-9
+        assert bm.majorant_check("phi", p, 30000, seed=3) >= -1e-9
+        assert bm.majorant_check("phi0", p, 30000, seed=3) >= -1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +323,8 @@ def test_bq_diagonal_direction_strict():
 # name -> (the check at a sample count, the number of drawn input arrays)
 SAMPLING_CHECKS = {
     "zigzag": (lambda samples: bm.zigzag_check(
-        lambda x, y: bm.eval_phi(x, y, 8.0, "phi0"), samples, seed=1, box=10.0), 3),
-    "majorant": (lambda samples: bm.majorant_check("phi", 8.0, samples, seed=1,
-                                                   box=10.0), 2),
+        lambda x, y: bm.eval_phi(x, y, 8.0, "phi0"), samples, seed=1), 3),
+    "majorant": (lambda samples: bm.majorant_check("phi", 8.0, samples, seed=1), 2),
     "power-hessian": (lambda samples: bm.bq_hessian_check(8.0, 0.25, samples, seed=1), 3),
 }
 

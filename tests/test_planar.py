@@ -204,9 +204,8 @@ def test_heat_gaussian_composition():
     g = pl.gaussian_bump(256, 20.0, sigma=np.sqrt(s2))
     out = pl.apply_multiplier(pl.heat_multiplier(t), g)
     s2_new = s2 + t / 2.0
-    pred = pl.gaussian_bump(256, 20.0, sigma=np.sqrt(s2_new),
-                            amplitude=s2 / s2_new)
-    assert np.max(np.abs(out.values - pred.values)) < 1e-8
+    pred = s2 / s2_new * pl.gaussian_bump(256, 20.0, sigma=np.sqrt(s2_new)).values
+    assert np.max(np.abs(out.values - pred)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -307,16 +306,16 @@ def test_ap_heat_constant_and_refinement_monotone():
 def test_ap_heat_transforms_its_fields_once(monkeypatch):
     # w and its dual go forward once; each of the 9 heat times takes one
     # inverse transform per field
-    calls = {"_fft2": 0, "_ifft2": 0}
-    for name in calls:
-        fn = getattr(pl, name)
+    calls = {"fft2": 0, "_ifft2": 0}
+    for owner, name in ((np.fft, "fft2"), (pl, "_ifft2")):
+        fn = getattr(owner, name)
 
         def counting(*args, _fn=fn, _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(pl, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     pl.ap_heat(radial_weight(64, 2.0, 0.5))
-    assert calls == {"_fft2": 2, "_ifft2": 18}
+    assert calls == {"fft2": 2, "_ifft2": 18}
 
 
 def test_ap_two_sided_envelope():

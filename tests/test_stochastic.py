@@ -252,19 +252,34 @@ def test_terminal_gap_strong_order():
     # exact value, and the sampled RMS decays at the exact order, 0.431
     surf = st.GaussianMix.single(sigma2=0.8)
     sweep = st.terminal_gap_sweep(surf, 4.0, LADDER, 3000, seed=8)
-    for (mean, sd), n in zip(sweep, LADDER):
+    for (mean, sd, _), n in zip(sweep, LADDER):
         assert abs(mean - st.strong_error_oracle(0.8, 4.0, n)) <= 3.0 * sd / np.sqrt(3000)
     order = np.polyfit(np.log(4.0 / np.array(LADDER)),
-                       0.5 * np.log([mean for mean, _ in sweep]), 1)[0]
+                       0.5 * np.log([mean for mean, _, _ in sweep]), 1)[0]
     assert order == pytest.approx(0.431, abs=0.01)
 
 
 def test_terminal_order_holds_across_seeds():
     # the suite's gate on max(4096, paths // 40) coupled paths of stream 6;
-    # seeds 1-40 read max |z| 2.55 against Z = 3
+    # seeds 1-40 read max |skew-corrected t| 2.58 against Z = 3
     for seed in range(1, 31):
         check = _terminal_order_check(4096, seed)
         assert check.passed, (seed, check.value)
+
+
+def test_terminal_order_reads_the_skew_corrected_t_on_three_rungs():
+    # the gate is Johnson's t over N = 4, 16, 64, which the five-rung sweep
+    # gives on the same rows (the rungs share increments, not state); at
+    # seed 124 the plain z of those rungs reads 3.07 but the t 2.80
+    rows = st.terminal_gap_sweep(st.GaussianMix.single(sigma2=0.8), 4.0, LADDER, 4096,
+                                 seed=124)[[0, 2, 4]]
+    mean, sd, mu3 = rows.T
+    d = mean - [st.strong_error_oracle(0.8, 4.0, n) for n in (4, 16, 64)]
+    se = sd / np.sqrt(4096)
+    t = (d + mu3 / (6.0 * sd ** 2 * 4096) + mu3 * d ** 2 / (3.0 * sd ** 4)) / se
+    check = _terminal_order_check(4096, 124)
+    assert check.value == pytest.approx(np.max(np.abs(t)), rel=1e-12)
+    assert check.passed and np.max(np.abs(d / se)) > 3.0
 
 
 def test_bump_gradient_gram_on_the_diagonal():
@@ -280,7 +295,7 @@ def test_bump_gradient_gram_on_the_diagonal():
 def test_strong_error_oracle_matches_monte_carlo(seed):
     surf = st.GaussianMix.single(sigma2=0.8)
     sweep = st.terminal_gap_sweep(surf, 4.0, [4, 16], 50_000, seed=seed)
-    for (mean, sd), n in zip(sweep, [4, 16]):
+    for (mean, sd, _), n in zip(sweep, [4, 16]):
         assert abs(mean - st.strong_error_oracle(0.8, 4.0, n)) <= 3.0 * sd / np.sqrt(50_000)
 
 
@@ -459,14 +474,15 @@ def faulty_sweep(fault):
                 if fault != "post-step":
                     W = W + dW
             sq = np.abs(X - surface.value(0.0, W)) ** 2
-            out.append((float(sq.mean()), float(sq.std())))
-        return out
+            out.append((sq.mean(), sq.std(), np.mean((sq - sq.mean()) ** 3)))
+        return np.array(out)
     return sweep
 
 
 @pytest.mark.parametrize("seed", [1, 5])
 def test_terminal_order_fails_on_a_late_gradient_time(monkeypatch, seed):
-    # the integrand of step i read at T - t_{i+1}: z reads 13.0-13.3 at N = 4
+    # the integrand of step i read at T - t_{i+1}: the skew-corrected t
+    # reads 21.0-21.6 at N = 4 (the plain z 13.0-13.3)
     monkeypatch.setattr(st, "terminal_gap_sweep", faulty_sweep("late-time"))
     [check] = [c for c in _path_checks(steps=32, paths=256, seed=seed)
                if c.check_id == "stoch.terminal-order"]
@@ -475,11 +491,11 @@ def test_terminal_order_fails_on_a_late_gradient_time(monkeypatch, seed):
 
 def test_terminal_order_fails_on_the_post_step_gradient(monkeypatch):
     # the integrand read at W_{t_{i+1}} anticipates the increment: z reads
-    # 20-33 on every rung
+    # 20-33 on every rung, and the gate's skew-corrected t 26-48
     monkeypatch.setattr(st, "terminal_gap_sweep", faulty_sweep("post-step"))
     sweep = st.terminal_gap_sweep(st.GaussianMix.single(sigma2=0.8), 4.0, LADDER, 4096,
                                   seed=1)
-    for (mean, sd), n in zip(sweep, LADDER):
+    for (mean, sd, _), n in zip(sweep, LADDER):
         assert (mean - st.strong_error_oracle(0.8, 4.0, n)) / (sd / np.sqrt(4096)) > 15.0
     assert not _terminal_order_check(4096, 1).passed
 
