@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(qc)
 
     su = sub.add_parser("suite")
-    su.add_argument("tier", choices=("fast", "full"))
+    su.add_argument("tier", choices=suite.TIERS)
     su.add_argument("--workers", type=int, default=1)
     su.add_argument("--skip", default="",
                     help="comma-separated experiment names to skip")

@@ -7,10 +7,12 @@ ceiling and constant of a check is here.  The command line runs the same
 builders, so an id means the same check wherever it is reported.  Each
 experiment is a pure function (params, seed) -> [CheckResult] composed of
 builders; the suite runner assembles a RunReport from a named tier
-('fast' or 'full').  Experiments are submitted to the worker threads
-heaviest first, so the long stochastic ones never start last, and their
-results are merged in name order, so reports are deterministic for a
-fixed (tier, seed) regardless of the worker count.
+('fast' or 'full').  `EXPERIMENTS` declares each experiment once: its
+checks, its fast and full values, and, by its place in the table, its
+place in the order of submission to the worker threads, which puts the
+long stochastic ones first so that they never start last.  Results are
+merged in name order, so reports are deterministic for a fixed
+(tier, seed) regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -587,82 +589,58 @@ def _exp_qc(params, seed):
     return out + weight_checks(2.0, 3.9, params["n"])
 
 
+# name -> (checks(params, seed), {parameter: (fast value, full value)}).
+# A value that both tiers would set alike is a literal of its experiment.
+# The table's order is the order in which `run_suite` submits: five long
+# experiments first, so that no worker starts one of them while the others
+# sit idle near the end of a run, then the rest by name.
 EXPERIMENTS = {
-    "dyadic": _exp_dyadic,
-    "bellman-zigzag": _exp_zigzag,
-    "bellman-tau-interp": lambda params, seed: (
-        tau_checks(np.linspace(1.0, 50.0, params["tau_points"]))
-        + interp_checks([2.1, 3.0, 5.0, 10.0, 50.0])),
-    "bellman-feasibility": lambda params, seed: _feasibility_checks(params["p_list"]),
-    "bellman-jn": lambda params, seed: [
-        c for delta in params["deltas"] for c in strip_checks(delta, params["grid"])],
-    "planar-spectral": lambda params, seed: _spectral_checks(params["n"], seed),
-    "planar-identity113": lambda params, seed: heat_identity_checks(params["ladder"]),
-    "planar-ap": lambda params, seed: ap_checks(params["n"]),
-    "planar-ascent": lambda params, seed: ascent_checks(
-        "r11-r22", 4.0, params["n"], params["iters"], seed),
-    "laminate": lambda params, seed: (
-        measure_checks("nu", 3.0, 1e-3, seed) + _quadrature_checks(3.0)
-        + ratio_sweep_checks(3.0, ETAS)),
-    "stoch-core": lambda params, seed: _path_checks(
+    "stoch-core": (lambda params, seed: _path_checks(
         params["steps"], params["paths"], seed),
-    "stoch-conditioning": lambda params, seed: conditioning_checks(
+        {"paths": (20_000, 100_000), "steps": (25, 1000)}),
+    "stoch-constants": (lambda params, seed: constant_checks(4.0, params["trials"], seed),
+                        {"trials": (2000, 10_000)}),
+    "stoch-conditioning": (lambda params, seed: conditioning_checks(
         params["paths"], params["bins"], params["steps"], seed),
-    "stoch-constants": lambda params, seed: constant_checks(4.0, params["trials"], seed),
-    "qc": _exp_qc,
+        {"paths": (78, 231), "bins": (16, 24), "steps": (50, 320)}),
+    "planar-ascent": (lambda params, seed: ascent_checks(
+        "r11-r22", 4.0, params["n"], params["iters"], seed),
+        {"n": (64, 256), "iters": (150, 500)}),
+    "dyadic": (_exp_dyadic, {"depth": (10, 12), "iters": (200, 300)}),
+    "bellman-feasibility": (lambda params, seed: _feasibility_checks(params["p_list"]),
+                            {"p_list": ((3.0,), (2.5, 3.0, 4.0))}),
+    "bellman-jn": (lambda params, seed: [
+        c for delta in params["deltas"] for c in strip_checks(delta, params["grid"])],
+        {"deltas": ((0.25,), (0.1, 0.25)), "grid": ((120, 120), (200, 200))}),
+    "bellman-tau-interp": (lambda params, seed: (
+        tau_checks(np.linspace(1.0, 50.0, params["tau_points"]))
+        + interp_checks([2.1, 3.0, 5.0, 10.0, 50.0])), {"tau_points": (25, 60)}),
+    "bellman-zigzag": (_exp_zigzag, {"samples": (20_000, 100_000)}),
+    "laminate": (lambda params, seed: (
+        measure_checks("nu", 3.0, 1e-3, seed) + _quadrature_checks(3.0)
+        + ratio_sweep_checks(3.0, ETAS)), {}),
+    "planar-ap": (lambda params, seed: ap_checks(params["n"]), {"n": (128, 256)}),
+    "planar-identity113": (lambda params, seed: heat_identity_checks(params["ladder"]),
+                           {"ladder": (((64, 17, 6.0), (128, 33, 12.0)),
+                                       ((64, 17, 6.0), (128, 33, 12.0), (256, 65, 24.0)))}),
+    "planar-spectral": (lambda params, seed: _spectral_checks(params["n"], seed),
+                        {"n": (128, 512)}),
+    "qc": (_exp_qc, {"K_list": ((2.0,), (1.5, 2.0, 3.0)), "n": (128, 256)}),
 }
+TIERS = ("fast", "full")
 
 
 def tier_params(tier: str) -> dict:
-    """What the tiers set differently; a value that both would set alike
-    is a literal of its experiment."""
-    if tier == "fast":
-        return {
-            "dyadic": {"depth": 10, "iters": 200},
-            "bellman-zigzag": {"samples": 20_000},
-            "bellman-tau-interp": {"tau_points": 25},
-            "bellman-feasibility": {"p_list": [3.0]},
-            "bellman-jn": {"deltas": [0.25], "grid": (120, 120)},
-            "planar-spectral": {"n": 128},
-            "planar-identity113": {"ladder": [(64, 17, 6.0), (128, 33, 12.0)]},
-            "planar-ap": {"n": 128},
-            "planar-ascent": {"n": 64, "iters": 150},
-            "laminate": {},
-            "stoch-core": {"paths": 20_000, "steps": 25},
-            "stoch-conditioning": {"paths": 78, "bins": 16, "steps": 50},
-            "stoch-constants": {"trials": 2000},
-            "qc": {"K_list": [2.0], "n": 128},
-        }
-    if tier == "full":
-        return {
-            "dyadic": {"depth": 12, "iters": 300},
-            "bellman-zigzag": {"samples": 100_000},
-            "bellman-tau-interp": {"tau_points": 60},
-            "bellman-feasibility": {"p_list": [2.5, 3.0, 4.0]},
-            "bellman-jn": {"deltas": [0.1, 0.25], "grid": (200, 200)},
-            "planar-spectral": {"n": 512},
-            "planar-identity113": {"ladder": [(64, 17, 6.0), (128, 33, 12.0),
-                                              (256, 65, 24.0)]},
-            "planar-ap": {"n": 256},
-            "planar-ascent": {"n": 256, "iters": 500},
-            "laminate": {},
-            "stoch-core": {"paths": 100_000, "steps": 1000},
-            "stoch-conditioning": {"paths": 231, "bins": 24, "steps": 320},
-            "stoch-constants": {"trials": 10_000},
-            "qc": {"K_list": [1.5, 2.0, 3.0], "n": 256},
-        }
-    raise ValueError("tier must be 'fast' or 'full'")
+    """experiment -> parameter -> value at `tier`, read off `EXPERIMENTS`."""
+    if tier not in TIERS:
+        raise ValueError("tier must be 'fast' or 'full'")
+    i = TIERS.index(tier)
+    return {name: {key: pair[i] for key, pair in values.items()}
+            for name, (_, values) in EXPERIMENTS.items()}
 
 
 def run_experiment(name: str, params: dict, seed: int = 0):
-    return EXPERIMENTS[name](params, seed)
-
-
-# Submitted first, in this order; the rest follow in name order.  The
-# longest experiments of both tiers, so that no worker starts one of them
-# while the others sit idle near the end of a run.
-_HEAVIEST_FIRST = ("stoch-core", "stoch-constants", "stoch-conditioning",
-                   "planar-ascent", "dyadic")
+    return EXPERIMENTS[name][0](params, seed)
 
 
 def run_suite(tier: str = "fast", seed: int = 0,
@@ -670,25 +648,23 @@ def run_suite(tier: str = "fast", seed: int = 0,
     """Run the whole battery on `workers` threads.  Experiments named in
     `skip` are omitted (skipped, not failed); a name that is not an
     experiment, or a skip of every experiment, is refused.  Experiments
-    are submitted heaviest first (`_HEAVIEST_FIRST`, then name order) and
-    their results merged in name order, so the report does not depend on
-    the worker count or the order in which experiments finish.  The
-    report also sorts its entries when it serializes them."""
+    are submitted in the order of `EXPERIMENTS` and their results merged
+    in name order, so the report does not depend on the worker count or
+    the order in which experiments finish.  The report also sorts its
+    entries when it serializes them."""
     params = tier_params(tier)
     unknown = sorted(set(skip) - set(EXPERIMENTS))
     if unknown:
         raise ValueError(f"skip names no experiment: {', '.join(unknown)}")
-    names = [n for n in sorted(EXPERIMENTS) if n not in skip]
-    if not names:
+    order = [n for n in EXPERIMENTS if n not in skip]
+    if not order:
         raise ValueError("skip leaves no experiment to run")
-    order = ([n for n in _HEAVIEST_FIRST if n in names]
-             + [n for n in names if n not in _HEAVIEST_FIRST])
     report = RunReport(config={"tier": tier, "seed": seed,
                                "skip": ",".join(sorted(skip))})
     start = time.perf_counter()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = {n: pool.submit(run_experiment, n, params[n], seed) for n in order}
-        for n in names:
+        for n in sorted(order):
             report.extend(futures[n].result())
     report.wall_time = time.perf_counter() - start
     return report

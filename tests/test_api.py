@@ -8,18 +8,22 @@ and three rules hold over src/bellmanlab:
 - every defaulted parameter of a public function or method gets a value
   other than its default from some call, so no option has only one value.
 
-A fourth keeps each run parameter in one place: `suite.tier_params` holds
-only the values that the tiers set differently.
+A fourth keeps each run parameter in one place: each (fast, full) pair of
+`suite.EXPERIMENTS` holds two different values, so `suite.tier_params`
+holds only the values that the tiers set differently.  A fifth has every
+dataclass field read.
 """
 
 import ast
 import dataclasses
+import functools
 import importlib
 import inspect
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -33,7 +37,19 @@ SOURCES = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
 SCRIPTS = [*sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 OTHERS = [p.read_text() for p in [*SCRIPTS, ROOT / "README.md"]]
-TIERS = ("fast", "full")
+TIERS = suite.TIERS
+
+
+@functools.cache
+def parse(text):
+    """The syntax tree of `text`, parsed once per session."""
+    return ast.parse(text)
+
+
+@functools.cache
+def words(text):
+    """How often each word of `text` occurs in it, counted once per session."""
+    return Counter(re.findall(r"\w+", text))
 
 
 def python_blocks(markdown):
@@ -41,7 +57,7 @@ def python_blocks(markdown):
     blocks = []
     for block in re.findall(r"```[a-z]*\n(.*?)```", markdown, re.S):
         try:
-            ast.parse(block)
+            parse(block)
         except SyntaxError:
             continue
         blocks.append(block)
@@ -61,7 +77,7 @@ def bindings(source):
     """The names that the top-level defs, classes and assignments of
     `source` bind, once per binding."""
     names = []
-    for node in ast.parse(source).body:
+    for node in parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.append(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -79,8 +95,7 @@ def unused_public(sources, others=OTHERS):
     for module, source in sources.items():
         bound = bindings(source)
         for name in dict.fromkeys(n for n in bound if not n.startswith("_")):
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            if sum(len(word.findall(t)) for t in texts) == bound.count(name):
+            if sum(words(t)[name] for t in texts) == bound.count(name):
                 unused.append(f"{module}.{name}")
     return unused
 
@@ -90,7 +105,7 @@ def private_reaches(sources):
     `sources` imports from, or reads as an attribute of, another one."""
     reaches = []
     for module, source in sources.items():
-        tree = ast.parse(source)
+        tree = parse(source)
         aliases = {}  # local name -> the package module it is bound to
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level:
@@ -133,7 +148,7 @@ def defaulted_parameters(sources):
     or cls takes none; it is None for a keyword-only parameter."""
     found = []
     for module, source in sources.items():
-        for node in ast.parse(source).body:
+        for node in parse(source).body:
             if isinstance(node, ast.FunctionDef):
                 defs = [(node.name, node, False)]
             elif isinstance(node, ast.ClassDef) and not private(node.name):
@@ -172,8 +187,14 @@ def callee(call):
     return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
 
 
+@functools.cache
+def calls_of(text):
+    """The calls in `text`, found once per session."""
+    return tuple(n for n in ast.walk(parse(text)) if isinstance(n, ast.Call))
+
+
 def calls_in(texts):
-    return [n for text in texts for n in ast.walk(ast.parse(text)) if isinstance(n, ast.Call)]
+    return [call for text in texts for call in calls_of(text)]
 
 
 def splat_keys(sources, callers):
@@ -182,14 +203,14 @@ def splat_keys(sources, callers):
     builder, or of the dict(...) that a package function of `sources`
     returns into the `**` of a call in `callers`."""
     returned = {}  # package function -> the keys of the dict(...) it returns
-    for node in (n for source in sources.values() for n in ast.walk(ast.parse(source))):
+    for node in (n for source in sources.values() for n in ast.walk(parse(source))):
         if isinstance(node, ast.FunctionDef):
             returned[node.name] = {
                 k.arg for r in ast.walk(node) if isinstance(r, ast.Return)
                 and isinstance(r.value, ast.Call) and callee(r.value) == "dict"
                 for k in r.value.keywords}
     keys = set()
-    for node in ast.parse(sources["cli"]).body:
+    for node in parse(sources["cli"]).body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "OPERATIONS" for t in node.targets):
             for builder, params in (v.elts for v in node.value.values):

@@ -1,3 +1,4 @@
+import inspect
 import os
 import tempfile
 
@@ -334,6 +335,42 @@ def test_ap_two_sided_check_fails_on_one_scaled_heat_characteristic(monkeypatch)
     monkeypatch.setattr(pl, "ap_heat", lambda w, sampling: next(scales) * heat(w, sampling))
     [check] = suite.ap_checks(suite.tier_params("fast")["planar-ap"]["n"])
     assert check.value > 8.0 and not check.passed
+
+
+def duality_gaps(p):
+    """|[w]_Ap - [sigma]_Ap'^(p-1)| / [w]_Ap with sigma = w^(-1/(p-1)) and
+    p' = p/(p-1), for the planar-ap weights |x|^a at n = 64, stride 2, and
+    both characteristics.  The dual of sigma at p' is w again, so the two
+    sides are the same supremum."""
+    gaps = []
+    for a in (0.3, 0.6, 0.9):
+        w = radial_weight(64, 2.0, a).field
+        sigma = pl.GridField(2.0, w.values.real ** (-1.0 / (p - 1.0)) + 0j)
+        for characteristic, sampling in ((pl.ap_class, pl.DiscSampling(stride=2)),
+                                         (pl.ap_heat, pl.HeatSampling(stride=2))):
+            lhs = characteristic(pl.PlanarWeight(w, p=p), sampling)
+            rhs = characteristic(pl.PlanarWeight(sigma, p=p / (p - 1.0)), sampling)
+            gaps.append(abs(lhs - rhs ** (p - 1.0)) / lhs)
+    return gaps
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+def test_ap_characteristics_satisfy_the_duality(p):
+    # the general-p path: the dual weight w^(-1/(p-1)) and the power p - 1
+    # (largest gap 4.2e-15)
+    assert max(duality_gaps(p)) < 1e-12
+
+
+def test_ap_duality_fails_on_the_wrong_dual_exponent(monkeypatch):
+    # the dual weight taken as w^(-1/p): every gap reads 0.35 to 22
+    exact = "(-1.0 / (w.p - 1.0))"
+    source = inspect.getsource(pl._sup_characteristic)
+    assert source.count(exact) == 1
+    namespace = dict(vars(pl))
+    exec(source.replace(exact, "(-1.0 / w.p)"), namespace)
+    monkeypatch.setattr(pl, "_sup_characteristic", namespace["_sup_characteristic"])
+    for p in (1.5, 3.0, 4.0):
+        assert min(duality_gaps(p)) > 0.3, p
 
 
 # ---------------------------------------------------------------------------
