@@ -26,7 +26,7 @@ print(f"E sum w(t_i)   dw = {demo['ES2']:+.4f} +- {half['ES2']:.4f}  (gap = b - 
 
 print("\n== isometry and product rule, read off the same paths ==")
 # the exact means of the discrete left-point sums, which the suite gates
-isometry, product = suite._left_point_means(steps)
+isometry, product = suite._left_point_means(0.0, 1.0, steps)
 print(f"E (sum w dw)^2 = {demo['ES1_sq']:.4f} +- {half['ES1_sq']:.4f}  "
       f"(exact (N-1)/(2N) = {isometry:.4f})")
 print(f"E sum sin w dw sum w dw = {demo['EFS1']:+.4f} +- {half['EFS1']:.4f}  "

@@ -1,7 +1,7 @@
 """bellmanlab: a desk-scale numerical laboratory for sharp martingale and
 singular-integral inequalities.
 
-Subpackages:
+Modules:
 
 - ascent: one power-ascent engine for lower bounds on operator norms.
 - dyadic: Haar analysis, martingale transforms, weight characteristics,

@@ -364,12 +364,13 @@ def norm_ratio_ascent(op: Callable, p: float, n: int, iters: int,
     certified lower bound for the discretized operator norm."""
     m = op(*_freq_axes(n, 1.0))
     rng = np.random.default_rng(seed)
-    f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    # a GridField, so that a grid size it refuses is refused before the ascent
+    f = GridField(1.0, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
     def through(symbol):  # ifft2(symbol fft2(v)), both transforms run in out
         return lambda _, v, out: _ifft2(np.multiply(symbol, np.fft.fft2(v, out=out), out=out), out)
 
-    res = power_ascent(f, p, iters, apply=through(m), adjoint=through(np.conj(m)))
+    res = power_ascent(f.values, p, iters, apply=through(m), adjoint=through(np.conj(m)))
     return res._replace(witness=GridField(1.0, res.witness))
 
 

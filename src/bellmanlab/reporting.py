@@ -67,7 +67,7 @@ CHECK_REGISTRY = {
     "laminate.reflection": "reflecting the measure swaps the two tests",
     "stoch.variance": "left-point sums average to zero",
     "stoch.riemann-gap": "left and right sums disagree by the quadratic variation",
-    "stoch.isometry": "left-point sum's second moment equals its exact mean (N-1)/(2N)",
+    "stoch.isometry": "left-point sum's second moment equals its exact mean sum t dt",
     "stoch.product": "sin w and w integrals' product averages sum t e^(-t/2) dt",
     "stoch.terminal-order": "each rung's mean squared terminal gap matches its exact "
                             "Ito-isometry value within 3 skew-corrected sigma",

@@ -46,10 +46,9 @@ def _dyadic_checks(depth, seed):
                            tf.norm(2.0) / mean_zero.norm(2.0), 1.0, 1e-12))
 
     w = dyadic.two_value_weight(2.0, 1.0, depth)
-    gram_depth = min(depth, 7)
-    wg = dyadic.two_value_weight(2.0, 1.0, gram_depth)
+    wg = dyadic.two_value_weight(2.0, 1.0, 7)
     rng_w = np.random.default_rng(seed + 1)
-    wr = dyadic.DyadicWeight(np.exp(0.7 * rng_w.standard_normal(2 ** gram_depth)))
+    wr = dyadic.DyadicWeight(np.exp(0.7 * rng_w.standard_normal(2 ** 7)))
     worst_bound = gram_err = 0.0
     for weight in (wg, wr):
         alpha, beta, basis = dyadic.weighted_haar_system(weight)
@@ -63,7 +62,7 @@ def _dyadic_checks(depth, seed):
         gram_err = max(gram_err, float(np.max(np.abs(gram - np.eye(gram.shape[0])))))
     out.append(CheckResult("dyadic.weighted-haar-bounds", worst_bound, 0.0, 1e-12))
     out.append(CheckResult("dyadic.weighted-haar-gram", gram_err, 0.0, 1e-10,
-                           detail=f"depth={gram_depth}"))
+                           detail="depth=7"))
 
     # intensity growth across the two-parameter (u, v) weight family; the
     # asymptotic exponent is read off the top decades, where the bounded
@@ -420,46 +419,35 @@ def ratio_sweep_checks(p, etas):
 Z = 3.0
 
 
-def _half_width(demo, key, paths):
-    """Z standard errors of the 1-d study's mean `key` over `paths` paths."""
-    return Z * demo[key + "_sd"] / np.sqrt(paths)
-
-
-def _sum_checks(demo, length, paths):
-    return [
-        CheckResult("stoch.riemann-gap",
-                    abs(demo["ES2"] - length) - _half_width(demo, "ES2", paths),
-                    0.0, 0.0, detail=f"b-a={length:g} inside {Z:g} sigma"),
-        CheckResult("stoch.variance", abs(demo["ES1"]) - _half_width(demo, "ES1", paths),
-                    0.0, 0.0, detail="left sums are centered"),
-    ]
+def _left_point_means(a, b, steps):
+    """The exact means of the 1-d study's left-point sums on [a, b] with
+    `steps` steps, h = b - a and t_{i-1} = a + (i - 1)h/N:
+    E S1^2 = sum t_{i-1} dt = a h + h^2 (N - 1)/(2N) and
+    E[(sum sin w dw)(sum w dw)] = sum t_{i-1} e^{-t_{i-1}/2} dt, since
+    E[w sin w] = t e^{-t/2} for w ~ N(0, t); W_a ~ N(0, a) starts the pass."""
+    h = b - a
+    t = a + h * np.arange(steps) / steps
+    return (a * h + h ** 2 * (steps - 1) / (2.0 * steps),
+            float(np.sum(t * np.exp(-t / 2))) * h / steps)
 
 
 def riemann_checks(a, b, steps, paths, seed):
-    return _sum_checks(stochastic.riemann_gap_demo(a, b, steps, paths, seed=seed),
-                       b - a, paths)
+    """The 1-d study on [a, b]: both Riemann sums, the isometry and the
+    product, each against the exact mean of its discrete sum."""
+    demo = stochastic.riemann_gap_demo(a, b, steps, paths, seed=seed)
+    isometry, product = _left_point_means(a, b, steps)
 
+    def gate(check_id, key, mean, detail):  # |error| less Z standard errors
+        half_width = Z * demo[key + "_sd"] / np.sqrt(paths)
+        return CheckResult(check_id, abs(demo[key] - mean) - half_width, 0.0, 0.0,
+                           detail=detail)
 
-def _left_point_means(steps):
-    """The exact means of the 1-d study's left-point sums on [0, 1] with
-    `steps` steps, t_{i-1} = (i - 1)/N: E S1^2 = sum t_{i-1} dt = (N - 1)/(2N)
-    and E[(sum sin w dw)(sum w dw)] = sum t_{i-1} e^{-t_{i-1}/2} dt, since
-    E[w sin w] = t e^{-t/2} for w ~ N(0, t)."""
-    t = np.arange(steps) / steps
-    return (steps - 1) / (2.0 * steps), float(np.sum(t * np.exp(-t / 2))) / steps
-
-
-def _unit_interval_checks(demo, steps, paths):
-    """The 1-d study on [0, 1]: both sums, the isometry and the product,
-    each against the exact mean of its discrete sum."""
-    isometry, product = _left_point_means(steps)
-    return _sum_checks(demo, 1.0, paths) + [
-        CheckResult("stoch.isometry",
-                    abs(demo["ES1_sq"] - isometry) - _half_width(demo, "ES1_sq", paths),
-                    0.0, 0.0, detail="E(sum w dw)^2 = (N-1)/(2N)"),
-        CheckResult("stoch.product",
-                    abs(demo["EFS1"] - product) - _half_width(demo, "EFS1", paths),
-                    0.0, 0.0, detail="E(sum sin w dw)(sum w dw) = sum t e^(-t/2) dt"),
+    return [
+        gate("stoch.riemann-gap", "ES2", b - a, f"b-a={b - a:g} inside {Z:g} sigma"),
+        gate("stoch.variance", "ES1", 0.0, "left sums are centered"),
+        gate("stoch.isometry", "ES1_sq", isometry, "E(sum w dw)^2 = sum t dt"),
+        gate("stoch.product", "EFS1", product,
+             "E(sum sin w dw)(sum w dw) = sum t e^(-t/2) dt"),
     ]
 
 
@@ -485,14 +473,12 @@ def _terminal_order_check(paths, seed):
 
 
 def _path_checks(steps, paths, seed):
-    out = _unit_interval_checks(
-        stochastic.riemann_gap_demo(0.0, 1.0, steps, paths, seed=seed), steps, paths)
-    out.append(_terminal_order_check(max(4096, paths // 40), seed))
+    out = riemann_checks(0.0, 1.0, steps, paths, seed)
+    out.append(_terminal_order_check(4096, seed))
 
     drv_pl = stochastic.BrownianDriver(2, 4.0, 64, seed=seed)
     res = stochastic.transform_residuals(
-        stochastic.GaussianMix.random(np.random.default_rng(seed), 2), drv_pl,
-        min(256, paths))
+        stochastic.GaussianMix.random(np.random.default_rng(seed), 2), drv_pl, 256)
     out.append(CheckResult("stoch.conformality",
                            max(res["max_orthogonality"], res["max_norm_mismatch"]),
                            0.0, 1e-10))
@@ -553,9 +539,12 @@ def sobolev_checks(K):
 
 
 def weight_checks(K, p, n):
-    """The Jacobian weight's disc characteristic over p in linspace(2, p, 5)."""
+    """The Jacobian weight's disc characteristic over p in linspace(2, p, 5).
+    The weight at p is built first, so that a p outside the weight's range
+    is refused before any characteristic is computed."""
     reg = qcmaps.RadialMap(K, "regular")
-    chars = [planar.ap_class(qcmaps.jacobian_weight(reg, q, n=n),
+    last = qcmaps.jacobian_weight(reg, p, n=n)
+    chars = [planar.ap_class(qcmaps.jacobian_weight(reg, q, n=n) if q < p else last,
                              sampling=planar.DiscSampling(stride=max(2, n // 32)))
              for q in np.linspace(2.0, p, 5)]
     return [CheckResult("qc.weight-monotone", float(np.max(-np.diff(chars))),

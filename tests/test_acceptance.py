@@ -175,9 +175,8 @@ def test_criterion_07_dyadic_suite():
 
 
 def test_criterion_08_stochastic_suite():
-    demo = st.riemann_gap_demo(0.0, 1.0, 1000, 100_000, seed=4)
     sums = {c.check_id: c.passed
-            for c in suite._unit_interval_checks(demo, 1000, 100_000)}
+            for c in suite.riemann_checks(0.0, 1.0, 1000, 100_000, seed=4)}
     gap_ok = sums["stoch.riemann-gap"] and sums["stoch.variance"]
     # S1 is the left-point integral of w dw: the isometry reads the same paths
     iso_ok = sums["stoch.isometry"]

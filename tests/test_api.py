@@ -11,7 +11,9 @@ and three rules hold over src/bellmanlab:
 A fourth keeps each run parameter in one place: each (fast, full) pair of
 `suite.EXPERIMENTS` holds two different values, so `suite.tier_params`
 holds only the values that the tiers set differently.  A fifth has every
-dataclass field read.
+dataclass field read.  A sixth has `suite.py` call every builder of
+`cli.OPERATIONS` outside its own definition, so each command-line
+operation reports checks that an experiment reports too.
 """
 
 import ast
@@ -197,6 +199,15 @@ def calls_in(texts):
     return [call for text in texts for call in calls_of(text)]
 
 
+def operations(sources):
+    """The (builder, flags -> parameters) nodes of each `cli.OPERATIONS` entry."""
+    for node in parse(sources["cli"]).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "OPERATIONS" for t in node.targets):
+            return [tuple(v.elts) for v in node.value.values]
+    return []
+
+
 def splat_keys(sources, callers):
     """(function name, parameter) for each parameter that a `**` argument
     names: a key of the dict(...) of a `cli.OPERATIONS` lambda for its
@@ -209,17 +220,22 @@ def splat_keys(sources, callers):
                 k.arg for r in ast.walk(node) if isinstance(r, ast.Return)
                 and isinstance(r.value, ast.Call) and callee(r.value) == "dict"
                 for k in r.value.keywords}
-    keys = set()
-    for node in parse(sources["cli"]).body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "OPERATIONS" for t in node.targets):
-            for builder, params in (v.elts for v in node.value.values):
-                keys |= {(builder.attr, k.arg) for k in params.body.keywords}
+    keys = {(builder.attr, k.arg) for builder, params in operations(sources)
+            for k in params.body.keywords}
     for call in calls_in(callers):
         for k in call.keywords:
             if k.arg is None and isinstance(k.value, ast.Call):
                 keys |= {(callee(call), key) for key in returned.get(callee(k.value), ())}
     return keys
+
+
+def builders_no_experiment_runs(sources):
+    """`suite.name` for each builder of `cli.OPERATIONS` that no call in
+    `suite.py` reaches outside the builder's own definition."""
+    called = {callee(c) for node in parse(sources["suite"]).body for c in ast.walk(node)
+              if isinstance(c, ast.Call) and callee(c) != getattr(node, "name", None)}
+    builders = {builder.attr for builder, _ in operations(sources)}
+    return [f"suite.{name}" for name in sorted(builders - called)]
 
 
 def unset_defaults(sources, callers=CALLERS):
@@ -333,3 +349,19 @@ def test_every_dataclass_field_is_read():
                 unread += [f"{cls.__name__}.{f.name}" for f in dataclasses.fields(cls)
                            if not any(re.search(rf"\.{f.name}\b", t) for t in texts)]
     assert unread == []
+
+
+def test_every_operation_builder_runs_in_an_experiment():
+    # a builder that only the command line runs reports checks no suite run
+    # reports
+    assert builders_no_experiment_runs(SOURCES) == []
+
+
+def test_the_builder_audit_fails_on_a_planted_operation():
+    builder = "def planted_checks(n):\n    return planted_checks(n - 1) if n else []\n"
+    operation = ('OPERATIONS = {\n    ("qc", "planted"): (suite.planted_checks, '
+                 'lambda a: dict(n=a.n)),\n')
+    sources = {**SOURCES, "suite": SOURCES["suite"] + "\n\n" + builder,
+               "cli": SOURCES["cli"].replace("OPERATIONS = {\n", operation, 1)}
+    assert operation in sources["cli"]
+    assert builders_no_experiment_runs(sources) == ["suite.planted_checks"]

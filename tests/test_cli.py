@@ -296,6 +296,31 @@ def test_numeric_failures_exit_3(capsys, monkeypatch):
     assert "q_hi still convergent" in err
 
 
+@pytest.mark.parametrize("argv, callee, line", [
+    ("planar norm-ascent --n 384 --iters 200", "power_ascent",
+     "error: grid size must be a power of two"),
+    ("qc weight --K 2 --p 4.5 --n 512", "ap_class", "error: need 2 <= p < 1 + 1/k = 4.0"),
+], ids=["norm-ascent", "weight"])
+def test_bad_input_is_refused_before_the_expensive_call(capsys, monkeypatch, argv,
+                                                         callee, line):
+    def reached(*args, **kwargs):
+        raise AssertionError(f"{callee} ran before the input was refused")
+
+    monkeypatch.setattr(pl, callee, reached)
+    assert run_cli(capsys, *argv.split()) == (2, "", line + "\n")
+
+
+def test_riemann_gap_off_the_unit_interval(capsys):
+    # the suite's four 1-d gates, each against its exact mean on [a, b]
+    code, out, _ = run_cli(capsys, "stoch", "riemann-gap", "--a", "0.5", "--b", "1.5",
+                           "--paths", "2e4", "--steps", "100", "--seed", "2",
+                           "--format", "json")
+    entries = entries_of(out)
+    assert sorted(entries) == ["stoch.isometry", "stoch.product", "stoch.riemann-gap",
+                               "stoch.variance"]
+    assert all(e["passed"] for e in entries.values()) and code == 0
+
+
 def test_stoch_paths_default_to_the_full_tier():
     # the parameters bare `stoch ab-mc` and `stoch riemann-gap` would run with
     full = cli.suite.tier_params("full")

@@ -6,10 +6,9 @@ import pytest
 
 from bellmanlab import planar as pl
 from bellmanlab import stochastic as st
-from bellmanlab.suite import (_half_width, _left_point_means, _path_checks,
-                             _sum_checks, _terminal_order_check, _unit_interval_checks,
-                             conditioning_checks, constant_checks, run_experiment,
-                             tier_params)
+from bellmanlab.suite import (_left_point_means, _path_checks, _terminal_order_check,
+                             conditioning_checks, constant_checks, riemann_checks,
+                             run_experiment, tier_params)
 from memtrace import traced
 
 
@@ -113,19 +112,20 @@ def test_fast_tier_studies_draw_disjoint_streams(monkeypatch):
 # the two Riemann sums
 
 
+ONE_D = ("stoch.riemann-gap", "stoch.variance", "stoch.isometry", "stoch.product")
+
+
 def test_riemann_gap_contains_b_minus_a():
-    demo = st.riemann_gap_demo(0.0, 1.0, 400, 40000, seed=1)
-    assert all(c.passed for c in _sum_checks(demo, 1.0, 40000))
-    # E S1^2 <= b(b - a); the true value here is 1/2
-    assert demo["ES1_sq"] <= 1.0 + _half_width(demo, "ES1_sq", 40000)
+    checks = riemann_checks(0.0, 1.0, 400, 40000, seed=1)
+    assert [c.check_id for c in checks if c.passed] == list(ONE_D)
 
 
 def test_riemann_gap_from_a_positive_start():
-    demo = st.riemann_gap_demo(0.5, 1.5, 100, 20000, seed=2)
-    gap, _ = _sum_checks(demo, 1.0, 20000)
-    assert gap.passed
-    # E S1^2 = int_a^b t dt = (b^2 - a^2) / 2 = 1
-    assert abs(demo["ES1_sq"] - 1.0) <= _half_width(demo, "ES1_sq", 20000)
+    checks = riemann_checks(0.5, 1.5, 100, 20000, seed=2)
+    assert [c.check_id for c in checks if c.passed] == list(ONE_D)
+    assert checks[0].detail == "b-a=1 inside 3 sigma"
+    # E S1^2 = a h + h^2 (N - 1)/(2N) = 0.995, the left sum of int_a^b t dt = 1
+    assert _left_point_means(0.5, 1.5, 100)[0] == pytest.approx(0.995, rel=0, abs=1e-15)
 
 
 def test_one_d_pass_matches_ito_integrals():
@@ -146,18 +146,20 @@ def test_left_point_means_are_the_exact_discrete_means():
     # node, against the closed form t e^{-t/2} that the product target sums
     nodes, weights = np.polynomial.hermite_e.hermegauss(60)
     weights = weights / weights.sum()
-    for steps in (1, 7, 100, 1000):
-        t = np.arange(steps) / steps
-        w = np.sqrt(t)[:, None] * nodes
-        product = float(np.sum((w * np.sin(w)) @ weights)) / steps
-        isometry, target = _left_point_means(steps)
-        assert isometry == pytest.approx(np.sum(t) / steps, rel=0, abs=1e-15)
-        assert target == pytest.approx(product, rel=0, abs=1e-14)
+    for a, b in ((0.0, 1.0), (0.5, 1.5), (2.0, 2.5)):
+        for steps in (1, 7, 100, 1000):
+            dt = (b - a) / steps
+            t = a + dt * np.arange(steps)
+            w = np.sqrt(t)[:, None] * nodes
+            product = float(np.sum((w * np.sin(w)) @ weights)) * dt
+            isometry, target = _left_point_means(a, b, steps)
+            assert isometry == pytest.approx(np.sum(t) * dt, rel=0, abs=1e-15)
+            assert target == pytest.approx(product, rel=0, abs=1e-14)
     # left sums of the increasing t and t e^{-t/2} fall short of their time
     # integrals, 1/2 and 4 - 6 e^{-1/2}, by (f(1) - f(0)) / (2N) at first order
     limits = (0.5, 4.0 - 6.0 * np.exp(-0.5))
     for n in (100, 1000, 10_000):
-        gaps = np.subtract(limits, _left_point_means(n)) * n
+        gaps = np.subtract(limits, _left_point_means(0.0, 1.0, n)) * n
         assert gaps == pytest.approx([0.5, 0.5 * np.exp(-0.5)], rel=1e-2), n
 
 
@@ -405,7 +407,7 @@ def test_one_d_checks_gate_at_three_standard_errors(monkeypatch, k, passed):
 
     def moved(a, b, steps, paths, seed=0):
         demo = study(a, b, steps, paths, seed=seed)
-        isometry, product = _left_point_means(steps)
+        isometry, product = _left_point_means(a, b, steps)
         for key, ref in (("ES1", 0.0), ("ES2", b - a), ("ES1_sq", isometry),
                          ("EFS1", product)):
             demo[key] = ref + k * demo[key + "_sd"] / np.sqrt(paths)
@@ -414,8 +416,7 @@ def test_one_d_checks_gate_at_three_standard_errors(monkeypatch, k, passed):
     monkeypatch.setattr(st, "riemann_gap_demo", moved)
     checks = {c.check_id: c.passed
               for c in _path_checks(steps=32, paths=256, seed=1)}
-    for check_id in ("stoch.riemann-gap", "stoch.variance", "stoch.isometry",
-                     "stoch.product"):
+    for check_id in ONE_D:
         assert checks[check_id] is passed, check_id
 
 
@@ -424,23 +425,24 @@ def test_one_d_checks_false_failure_rate():
     # tier's 25 steps and 20,000 paths, seeds 1-40 read max |z| 2.74 over
     # the four checks (2.27 at 100 steps)
     prm = tier_params("fast")["stoch-core"]
-    one_d = ("stoch.riemann-gap", "stoch.variance", "stoch.isometry", "stoch.product")
     for seed in range(1, 21):
-        demo = st.riemann_gap_demo(0.0, 1.0, prm["steps"], prm["paths"], seed=seed)
-        checks = _unit_interval_checks(demo, prm["steps"], prm["paths"])
-        assert [c.check_id for c in checks if c.passed] == list(one_d), seed
+        checks = riemann_checks(0.0, 1.0, prm["steps"], prm["paths"], seed=seed)
+        assert [c.check_id for c in checks if c.passed] == list(ONE_D), seed
 
 
 @pytest.mark.parametrize("steps", [25, 100, 400])
 def test_product_fails_on_anticipating_sums(monkeypatch, steps):
     # sin w(t_i) in place of sin w(t_{i-1}) in F: the sum is no longer
     # adapted, and z reads -15.7 to -17.8 at 25 steps and -12.6 to -15.7 at
-    # 100 and 400 steps (seeds 1-3)
+    # 100 and 400 steps (seeds 1-3) on [0, 1]; on [0.5, 1.5] the product
+    # reads 0.19-0.23 above its gate
     study = st.riemann_gap_demo
 
     def anticipating(a, b, steps, paths, seed=0):
         demo = study(a, b, steps, paths, seed=seed)
         w, f, s1 = np.zeros(paths), np.zeros(paths), np.zeros(paths)
+        if a > 0:  # W_a on stream 3, as the real pass draws it
+            w = next(st.BrownianDriver(1, a, 1, seed).increments(paths, batch=3))[:, 0]
         for inc in st.BrownianDriver(1, b - a, steps, seed).increments(paths):
             dw = inc[:, 0]
             s1 += w * dw
@@ -451,6 +453,9 @@ def test_product_fails_on_anticipating_sums(monkeypatch, steps):
 
     monkeypatch.setattr(st, "riemann_gap_demo", anticipating)
     checks = {c.check_id: c for c in _path_checks(steps=steps, paths=20_000, seed=1)}
+    assert not checks["stoch.product"].passed
+    assert checks["stoch.isometry"].passed and checks["stoch.variance"].passed
+    checks = {c.check_id: c for c in riemann_checks(0.5, 1.5, steps, 20_000, seed=1)}
     assert not checks["stoch.product"].passed
     assert checks["stoch.isometry"].passed and checks["stoch.variance"].passed
 
