@@ -22,6 +22,8 @@ reading one sample per line (2^depth lines).
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 import numpy as np
@@ -71,8 +73,14 @@ def _finite(value, flag: str):
 
 
 def _check_flags(args):
-    """Refuse a float flag that is not finite and a size flag below its
-    least value, before any builder runs."""
+    """Refuse a float flag that is not finite, a size flag below its
+    least value and a path flag whose directory is missing, before any
+    builder runs."""
+    for flag in ("output", "witness", "curve"):
+        path = getattr(args, flag, None)
+        if path and not os.path.exists(os.path.dirname(path) or "."):
+            # the error open() would raise once the run had ended
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     for flag, value in vars(args).items():
         # only the type=float flags parse to floats
         if isinstance(value, float):
@@ -269,7 +277,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     # a file that cannot be opened is a usage error: the --config file
-    # before the handler runs, a path flag (weight, witness, output) after
+    # before the handler runs, a path flag (weight, witness, output) in it
     stage = "config error"
     try:
         args = parser.parse_args(argv)

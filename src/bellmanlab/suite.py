@@ -9,7 +9,7 @@ experiment is a pure function (params, seed) -> [CheckResult] composed of
 builders; the suite runner assembles a RunReport from a named tier
 ('fast' or 'full').  `EXPERIMENTS` declares each experiment once: its
 checks, its fast and full values, and, by its place in the table, its
-place in the order of submission to the worker threads, which puts the
+place in the order of submission to the worker processes, which puts the
 long stochastic ones first so that they never start last.  Results are
 merged in name order, so reports are deterministic for a fixed
 (tier, seed) regardless of the worker count.
@@ -18,7 +18,6 @@ merged in name order, so reports are deterministic for a fixed
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -580,9 +579,10 @@ def _exp_qc(params, seed):
 
 # name -> (checks(params, seed), {parameter: (fast value, full value)}).
 # A value that both tiers would set alike is a literal of its experiment.
-# The table's order is the order in which `run_suite` submits: five long
-# experiments first, so that no worker starts one of them while the others
-# sit idle near the end of a run, then the rest by name.
+# The table's order is the order in which `run_suite` runs them, or submits
+# them to its worker processes: five long experiments first, so that no
+# worker starts one of them while the others sit idle near the end of a
+# run, then the rest by name.
 EXPERIMENTS = {
     "stoch-core": (lambda params, seed: _path_checks(
         params["steps"], params["paths"], seed),
@@ -634,13 +634,14 @@ def run_experiment(name: str, params: dict, seed: int = 0):
 
 def run_suite(tier: str = "fast", seed: int = 0,
               workers: int = 1, skip: tuple = ()) -> RunReport:
-    """Run the whole battery on `workers` threads.  Experiments named in
-    `skip` are omitted (skipped, not failed); a name that is not an
-    experiment, or a skip of every experiment, is refused.  Experiments
-    are submitted in the order of `EXPERIMENTS` and their results merged
-    in name order, so the report does not depend on the worker count or
-    the order in which experiments finish.  The report also sorts its
-    entries when it serializes them."""
+    """Run the whole battery: in the calling thread if `workers` is 1,
+    else on at most `workers` forked processes, one per experiment at
+    most.  Experiments named in `skip` are omitted (skipped, not failed);
+    a name that is not an experiment, or a skip of every experiment, is
+    refused.  Experiments run in the order of `EXPERIMENTS` and their
+    results are merged in name order, so the report does not depend on
+    the worker count or the order in which experiments finish.  The
+    report also sorts its entries when it serializes them."""
     params = tier_params(tier)
     unknown = sorted(set(skip) - set(EXPERIMENTS))
     if unknown:
@@ -651,9 +652,18 @@ def run_suite(tier: str = "fast", seed: int = 0,
     report = RunReport(config={"tier": tier, "seed": seed,
                                "skip": ",".join(sorted(skip))})
     start = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {n: pool.submit(run_experiment, n, params[n], seed) for n in order}
-        for n in sorted(order):
-            report.extend(futures[n].result())
+    if workers == 1:
+        results = {n: run_experiment(n, params[n], seed) for n in order}
+    else:
+        # imported here, since `import bellmanlab` is timed; forked, since
+        # a spawned worker would import numpy again
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(workers, len(order)),
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = {n: pool.submit(run_experiment, n, params[n], seed) for n in order}
+            results = {n: futures[n].result() for n in sorted(order)}
+    for n in sorted(order):
+        report.extend(results[n])
     report.wall_time = time.perf_counter() - start
     return report

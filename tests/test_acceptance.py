@@ -8,7 +8,10 @@ as stated rather than loosened, so an honest red here is expected.
 """
 
 import ast
+import concurrent.futures
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +24,7 @@ from bellmanlab import planar as pl
 from bellmanlab import qcmaps as qc
 from bellmanlab import stochastic as st
 from bellmanlab import suite
+from bellmanlab.cli import main
 from bellmanlab.reporting import CHECK_REGISTRY
 from bellmanlab.suite import run_suite
 
@@ -275,6 +279,73 @@ def test_suite_submits_heaviest_first_and_merges_by_name(monkeypatch):
     heaviest = ["stoch-core", "stoch-constants", "stoch-conditioning", "planar-ascent"]
     assert calls == heaviest + [n for n in kept if n not in heaviest]
     assert report.entries == kept
+
+
+# the pool tests run a cheap slice of the fast tier
+POOL_KEEP = ("bellman-jn", "laminate", "planar-spectral")
+POOL_SKIP = tuple(n for n in suite.EXPERIMENTS if n not in POOL_KEEP)
+
+
+def run_pool_slice(capsys, workers):
+    """(exit code, stdout, stderr) of `suite fast` on the slice."""
+    code = main(["suite", "fast", "--workers", str(workers), "--skip", ",".join(POOL_SKIP)])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def plant(monkeypatch, name, checks):
+    monkeypatch.setitem(suite.EXPERIMENTS, name, (checks, suite.EXPERIMENTS[name][1]))
+
+
+def test_an_error_in_a_worker_is_reported_as_in_the_calling_thread(capsys, monkeypatch):
+    def refused(params, seed):
+        raise ValueError("planted refusal")
+    plant(monkeypatch, "laminate", refused)
+    serial = run_pool_slice(capsys, 1)
+    assert serial == (2, "", "error: planted refusal\n")
+    assert run_pool_slice(capsys, 2) == serial
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_is_an_internal_error(capsys, monkeypatch):
+    plant(monkeypatch, "laminate", lambda params, seed: os._exit(7))
+    code, out, err = run_pool_slice(capsys, 2)
+    assert (code, out) == (3, "") and err.startswith("internal error: BrokenProcessPool")
+    assert multiprocessing.active_children() == []
+
+
+def test_a_parallel_run_leaves_no_process():
+    report = run_suite("fast", seed=1, workers=2, skip=POOL_SKIP)
+    assert report.canonical_json() == run_suite("fast", seed=1, skip=POOL_SKIP).canonical_json()
+    assert multiprocessing.active_children() == []
+
+
+def test_the_pool_forks_at_most_one_worker_per_experiment(monkeypatch):
+    # a recorder in place of the pool, so that no process is started
+    asked, submitted = [], []
+
+    class Recorder:
+        def __init__(self, max_workers, mp_context):
+            asked.append((max_workers, mp_context.get_start_method()))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, name, *args):
+            submitted.append(name)
+            done = concurrent.futures.Future()
+            done.set_result(fn(name, *args))
+            return done
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    for keep in (("bellman-jn", "planar-spectral"), ("bellman-jn",)):
+        asked.clear()
+        submitted.clear()
+        run_suite("fast", workers=64, skip=tuple(n for n in suite.EXPERIMENTS if n not in keep))
+        # a lone experiment goes to a worker too
+        assert asked == [(len(keep), "fork")] and sorted(submitted) == sorted(keep)
 
 
 def golden_json(name):

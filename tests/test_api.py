@@ -265,15 +265,28 @@ def unset_defaults(sources, callers=CALLERS):
             and not any(sets(c, name, position, default) for c in calls.get(fn, []))]
 
 
+def loaded_by_import(*modules):
+    """Those of `modules` that `import bellmanlab, bellmanlab.cli` loads in
+    a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys, bellmanlab, bellmanlab.cli; "
+             f"print(' '.join(m for m in {modules!r} if m in sys.modules))")
+    run = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    return run.stdout.split()
+
+
 def test_import_loads_no_scipy():
     # scipy takes most of a bare import's time and memory; it is a test
     # oracle only, so neither the package nor the CLI may pull it in
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, bellmanlab, bellmanlab.cli; print('scipy' in sys.modules)"
-    run = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "False"
+    assert loaded_by_import("scipy") == []
+
+
+def test_import_loads_no_process_pool():
+    # a bare import is timed as the benchmark's setup_s, and a one-worker
+    # run never forks: `suite.run_suite` imports these only for workers > 1
+    assert loaded_by_import("multiprocessing", "concurrent.futures.process") == []
 
 
 def test_every_public_name_is_used():

@@ -423,6 +423,20 @@ def test_hessian_identity_fails_on_a_dropped_sign_below_2(monkeypatch):
     assert check.value == pytest.approx(2.0) and not check.passed
 
 
+def test_hessian_identity_false_failure_rate():
+    # the suite's three random draws at seeds 1-1,000: a correct run is red
+    # at four seeds (0.4%), each with a draw near x = 0 or y = 0, where the
+    # h = 1e-4 finite-difference Hessian of the majorant is still coarse
+    red = {}
+    for seed in range(1, 1001):
+        [check] = [c for c in suite._hessian_checks((), 1, seed)
+                   if c.check_id == "bellman.hessian-identity"]
+        if not check.passed:
+            red[seed] = check.value
+    assert sorted(red) == [622, 732, 782, 918]
+    assert max(red.values()) == pytest.approx(2.05e-4, rel=0.01)
+
+
 def test_hessian_order_fails_on_a_forward_difference(monkeypatch):
     form = bm._hessian_form
 

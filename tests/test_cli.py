@@ -310,6 +310,22 @@ def test_bad_input_is_refused_before_the_expensive_call(capsys, monkeypatch, arg
     assert run_cli(capsys, *argv.split()) == (2, "", line + "\n")
 
 
+@pytest.mark.parametrize("argv, module, callee", [
+    ("suite fast --output {missing}", cli, "run_suite"),
+    ("planar norm-ascent --witness {missing}", pl, "power_ascent"),
+], ids=["suite-output", "norm-ascent-witness"])
+def test_path_in_a_missing_directory_is_refused_before_the_run(tmp_path, capsys,
+                                                               monkeypatch, argv,
+                                                               module, callee):
+    def reached(*args, **kwargs):
+        raise AssertionError(f"{callee} ran before the path was refused")
+
+    monkeypatch.setattr(module, callee, reached)
+    missing = str(tmp_path / "missing" / "out.txt")
+    line = f"error: [Errno 2] No such file or directory: {missing!r}\n"
+    assert run_cli(capsys, *argv.format(missing=missing).split()) == (2, "", line)
+
+
 def test_riemann_gap_off_the_unit_interval(capsys):
     # the suite's four 1-d gates, each against its exact mean on [a, b]
     code, out, _ = run_cli(capsys, "stoch", "riemann-gap", "--a", "0.5", "--b", "1.5",
