@@ -15,22 +15,12 @@ import numpy as np
 from bellmanlab import stochastic as st
 from bellmanlab import suite
 
-print("== left vs right Riemann sums on [0, 1] ==")
-paths, steps = 100_000, 1000
-demo = st.riemann_gap_demo(0.0, 1.0, steps, paths, seed=0)
-# the half-widths are the suite's gates: Z standard errors
-half = {key: suite.Z * demo[key + "_sd"] / np.sqrt(paths)
-        for key in ("ES1", "ES2", "ES1_sq", "EFS1")}
-print(f"E sum w(t_i-1) dw = {demo['ES1']:+.4f} +- {half['ES1']:.4f}")
-print(f"E sum w(t_i)   dw = {demo['ES2']:+.4f} +- {half['ES2']:.4f}  (gap = b - a = 1)")
-
-print("\n== isometry and product rule, read off the same paths ==")
-# the exact means of the discrete left-point sums, which the suite gates
-isometry, product = suite._left_point_means(0.0, 1.0, steps)
-print(f"E (sum w dw)^2 = {demo['ES1_sq']:.4f} +- {half['ES1_sq']:.4f}  "
-      f"(exact (N-1)/(2N) = {isometry:.4f})")
-print(f"E sum sin w dw sum w dw = {demo['EFS1']:+.4f} +- {half['EFS1']:.4f}  "
-      f"(exact sum t e^(-t/2) dt = {product:.4f})")
+print("== left vs right Riemann sums, isometry and product rule on [0, 1] ==")
+# the suite's four gates: |mean - exact mean of the discrete sum| less
+# Z = 3 standard errors, which passes at or below 0
+for check in suite.riemann_checks(0.0, 1.0, 1000, 100_000, seed=0):
+    print(f"  {check.check_id:18s} {check.value:+.4f}  "
+          f"{'pass' if check.passed else 'FAIL'}  ({check.detail})")
 
 print("\n== heat martingales reach their boundary data ==")
 surf = st.GaussianMix.single(sigma2=0.8)

@@ -285,10 +285,9 @@ def linear_majorant_feasibility(c: float, p: float) -> FeasibilityResult:
 def feasibility_transition(p: float) -> float:
     """Bisect, to width 1e-4 over [0, 4 (p*-1)], the smallest c for which
     the linear majorant family is feasible; should land within grid
-    tolerance of p*-1."""
+    tolerance of p*-1.  c = 0 is never feasible: the endpoint conditions
+    force rho >= p*-1, and H_0 = (rho/(rho+1))^p > 0 at the zero of g1."""
     c_lo, c_hi = 0.0, 4.0 * (p_star(p) - 1.0)
-    if linear_majorant_feasibility(c_lo, p).feasible:
-        return c_lo
     if not linear_majorant_feasibility(c_hi, p).feasible:
         raise RuntimeError("no feasible c in the bracket")
     while c_hi - c_lo > 1e-4:
@@ -424,7 +423,6 @@ class JNReport:
     obstacle_min_gap: float
     analytic_max_eig: float
     analytic_max_det_rel: float
-    variants: list
 
 
 def _strip_candidate(eps: float, q: float):
@@ -479,26 +477,29 @@ def jn_bellman_check(delta: float, grid: tuple[int, int]) -> JNReport:
     """Check the strip candidate v_delta on {|x1| <= 1, 0 <= x2 < delta}:
 
     (a) drift-modified matrix negative semidefinite, (b) its determinant
-    zero, (c) v_delta >= e^{x1}, and (a)+(b) for the phi_{eps,q} family
-    members (eps, q) = (0.6, 1) and (0.9, 2), in that order, in `variants`
-    (v_delta itself is the member (delta, 1)).
+    zero, (c) v_delta >= e^{x1}.  v_delta is the member (delta, 1) of the
+    phi_{eps,q} family; the members (0.6, 1) and (0.9, 2) are defined on
+    the strip too, so delta may not exceed 0.6.
 
     (a), (b) are certified with the closed-form derivatives on the nearly
-    full strip; the finite-difference cross-check runs only where
-    delta - x2 >= 0.05 (clipped, since the x2-derivatives blow up
-    like (delta - x2)^{-1/2} at the branch point and centered differences
-    at step 1e-4 lose the stated tolerances there).
+    full strip, worst over the three members; the finite-difference
+    cross-check of v_delta runs only where delta - x2 >= 0.05 (clipped,
+    since the x2-derivatives blow up like (delta - x2)^{-1/2} at the
+    branch point and centered differences at step 1e-4 lose the stated
+    tolerances there).
     """
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+    if not 0 < delta <= 0.6:
+        raise ValueError("delta must lie in (0, 0.6]")
     fd_clearance = 0.05
     n1, n2 = grid
     x1 = np.linspace(-1.0, 1.0, n1)
-    x2_full = np.linspace(0.0, delta - 1e-9 * max(delta, 1.0), n2)
+    x2_full = np.linspace(0.0, delta - 1e-9, n2)
     X1, X2 = np.meshgrid(x1, x2_full, indexing="ij")
 
-    value, matrix = _strip_candidate(delta, 1.0)
-    analytic_max_eig, analytic_max_det = _matrix_stats(*matrix(X1, X2))
+    members = [_strip_candidate(eps, q) for eps, q in ((delta, 1.0), (0.6, 1.0), (0.9, 2.0))]
+    value = members[0][0]
+    analytic_max_eig, analytic_max_det = map(max, zip(*(
+        _matrix_stats(*matrix(X1, X2)) for _, matrix in members)))
     obstacle = float(np.min(value(X1, X2) - np.exp(X1)))
 
     x2_fd = x2_full[x2_full <= delta - fd_clearance]
@@ -507,19 +508,10 @@ def jn_bellman_check(delta: float, grid: tuple[int, int]) -> JNReport:
         X1f, X2f = np.meshgrid(x1, x2_fd, indexing="ij")
         fd_eig, fd_det = _matrix_stats(*_fd_matrix(value, X1f, X2f, 1e-4))
 
-    out_variants = []
-    for eps, q in ((0.6, 1.0), (0.9, 2.0)):
-        if eps < delta:
-            raise ValueError(f"delta must not exceed the variant eps = {eps}")
-        _, mat = _strip_candidate(eps, q)
-        max_eig, max_det_rel = _matrix_stats(*mat(X1, X2))
-        out_variants.append({"max_eig": max_eig, "max_det_rel": max_det_rel})
-
     return JNReport(
         fd_max_eig=fd_eig,
         fd_max_det_rel=fd_det,
         obstacle_min_gap=obstacle,
         analytic_max_eig=analytic_max_eig,
         analytic_max_det_rel=analytic_max_det,
-        variants=out_variants,
     )

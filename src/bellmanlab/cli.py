@@ -170,7 +170,7 @@ def _cmd_check(args) -> int:
     _check_flags(args)
     report = RunReport(config={"module": args.module, "operation": args.operation,
                                "seed": args.seed})
-    report.extend(builder(**params(args)))
+    report.entries.extend(builder(**params(args)))
     return _emit(report, args)
 
 

@@ -59,20 +59,13 @@ class TestFunction2D:
     tag: str = "custom"
     degree: float | None = None
 
-    def __call__(self, X, Y):
-        return self.fn(X, Y)
-
-
-def power_test(fn, degree: float, tag: str = "power") -> TestFunction2D:
-    return TestFunction2D(fn=fn, tag=tag, degree=degree)
-
 
 def phi_plus(p: float) -> TestFunction2D:
-    return power_test(lambda X, Y: np.abs(X + Y) ** p, p, "phi+")
+    return TestFunction2D(lambda X, Y: np.abs(X + Y) ** p, "phi+", p)
 
 
 def phi_minus(p: float) -> TestFunction2D:
-    return power_test(lambda X, Y: np.abs(X - Y) ** p, p, "phi-")
+    return TestFunction2D(lambda X, Y: np.abs(X - Y) ** p, "phi-", p)
 
 
 def s0_K_p_relations(p: float, eta: float):
@@ -168,22 +161,20 @@ def _ray_closed_form(ray: Ray, phi: TestFunction2D) -> float:
     decay = ray.q - 1.0 - phi.degree
     if decay <= 0:
         raise ValueError("divergent ray integral: degree >= q - 1")
-    return ray.weight * float(phi(ray.ax, ray.ay)) / decay
+    return ray.weight * float(phi.fn(ray.ax, ray.ay)) / decay
 
 
-def integrate(lam: Laminate, phi: TestFunction2D, shift=(0.0, 0.0),
-              method: str = "auto") -> float:
+def integrate(lam: Laminate, phi: TestFunction2D, shift=(0.0, 0.0)) -> float:
     """integral of phi(X + shift_x, Y + shift_y) d lam(X, Y).
 
     Atoms are summed exactly.  Ray parts use the closed-form power rule
-    when phi declares exact homogeneity and no shift is applied (method
-    'auto'), otherwise adaptive log-substituted quadrature; method 'quad'
-    forces quadrature, e.g. to cross-check the closed form.
+    when phi declares its degree (exact homogeneity) and no shift is
+    applied.  A test function without a degree, or a shifted one, is
+    integrated by adaptive log-substituted quadrature, so the same
+    function without its degree cross-checks the closed form.
     """
-    if method not in ("auto", "quad"):
-        raise ValueError(f"method must be 'auto' or 'quad', not {method!r}")
     total = sum(m * float(phi.fn(x + shift[0], y + shift[1])) for x, y, m in lam.atoms)
-    closed_ok = phi.degree is not None and shift == (0.0, 0.0) and method == "auto"
+    closed_ok = phi.degree is not None and shift == (0.0, 0.0)
     for ray in lam.rays:
         if closed_ok:
             total += _ray_closed_form(ray, phi)
@@ -193,14 +184,15 @@ def integrate(lam: Laminate, phi: TestFunction2D, shift=(0.0, 0.0),
 
 
 def mass(lam: Laminate) -> float:
-    return integrate(lam, power_test(lambda X, Y: np.ones_like(np.asarray(X, dtype=float)), 0.0))
+    return integrate(lam, TestFunction2D(
+        lambda X, Y: np.ones_like(np.asarray(X, dtype=float)), degree=0.0))
 
 
 def baricenter(lam: Laminate):
     """(Xbar, Ybar, mass); first moments must converge."""
     m = mass(lam)
-    mx = integrate(lam, power_test(lambda X, Y: np.asarray(X, dtype=float), 1.0))
-    my = integrate(lam, power_test(lambda X, Y: np.asarray(Y, dtype=float), 1.0))
+    mx = integrate(lam, TestFunction2D(lambda X, Y: np.asarray(X, dtype=float), degree=1.0))
+    my = integrate(lam, TestFunction2D(lambda X, Y: np.asarray(Y, dtype=float), degree=1.0))
     return mx / m, my / m, m
 
 
@@ -318,7 +310,7 @@ def laminate_inequality_check(lam: Laminate, a=(0.0, 0.0),
         ok, witness = check_biconcave(f.fn, seed=seed)
         if not ok:
             raise ValueError(f"battery member {f.tag} fails bi-concavity at {witness}")
-        lhs = float(f(a[0], a[1]))
+        lhs = float(f.fn(a[0], a[1]))
         rhs = integrate(lam, f, shift=(a[0] - bx, a[1] - by)) / m
         worst = min(worst, lhs - rhs)
     return worst

@@ -115,9 +115,6 @@ class RunReport:
     entries: list = field(default_factory=list)
     wall_time: float = 0.0
 
-    def extend(self, results):
-        self.entries.extend(results)
-
     @property
     def passed(self) -> bool:
         return all(e.passed for e in self.entries)

@@ -4,7 +4,7 @@ and three rules hold over src/bellmanlab:
 - every public name (a top-level def, class or assignment target without
   a leading underscore) has a user in src/, demos/, perfbench/ or
   README.md besides its own definition;
-- no module reads an underscore name of another module;
+- no module, and no demo, reads an underscore name of a package module;
 - every defaulted parameter of a public function or method gets a value
   other than its default from some call, so no option has only one value.
 
@@ -36,6 +36,7 @@ from bellmanlab import suite
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(bellmanlab.__file__).resolve().parent
 SOURCES = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+DEMOS = {p.stem: p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))}
 SCRIPTS = [*sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 OTHERS = [p.read_text() for p in [*SCRIPTS, ROOT / "README.md"]]
@@ -102,6 +103,16 @@ def unused_public(sources, others=OTHERS):
     return unused
 
 
+def imported_module(node):
+    """The package module that the `from ... import` `node` imports from,
+    relatively or as `bellmanlab[.module]`: '' for the package itself,
+    None for a module outside the package."""
+    name = node.module or ""
+    if node.level:
+        return name
+    return name[len("bellmanlab."):] if f"{name}.".startswith("bellmanlab.") else None
+
+
 def private_reaches(sources):
     """`module: other._name` for each underscore name that a module of
     `sources` imports from, or reads as an attribute of, another one."""
@@ -110,12 +121,12 @@ def private_reaches(sources):
         tree = parse(source)
         aliases = {}  # local name -> the package module it is bound to
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level:
+            if isinstance(node, ast.ImportFrom) and (origin := imported_module(node)) is not None:
                 for alias in node.names:
-                    if node.module is None and alias.name in sources:
+                    if not origin and alias.name in sources:
                         aliases[alias.asname or alias.name] = alias.name
-                    elif private(alias.name) and (node.module or "__init__") != module:
-                        reaches.append(f"{module}: {node.module or ''}.{alias.name}")
+                    elif private(alias.name) and (origin or "__init__") != module:
+                        reaches.append(f"{module}: {origin}.{alias.name}")
 
         def target(expr):
             """The package module that `expr` names, or None."""
@@ -295,7 +306,8 @@ def test_every_public_name_is_used():
 
 
 def test_no_module_reads_another_modules_private_name():
-    assert private_reaches(SOURCES) == []
+    # the demos import the package absolutely, as a reader's script would
+    assert private_reaches({**SOURCES, **DEMOS}) == []
 
 
 @pytest.mark.parametrize("planted, audit, finding", [
@@ -304,6 +316,9 @@ def test_no_module_reads_another_modules_private_name():
     ("from . import planar\n\nspectrum = planar._fft2\n", private_reaches,
      "planted: planar._fft2"),
     ("from .planar import _fft2\n", private_reaches, "planted: planar._fft2"),
+    # a demo's absolute import
+    ("from bellmanlab import suite as s\n\nmeans = s._left_point_means(0.0, 1.0, 10)\n",
+     private_reaches, "planted: suite._left_point_means"),
 ])
 def test_the_audits_fail_on_planted_faults(planted, audit, finding):
     sources = {**SOURCES, "planted": planted}

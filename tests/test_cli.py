@@ -10,6 +10,7 @@ import pytest
 
 from bellmanlab import bellman as bm
 from bellmanlab import cli
+from bellmanlab import dyadic as dy
 from bellmanlab import planar as pl
 from bellmanlab.cli import build_parser, main
 from bellmanlab.reporting import CHECK_REGISTRY, CheckResult, RunReport
@@ -210,7 +211,7 @@ BAD_INPUTS = {
     ("bellman", "tau"): ("--p 0", 2, "error: p must be positive"),
     ("bellman", "interp-sweep"): (
         "--qmin 1", 2, "error: q must be >= 2; pass the dual exponent instead"),
-    ("bellman", "jn"): ("--delta 1", 2, "error: delta must lie in (0, 1)"),
+    ("bellman", "jn"): ("--delta 1", 2, "error: delta must lie in (0, 0.6]"),
     ("planar", "norm-ascent"): ("--p 1.5 --n 8", 2, "error: ascent is set up for p >= 2"),
     ("planar", "identity113"): ("--nt 1", 2, "error: --nt must be at least 3, got 1"),
     ("planar", "ap"): ("--n 1", 2, "error: --n must be at least 2, got 1"),
@@ -230,9 +231,10 @@ BAD_INPUTS = {
     ("suite", "fast"): ("--workers 0", 2, "error: --workers must be at least 1, got 0"),
 }
 # further refusals of the same operations: a skip list that names no
-# experiment, or every one, ran the rest or nothing and exited 0; a
-# negative start time ran a path from t < 0; and an empty interval passed
-# both of its gates by comparing 0 with 0
+# experiment, or every one, ran the rest or nothing and exited 0; a strip
+# wider than the family member eps = 0.6 passed the (0, 1) check and then
+# failed on that member; a negative start time ran a path from t < 0; and
+# an empty interval passed both of its gates by comparing 0 with 0
 MORE_BAD_INPUTS = {
     ("suite", "fast"): [
         ("--skip nosuch," + ",".join(n for n in cli.suite.EXPERIMENTS if n != "qc"),
@@ -240,6 +242,7 @@ MORE_BAD_INPUTS = {
         ("--skip " + ",".join(cli.suite.EXPERIMENTS), 2,
          "error: skip leaves no experiment to run"),
     ],
+    ("bellman", "jn"): [("--delta 0.7", 2, "error: delta must lie in (0, 0.6]")],
     ("stoch", "riemann-gap"): [("--a -1 --b 1", 2, "error: a=-1, b=1; need 0 <= a < b"),
                                ("--a 0.5 --b 0.5", 2, "error: a=0.5, b=0.5; need 0 <= a < b")],
 }
@@ -354,6 +357,30 @@ def test_dyadic_mt_ratio(capsys):
     assert "dyadic.weighted-mt-envelope" in out
 
 
+@pytest.mark.parametrize("flags, weight, p", [
+    ("--p 3 --seed 1", dy.two_value_weight(2.0, 1.0, 10), 3),
+    ("--weight power:0.5 --seed 1", dy.power_weight(0.5, 10), 2),
+], ids=["p3", "power-weight"])
+def test_dyadic_mt_ratio_without_a_closed_form_is_gated_at_the_envelope(
+        capsys, flags, weight, p):
+    # only p = 2 with w constant on each half has the closed form sqrt([w]_A2)
+    code, out, _ = run_cli(capsys, "dyadic", "mt-ratio", *flags.split(), "--format", "json")
+    entry = entries_of(out)["dyadic.weighted-mt-envelope"]
+    assert entry["detail"] == f"ascent at p={p}, no closed form: envelope 2[w]_A2"
+    assert entry["target"] == 2.0 * dy.a2_dyadic(weight) > entry["value"] > 1.0
+    assert code == 0 and entry["passed"]
+
+
+@pytest.mark.parametrize("which", ["mu", "sigma"])
+def test_laminate_check_passes_at_the_known_baricenter(capsys, which):
+    # mu at (0, 1) and sigma at (0, -1); the suite checks only nu
+    code, out, _ = run_cli(capsys, "laminate", "check", "--which", which,
+                           "--format", "json")
+    entries = entries_of(out)
+    assert entries["laminate.mass-baricenter"]["value"] < 1e-15
+    assert code == 0 and all(e["passed"] for e in entries.values())
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "qc", "distortion", "--K", "3",
@@ -423,10 +450,11 @@ def test_config_unknown_field(tmp_path, capsys):
 
 
 def test_ascent_witness_roundtrip(tmp_path, capsys):
-    target = tmp_path / "witness.blf"
+    target, curve = tmp_path / "witness.blf", tmp_path / "curve.csv"
     code, out, _ = run_cli(capsys, "planar", "norm-ascent", "--op", "r11-r22",
                            "--p", "4", "--n", "32", "--iters", "30",
-                           "--witness", str(target), "--format", "json")
+                           "--witness", str(target), "--curve", str(curve),
+                           "--format", "json")
     entries = entries_of(out)
     field = pl.read_field(target)
     assert field.n == 32
@@ -434,15 +462,20 @@ def test_ascent_witness_roundtrip(tmp_path, capsys):
     image = pl.apply_multiplier(pl.riesz_diff_multiplier(), field)
     achieved = image.norm(4.0) / field.norm(4.0)
     assert -entries["planar.ascent-ratio"]["value"] == pytest.approx(achieved, rel=1e-9)
+    # the curve file holds the ascent's curve, one row per iteration
+    res = pl.norm_ratio_ascent(pl.riesz_diff_multiplier(), p=4.0, n=32, iters=30, seed=0)
+    rows = list(csv.reader(curve.read_text().splitlines()))
+    assert rows[0] == ["iteration", "ratio"]
+    assert rows[1:] == [[str(i), repr(float(r))] for i, r in enumerate(res.curve)]
     assert code == (0 if all(e["passed"] for e in entries.values()) else 1)
 
 
 def test_report_canonical_json_excludes_timing():
     rep = RunReport(config={"b": 1, "a": 2})
-    rep.extend([CheckResult("bellman.tau-quadrature", 0.0, 0.0, 1e-10)])
+    rep.entries.extend([CheckResult("bellman.tau-quadrature", 0.0, 0.0, 1e-10)])
     rep.wall_time = 123.0
     other = RunReport(config={"a": 2, "b": 1})
-    other.extend([CheckResult("bellman.tau-quadrature", 0.0, 0.0, 1e-10)])
+    other.entries.extend([CheckResult("bellman.tau-quadrature", 0.0, 0.0, 1e-10)])
     other.wall_time = 4.0
     assert rep.canonical_json() == other.canonical_json()
 

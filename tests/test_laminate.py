@@ -45,7 +45,7 @@ def test_constant_integral_is_half():
     # closed-form oracle: (K/(K-1)) / (p + eta) with p + eta = 2K/(K-1)
     p, eta = 3.0, 0.25
     hi, _ = lam.nu_pair(p, eta)
-    one = lam.power_test(lambda X, Y: np.ones_like(np.asarray(X, float)), 0.0)
+    one = lam.TestFunction2D(lambda X, Y: np.ones_like(np.asarray(X, float)), degree=0.0)
     assert lam.integrate(hi, one) == pytest.approx(0.5, abs=1e-14)
 
 
@@ -66,31 +66,24 @@ def test_atoms_only_signed_sum():
 
 
 def test_closed_form_vs_quadrature():
-    # moderate tail: the quadrature route is viable and must agree
+    # moderate tail: the quadrature route is viable and must agree; without
+    # its degree a test function is integrated by quadrature
     mu = lam.mu_laminate(3.0, 0.5)
     for phi in (lam.phi_plus(3.0), lam.phi_minus(3.0)):
         closed = lam.integrate(mu, phi)
-        quad = lam.integrate(mu, phi, method="quad")
+        quad = lam.integrate(mu, lam.TestFunction2D(phi.fn))
         assert abs(closed - quad) / closed < 1e-10
-
-
-def test_unknown_method_raises():
-    mu = lam.mu_laminate(3.0, 0.5)
-    for method in ("closed", "Quad", ""):
-        with pytest.raises(ValueError, match="'auto' or 'quad'"):
-            lam.integrate(mu, lam.phi_plus(3.0), method=method)
 
 
 def test_divergent_ray_errors():
     p, eta = 3.0, 0.5
     hi, _ = lam.nu_pair(p, eta)
-    too_big = lam.power_test(lambda X, Y: np.abs(Y) ** (p + eta), p + eta)
+    too_big = lam.TestFunction2D(lambda X, Y: np.abs(Y) ** (p + eta), degree=p + eta)
     with pytest.raises(ValueError):
         lam.integrate(hi, too_big)
     # without a stated degree the divergence is found numerically
     with pytest.raises(ArithmeticError, match="does not converge"):
-        lam.integrate(hi, lam.TestFunction2D(lambda X, Y: np.abs(Y) ** (p + eta)),
-                      method="quad")
+        lam.integrate(hi, lam.TestFunction2D(lambda X, Y: np.abs(Y) ** (p + eta)))
 
 
 # ---------------------------------------------------------------------------
